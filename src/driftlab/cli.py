@@ -1,130 +1,73 @@
 """Command-line front end.
 
-Subcommands: scale, drift, escape, tail, chance, run.  Exit codes: 0 success,
-1 configuration error (including bad flags), 2 I/O failure, 3 a --check
-verification failed.  A JSON config file (--config) may supply any option;
-explicit flags override file values.
+Subcommands: scale, drift, escape, tail, chance, run.  Each is the same
+pipeline: flags and a JSON config file (--config; flags override its values)
+make an ExperimentConfig, its study makes a ReportBundle, and the bundle
+writes the CSV (--out) and JSON (--json) reports.  A subcommand has flags, and
+accepts config keys, only for the options its study reads
+(experiments.STUDY_FIELDS); any other flag or key is a configuration error.
+Exit codes: 0 success, 1 configuration error (including bad flags), 2 I/O
+failure, 3 a --check verification failed.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
-from fractions import Fraction
 from typing import Optional
 
-import numpy as np
-
-from .drift import exhaustive_drift_check
-from .experiments import (
-    ExperimentConfig,
-    chance_demo,
-    escape_study,
-    run_study,
-    scaling_study,
-    tail_study,
-)
-from .objectives import generate_instance, load_chance_instance, load_instance
-from .rng import RandomSource
+from .experiments import PRESETS, STUDY_FIELDS, ExperimentConfig, resolve_config, run_experiment
 from .version import __version__
 
-# config-file keys mirror the CLI flags; both spellings are accepted
-_ALIASES = {
-    "n": "n_values",
-    "m": "n_values",
-    "reps": "replicates",
-    "alpha_c": "confidence",
-    "out": "out_csv",
-    "json": "out_json",
-    "weights": "weight_scheme",
-    "wlo": "weight_low",
-    "whi": "weight_high",
-    "r": "r_values",
-    "budget_mult": "budget_multiplier",
-    "stride": "trace_stride",
-    "instance": "instance_file",
-    "samples": "level_samples",
+_HELP = {
+    "scale": "runtime scaling study over a size grid",
+    "drift": "exact drift certification on a small instance",
+    "escape": "escape time from a planted local optimum",
+    "tail": "tail-bound exceedance frequencies",
+    "chance": "chance-constrained fitness demonstration",
+    "run": "plain EA runs with trace output",
 }
 
-_LIST_FIELDS = {"n_values": int, "r_values": float}
+# The flag of each ExperimentConfig field and its argparse keywords.
+_FLAGS = {
+    "n_values": ("--n", {"help": "problem size n (scale, escape: comma-separated sizes, e.g. 64,128)"}),
+    "preset": ("--preset", {"choices": PRESETS}),
+    "s": ("--s", {"type": int, "help": "overlap between the two parts (default 0)"}),
+    "alpha": ("--alpha", {"help": "balance fraction, e.g. 1/2"}),
+    "weight_scheme": ("--weights", {"choices": ["all-ones", "uniform-int", "doubling"],
+                                    "help": "weight scheme"}),
+    "weight_low": ("--wlo", {"type": int, "help": "uniform weight lower bound (default 1)"}),
+    "weight_high": ("--whi", {"type": int, "help": "uniform weight upper bound (default 100)"}),
+    "transforms": ("--transforms", {
+        "help": "comma pair, e.g. square,square_root "
+                "(names: identity, square, square_root, scaled_square_root)"}),
+    "embedding": ("--embedding", {"choices": ["canonical", "random"], "help": "position layout"}),
+    "instance_file": ("--instance", {"help": "JSON instance file; fixes the instance and its size"}),
+    "fresh_instances": ("--fresh-instances", {"action": "store_true",
+                                              "help": "draw a new instance for every replicate"}),
+    "replicates": ("--reps", {"type": int, "help": "replicate count"}),
+    "budget": ("--budget", {"type": int, "help": "absolute iteration budget per run"}),
+    "budget_multiplier": ("--budget-mult", {"type": float, "help": "budget multiplier (default 20)"}),
+    "workers": ("--workers", {"type": int, "help": "parallel worker processes (default 1)"}),
+    "exponent": ("--exponent", {"type": int, "help": "large-power exponent (default n^2)"}),
+    "r_values": ("--r", {"help": "comma-separated tail parameters (default 1,2,3)"}),
+    "delta": ("--delta", {"type": float, "help": "use this drift rate instead of certifying one"}),
+    "confidence": ("--alpha-c", {"type": float, "help": "guarantee level in (0,1)"}),
+    "level_samples": ("--samples", {"type": int, "help": "Monte-Carlo samples per probe (default 1e6)"}),
+    "probes": ("--probes", {"type": int, "help": "number of random probes (default 3)"}),
+    "trace_stride": ("--stride", {"type": int, "help": "trace sampling stride (0 = endpoints)"}),
+    "states": ("--states", {"type": int, "help": "number of random states to sample"}),
+    "mutation_probability": ("--p", {"type": float, "help": "mutation probability override"}),
+    "seed": ("--seed", {"type": int, "help": "master seed (default 1)"}),
+    "out_csv": ("--out", {"help": "CSV report path"}),
+    "out_json": ("--json", {"help": "JSON report path"}),
+}
+_KIND_FLAGS = {("chance", "n_values"): ("--m", {"help": "item count m"})}
 
-
-def _parse_list(value, cast):
-    if isinstance(value, (list, tuple)):
-        return tuple(cast(v) for v in value)
-    return tuple(cast(v) for v in str(value).split(",") if v != "")
-
-
-def _normalize(key: str, value):
-    key = _ALIASES.get(key, key)
-    if key in _LIST_FIELDS:
-        value = _parse_list(value, _LIST_FIELDS[key])
-    if key == "transforms":
-        value = tuple(_parse_list(value, str))
-    if key == "alpha":
-        value = Fraction(value)
-    return key, value
-
-
-def _merge_options(args: argparse.Namespace, kind: str) -> ExperimentConfig:
-    merged: dict = {}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-        if not isinstance(file_cfg, dict):
-            raise ValueError("config file must hold a JSON object")
-        for key, value in file_cfg.items():
-            if key == "kind":
-                continue
-            key, value = _normalize(key, value)
-            merged[key] = value
-    skip = {"command", "config", "check", "exhaustive", "states", "p"}
-    for key, value in vars(args).items():
-        if key in skip or value is None:
-            continue
-        key, value = _normalize(key, value)
-        merged[key] = value
-    known = set(ExperimentConfig.__dataclass_fields__) - {"kind"}
-    unknown = set(merged) - known
-    if unknown:
-        raise ValueError(f"unknown config option(s): {sorted(unknown)}")
-    # single runs and probe demos default to far fewer replicates than studies
-    if "replicates" not in merged:
-        merged["replicates"] = {"run": 1, "chance": 10}.get(kind, 200)
-    try:
-        return ExperimentConfig(kind=kind, **merged)
-    except TypeError as exc:
-        raise ValueError(str(exc)) from exc
-
-
-def _add_common(sub: argparse.ArgumentParser, with_outputs: bool = True):
-    sub.add_argument("--seed", type=int, help="master seed (default 1)")
-    sub.add_argument("--reps", type=int, dest="reps", help="replicate count")
-    sub.add_argument("--workers", type=int, help="parallel worker processes (default 1)")
-    sub.add_argument("--budget", type=int, help="absolute iteration budget per run")
-    sub.add_argument("--budget-mult", type=float, dest="budget_mult", help="budget multiplier (default 20)")
-    sub.add_argument("--config", help="JSON config file; flags override its values")
-    sub.add_argument("--check", action="store_true", help="exit 3 unless all built-in checks pass")
-    if with_outputs:
-        sub.add_argument("--out", help="CSV report path")
-        sub.add_argument("--json", help="JSON report path")
-
-
-def _add_instance_options(sub: argparse.ArgumentParser):
-    sub.add_argument("--s", type=int, help="overlap between the two parts (default 0)")
-    sub.add_argument("--alpha", help="balance fraction, e.g. 1/2")
-    sub.add_argument("--weights", choices=["all-ones", "uniform-int", "doubling"], help="weight scheme")
-    sub.add_argument("--wlo", type=int, help="uniform weight lower bound (default 1)")
-    sub.add_argument("--whi", type=int, help="uniform weight upper bound (default 100)")
-    sub.add_argument(
-        "--transforms",
-        help="comma pair, e.g. square,square_root (names: identity, square, square_root, scaled_square_root)",
-    )
-    sub.add_argument("--embedding", choices=["canonical", "random"], help="position layout")
-    sub.add_argument("--instance", help="JSON instance file (overrides generation flags)")
+# Config-file keys are field names or flag names; "m" and "n" both set the size.
+_ALIASES = {flag.lstrip("-").replace("-", "_"): name for name, (flag, _) in _FLAGS.items()}
+_ALIASES["m"] = "n_values"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -134,100 +77,44 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"driftlab {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    scale = commands.add_parser("scale", help="runtime scaling study over a size grid")
-    scale.add_argument("--preset", choices=["onemax", "separable", "chance"])
-    scale.add_argument("--n", help="comma-separated sizes, e.g. 64,128,256")
-    scale.add_argument("--fresh-instances", action="store_true", dest="fresh_instances", default=None)
-    _add_instance_options(scale)
-    _add_common(scale)
-
-    drift = commands.add_parser("drift", help="exact drift certification on a small instance")
-    drift.add_argument("--n", type=int, help="nominal dimension")
-    drift.add_argument("--exhaustive", action="store_true", help="sweep every non-optimal state")
-    drift.add_argument("--states", type=int, help="number of random states to sample instead")
-    drift.add_argument("--p", type=float, help="mutation probability override")
-    _add_instance_options(drift)
-    _add_common(drift)
-
-    escape = commands.add_parser("escape", help="escape time from a planted local optimum")
-    escape.add_argument("--n", help="comma-separated sizes")
-    escape.add_argument("--exponent", type=int, help="large-power exponent (default n^2)")
-    _add_common(escape)
-
-    tail = commands.add_parser("tail", help="tail-bound exceedance frequencies")
-    tail.add_argument("--n", type=int, help="nominal dimension (domain <= 12 unless --delta)")
-    tail.add_argument("--preset", choices=["onemax", "separable", "chance"])
-    tail.add_argument("--r", help="comma-separated tail parameters (default 1,2,3)")
-    tail.add_argument("--delta", type=float, help="use this drift rate instead of certifying one")
-    _add_instance_options(tail)
-    _add_common(tail)
-
-    chance = commands.add_parser("chance", help="chance-constrained fitness demonstration")
-    chance.add_argument("--m", type=int, help="item count")
-    chance.add_argument("--alpha-c", type=float, dest="alpha_c", help="guarantee level in (0,1)")
-    chance.add_argument("--samples", type=int, help="Monte-Carlo samples per probe (default 1e6)")
-    chance.add_argument("--probes", type=int, help="number of random probes (default 3)")
-    chance.add_argument("--instance", help="JSON chance-instance file {m, mu[], sigma[], alpha_c}")
-    _add_common(chance)
-
-    run = commands.add_parser("run", help="plain EA runs with trace output")
-    run.add_argument("--preset", choices=["onemax", "separable", "chance"])
-    run.add_argument("--n", type=int, help="nominal dimension")
-    run.add_argument("--stride", type=int, help="trace sampling stride (0 = endpoints)")
-    _add_instance_options(run)
-    _add_common(run)
-
+    for kind, fields in STUDY_FIELDS.items():
+        # Absent flags leave no attribute, so only given options reach the
+        # config; no abbreviations, or "--s" on escape would set the seed.
+        sub = commands.add_parser(
+            kind, help=_HELP[kind], argument_default=argparse.SUPPRESS, allow_abbrev=False
+        )
+        for name in fields:
+            flag, keywords = _KIND_FLAGS.get((kind, name), _FLAGS[name])
+            if name == "states":
+                group = sub.add_mutually_exclusive_group()
+                group.add_argument("--exhaustive", action="store_true",
+                                   help="sweep every non-optimal state (the default)")
+                group.add_argument(flag, dest=name, **keywords)
+            else:
+                sub.add_argument(flag, dest=name, **keywords)
+        sub.add_argument("--config", help="JSON config file; flags override its values")
+        sub.add_argument("--check", action="store_true", help="exit 3 unless all built-in checks pass")
     return parser
 
 
-def _drift_command(args) -> int:
-    seed = args.seed if args.seed is not None else 1
-    if args.instance:
-        instance = load_instance(args.instance)
-    else:
-        if args.n is None:
-            raise ValueError("drift needs --n or --instance")
-        instance = generate_instance(
-            args.n,
-            args.s if args.s is not None else 0,
-            Fraction(args.alpha) if args.alpha else Fraction(1, 2),
-            weight_scheme=args.weights or "uniform-int",
-            weight_range=(args.wlo or 1, args.whi or 100),
-            transforms=tuple((args.transforms or "square,square_root").split(",")),
-            embedding_scheme=args.embedding or "canonical",
-            rng=RandomSource(seed).spawn(0),
-        )
-    states = None
-    if args.states:
-        gen = RandomSource(seed).spawn(1).generator
-        states = [
-            gen.integers(0, 2, instance.domain_size, dtype=np.uint8) for _ in range(args.states)
-        ]
-    report = exhaustive_drift_check(instance, p=args.p, states=states)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["state_index", "ones", "phi", "drift", "ratio"])
-            for row in report.rows:
-                writer.writerow([row.state_index, row.ones, row.phi, row.drift, row.ratio])
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report.summary_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    verdict = "pass" if report.passed else "FAIL"
-    print(
-        f"drift: {len(report.rows)} states, min ratio {report.min_ratio:.6g} vs "
-        f"delta {report.delta_reference:.6g}: {verdict}"
+def _merge_options(args: argparse.Namespace, kind: str) -> ExperimentConfig:
+    options: dict = {}
+    config_path = getattr(args, "config", None)
+    if config_path:
+        with open(config_path, encoding="utf-8") as fh:
+            file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ValueError("config file must hold a JSON object")
+        if file_cfg.pop("kind", kind) != kind:
+            raise ValueError(f"config file is not for {kind}")
+        options.update((_ALIASES.get(key, key), value) for key, value in file_cfg.items())
+    flags = vars(args)
+    options.update(
+        (key, value) for key, value in flags.items() if key not in ("command", "config", "check", "exhaustive")
     )
-    if args.check and not report.passed:
-        return 3
-    return 0
-
-
-def _summary_line(bundle) -> str:
-    checks = "ok" if bundle.passed else "FAILED"
-    return f"{bundle.kind}: {len(bundle.rows)} rows, checks {checks}"
+    if flags.get("exhaustive"):
+        options["states"] = None
+    return resolve_config(kind, options)
 
 
 def cli_main(argv: Optional[list] = None) -> int:
@@ -238,55 +125,17 @@ def cli_main(argv: Optional[list] = None) -> int:
         # argparse exits 0 for --help/--version, 2 for usage errors
         return 0 if exc.code in (0, None) else 1
     try:
-        if args.command == "drift":
-            return _drift_command(args)
-
-        kind = args.command
-        if kind == "chance" and getattr(args, "instance", None) and args.m is None:
-            args.m = load_chance_instance(args.instance).item_count
-        if kind == "chance" and getattr(args, "m", None) is None and not args.config:
-            raise ValueError("chance needs --m or --instance")
-        if kind in ("tail", "run") and getattr(args, "n", None) is None:
-            if getattr(args, "instance", None):
-                args.n = 1  # size comes from the instance file
-            elif not args.config:
-                raise ValueError(f"{kind} needs --n")
-        if kind == "scale" and args.n is None and not args.config:
-            raise ValueError("scale needs --n")
-        if kind == "escape" and args.n is None and not args.config:
-            raise ValueError("escape needs --n")
-        cfg = _merge_options(args, kind)
-
-        if kind == "scale":
-            bundle = scaling_study(cfg)
-        elif kind == "escape":
-            bundle = escape_study(cfg)
-        elif kind == "tail":
-            bundle = tail_study(cfg)
-        elif kind == "chance":
-            bundle = chance_demo(cfg)
-        else:
-            bundle, traces = run_study(cfg)
-            if cfg.out_json:
-                payload = (
-                    traces[0].to_json_dict()
-                    if len(traces) == 1
-                    else [t.to_json_dict() for t in traces]
-                )
-                with open(cfg.out_json, "w", encoding="utf-8") as fh:
-                    json.dump(payload, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-            if cfg.out_csv:
-                bundle.write_csv(cfg.out_csv)
-            print(_summary_line(bundle))
-            return 3 if args.check and not bundle.passed else 0
-
+        cfg = _merge_options(args, args.command)
+        bundle = run_experiment(cfg)
         if cfg.out_csv:
             bundle.write_csv(cfg.out_csv)
         if cfg.out_json:
             bundle.write_json(cfg.out_json)
-        print(_summary_line(bundle))
-        return 3 if args.check and not bundle.passed else 0
+        checks = "ok" if bundle.passed else "FAILED"
+        print(f"{bundle.kind}: {len(bundle.rows)} rows, checks {checks}")
+        for note in bundle.notes:
+            print(f"  {note}")
+        return 3 if getattr(args, "check", False) and not bundle.passed else 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -21,11 +21,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .version import __version__
-from .drift import exhaustive_drift_check
+from .drift import ALL_STATES_CAP, exhaustive_drift_check
 from .ea import EAConfig, RunTrace, default_budget, run_ea
 from .objectives import (
     ChanceInstance,
-    CompositeObjective,
     MultimodalInstance,
     build_chance,
     build_separable,
@@ -39,7 +38,18 @@ from .potential import build_combined_potential
 from .rng import RandomSource
 
 KINDS = ("scale", "drift", "escape", "tail", "chance", "run")
+MULTI_SIZE_KINDS = ("scale", "escape")  # every other study runs one size
 PRESETS = ("onemax", "separable", "chance")
+
+
+def _items(value) -> tuple:
+    """A comma-separated string or a single value as a tuple of items."""
+    if isinstance(value, str):
+        return tuple(v for v in value.split(",") if v != "")
+    try:
+        return tuple(value)
+    except TypeError:
+        return (value,)
 
 
 @dataclass
@@ -64,6 +74,8 @@ class ExperimentConfig:
     fresh_instances: bool = False
     r_values: tuple = (1.0, 2.0, 3.0)
     delta: Optional[float] = None
+    states: Optional[int] = None  # drift: sampled states; None sweeps every state
+    mutation_probability: Optional[float] = None  # drift: overrides the instance's 1/n
     confidence: float = 0.9
     level_samples: int = 1_000_000
     probes: int = 3
@@ -76,14 +88,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}; choose from {KINDS}")
-        self.n_values = tuple(int(n) for n in self.n_values)
+        self.n_values = tuple(int(n) for n in _items(self.n_values))
         if not self.n_values:
             raise ValueError("at least one problem size n is required")
         if any(n < 1 for n in self.n_values):
             raise ValueError("problem sizes must be positive")
+        if len(self.n_values) > 1 and self.kind not in MULTI_SIZE_KINDS:
+            raise ValueError(f"{self.kind} runs one size, got {list(self.n_values)}")
+        if len(self.n_values) > 1 and self.instance_file:
+            raise ValueError(f"an instance file fixes one size, got {list(self.n_values)}")
         self.alpha = Fraction(self.alpha)
-        self.transforms = tuple(self.transforms)
-        self.r_values = tuple(float(r) for r in self.r_values)
+        self.transforms = _items(self.transforms)
+        self.r_values = tuple(float(r) for r in _items(self.r_values))
         if self.replicates < 1:
             raise ValueError("replicate count must be at least 1")
         if self.workers < 1:
@@ -92,6 +108,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown preset {self.preset!r}; choose from {PRESETS}")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie in (0, 1)")
+        if self.states is not None and self.states < 1:
+            raise ValueError("sampled state count must be at least 1")
+        if self.mutation_probability is not None and not 0.0 < self.mutation_probability <= 1.0:
+            raise ValueError("mutation probability must lie in (0, 1]")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -179,6 +199,10 @@ class ReportBundle:
     checks: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
+    # What write_json writes instead of the bundle, for the kinds whose JSON
+    # report has a format of its own: drift's summary and run's traces
+    # (objects with a to_json_dict method are converted on writing).
+    json_document: object = None
 
     @property
     def passed(self) -> bool:
@@ -197,8 +221,9 @@ class ReportBundle:
         }
 
     def write_json(self, path) -> None:
+        document = self.to_json_dict() if self.json_document is None else self.json_document
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
+            json.dump(document, fh, indent=2, sort_keys=True, default=lambda obj: obj.to_json_dict())
             fh.write("\n")
 
     def write_csv(self, path) -> None:
@@ -207,12 +232,12 @@ class ReportBundle:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
             for row in self.rows:
-                d = asdict(row)
-                writer.writerow([d[c] for c in columns])
+                writer.writerow([getattr(row, c) for c in columns])
 
 
 CSV_COLUMNS = {
     "scale": ["n", "s", "alpha", "reps", "censored", "mean_T", "sd_T", "median_T", "ratio_nlogn"],
+    "drift": ["state_index", "ones", "phi", "drift", "ratio"],
     "escape": ["n", "reps", "mean_T", "sd_T"],
     "tail": ["r", "threshold", "exceed_freq", "bound"],
     "chance": ["probe", "g_value", "empirical_level", "alpha_c"],
@@ -225,9 +250,12 @@ def _environment(cfg: ExperimentConfig) -> dict:
 
 
 def build_objective(cfg: ExperimentConfig, n: int, rng: RandomSource):
-    """Instance factory shared by all studies."""
+    """Instance factory shared by all studies; the instance's n is always n."""
     if cfg.instance_file:
-        return load_instance(cfg.instance_file)
+        instance = load_instance(cfg.instance_file)
+        if instance.n != n:
+            raise ValueError(f"instance file {cfg.instance_file} has n={instance.n}, not n={n}")
+        return instance
     if cfg.preset == "onemax":
         return onemax(n)
     if cfg.preset == "separable":
@@ -353,8 +381,8 @@ def scaling_study(cfg: ExperimentConfig) -> ReportBundle:
         rows.append(
             ScalingRow(
                 n=n,
-                s=shared.s if isinstance(shared, CompositeObjective) else 0,
-                alpha=f"{cfg.alpha.numerator}/{cfg.alpha.denominator}",
+                s=shared.s,
+                alpha=f"{shared.alpha.numerator}/{shared.alpha.denominator}",
                 reps=cfg.replicates,
                 censored=censored,
                 mean_T=mean,
@@ -410,7 +438,7 @@ def tail_study(cfg: ExperimentConfig) -> ReportBundle:
     """Empirical exceedance of the drift-theorem tail thresholds.
 
     The drift rate is either supplied (cfg.delta) or certified by exhaustive
-    enumeration on the instance (needs domain size <= 12).  Each replicate
+    enumeration on the instance (needs domain size <= ALL_STATES_CAP).  Each replicate
     uses its own start potential; thresholds are per-run and the reported
     threshold column is the across-run mean for each r.
     """
@@ -419,15 +447,15 @@ def tail_study(cfg: ExperimentConfig) -> ReportBundle:
     n = cfg.n_values[0]
     root = RandomSource(cfg.seed)
     instance = build_objective(cfg, n, root.spawn(0))
-    if not isinstance(instance, CompositeObjective):
-        raise ValueError("tail study needs a composite objective")
     notes = []
     if cfg.delta is not None:
         delta = float(cfg.delta)
         notes.append(f"using supplied drift rate delta={delta}")
     else:
-        if instance.domain_size > 12:
-            raise ValueError("no certified drift rate: domain size > 12 and no --delta supplied")
+        if instance.domain_size > ALL_STATES_CAP:
+            raise ValueError(
+                f"no certified drift rate: domain size > {ALL_STATES_CAP} and no --delta supplied"
+            )
         report = exhaustive_drift_check(instance)
         if not report.passed:
             raise ValueError("exhaustive drift check failed; no certified drift rate")
@@ -490,11 +518,12 @@ def chance_demo(cfg: ExperimentConfig) -> ReportBundle:
     """Optimize the chance fitness, then verify guarantee levels at probes."""
     if cfg.kind != "chance":
         raise ValueError(f"expected kind 'chance', got {cfg.kind!r}")
+    m = cfg.n_values[0]
     if cfg.instance_file:
         chance = load_chance_instance(cfg.instance_file)
-        m = chance.item_count
+        if chance.item_count != m:
+            raise ValueError(f"instance file {cfg.instance_file} has m={chance.item_count}, not m={m}")
     else:
-        m = cfg.n_values[0]
         chance = ChanceInstance(np.arange(1, m + 1, dtype=float), np.ones(m), cfg.confidence)
     composite = build_chance(chance)
     root = RandomSource(cfg.seed)
@@ -553,12 +582,8 @@ def run_study(cfg: ExperimentConfig) -> tuple[ReportBundle, list[RunTrace]]:
     n = cfg.n_values[0]
     root = RandomSource(cfg.seed)
     instance = build_objective(cfg, n, root.spawn(0))
-    budget = cfg.budget if cfg.budget else default_budget(
-        instance.n if isinstance(instance, CompositeObjective) else n, cfg.budget_multiplier
-    )
-    potential = None
-    if isinstance(instance, CompositeObjective):
-        potential = build_combined_potential(instance).value
+    budget = cfg.budget if cfg.budget else default_budget(n, cfg.budget_multiplier)
+    potential = build_combined_potential(instance).value
     traces = []
     rows = []
     for rep in range(cfg.replicates):
@@ -584,5 +609,118 @@ def run_study(cfg: ExperimentConfig) -> tuple[ReportBundle, list[RunTrace]]:
         fits=None,
         environment=_environment(cfg),
         checks={"all_runs_reached_optimum": all(not r.budget_exhausted for r in rows)},
+        json_document=traces[0] if len(traces) == 1 else traces,
     )
     return bundle, traces
+
+
+def drift_study(cfg: ExperimentConfig) -> ReportBundle:
+    """Exact drift over every non-optimal state, or over cfg.states sampled ones.
+
+    The instance draws from stream spawn(0) of the master seed and the sampled
+    states from spawn(1).  The JSON report is the certification summary.
+    """
+    if cfg.kind != "drift":
+        raise ValueError(f"expected kind 'drift', got {cfg.kind!r}")
+    root = RandomSource(cfg.seed)
+    instance = build_objective(cfg, cfg.n_values[0], root.spawn(0))
+    states = None
+    if cfg.states is not None:
+        gen = root.spawn(1).generator
+        states = [gen.integers(0, 2, instance.domain_size, dtype=np.uint8) for _ in range(cfg.states)]
+    report = exhaustive_drift_check(instance, p=cfg.mutation_probability, states=states)
+    verdict = "pass" if report.passed else "FAIL"
+    return ReportBundle(
+        kind="drift",
+        config=cfg.to_dict(),
+        rows=report.rows,
+        fits=None,
+        environment=_environment(cfg),
+        checks={"min_ratio_at_least_delta": report.passed},
+        notes=[f"min ratio {report.min_ratio:.6g} vs delta {report.delta_reference:.6g}: {verdict}"],
+        json_document=report.summary_dict(),
+    )
+
+
+# The ExperimentConfig fields each study reads.  The CLI builds every
+# subcommand's flags from this table, and resolve_config rejects any other
+# option, so no flag or config key is accepted that its study ignores.
+_GENERATOR_FIELDS = (
+    "s", "alpha", "weight_scheme", "weight_low", "weight_high", "transforms", "embedding",
+)
+_RUN_FIELDS = ("replicates", "budget", "budget_multiplier")
+_COMMON_FIELDS = ("seed", "out_csv", "out_json")
+STUDY_FIELDS = {
+    "scale": ("n_values", "preset", *_GENERATOR_FIELDS, "instance_file", "fresh_instances",
+              *_RUN_FIELDS, "workers", *_COMMON_FIELDS),
+    "drift": ("n_values", *_GENERATOR_FIELDS, "instance_file", "states", "mutation_probability",
+              *_COMMON_FIELDS),
+    "escape": ("n_values", "exponent", *_RUN_FIELDS, "workers", *_COMMON_FIELDS),
+    "tail": ("n_values", "preset", *_GENERATOR_FIELDS, "instance_file", "replicates", "r_values",
+             "delta", *_COMMON_FIELDS),
+    "chance": ("n_values", "confidence", "instance_file", "level_samples", "probes", *_RUN_FIELDS,
+               *_COMMON_FIELDS),
+    "run": ("n_values", "preset", *_GENERATOR_FIELDS, "instance_file", *_RUN_FIELDS, "trace_stride",
+            *_COMMON_FIELDS),
+}
+
+
+def _unread(cfg: ExperimentConfig) -> dict:
+    """Fields of STUDY_FIELDS[cfg.kind] that cfg's other settings leave unread, with why."""
+    if cfg.instance_file:
+        unread = dict.fromkeys(("preset", "confidence", *_GENERATOR_FIELDS), "the instance file fixes it")
+    elif cfg.preset is not None:
+        unread = dict.fromkeys(_GENERATOR_FIELDS, f"preset {cfg.preset} fixes it")
+        if cfg.preset == "separable":
+            del unread["weight_low"], unread["weight_high"]
+    elif cfg.weight_scheme != "uniform-int":
+        why = f"weight scheme {cfg.weight_scheme} draws none"
+        unread = dict.fromkeys(("weight_low", "weight_high"), why)
+    else:
+        unread = {}
+    if cfg.budget:
+        unread["budget_multiplier"] = "an absolute budget is set"
+    return unread
+
+
+def resolve_config(kind: str, options: dict) -> ExperimentConfig:
+    """The config of one study from explicitly given options.
+
+    Raises ValueError for an option the study would not read: one outside
+    STUDY_FIELDS[kind], or one that the other options make moot (a generation
+    option next to a preset or an instance file, say).  With an instance file,
+    the size comes from the file.
+    """
+    if kind not in STUDY_FIELDS:
+        raise ValueError(f"unknown experiment kind {kind!r}; choose from {KINDS}")
+    unknown = sorted(set(options) - set(STUDY_FIELDS[kind]))
+    if unknown:
+        raise ValueError(f"{kind} does not read option(s) {unknown}")
+    options = dict(options)
+    if options.get("instance_file") and "n_values" not in options:
+        path = options["instance_file"]
+        size = load_chance_instance(path).item_count if kind == "chance" else load_instance(path).n
+        options["n_values"] = (size,)
+    # single runs and probe demos default to far fewer replicates than studies
+    options.setdefault("replicates", {"run": 1, "chance": 10}.get(kind, 200))
+    try:
+        cfg = ExperimentConfig(kind=kind, **options)
+    except TypeError as exc:
+        raise ValueError(str(exc)) from exc
+    moot = [f"{name} ({why})" for name, why in _unread(cfg).items() if name in options]
+    if moot:
+        raise ValueError(f"{kind} would not read option(s): {'; '.join(moot)}")
+    return cfg
+
+
+def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
+    """Run the study of cfg.kind and return its report bundle."""
+    studies = {
+        "scale": scaling_study,
+        "drift": drift_study,
+        "escape": escape_study,
+        "tail": tail_study,
+        "chance": chance_demo,
+        "run": lambda c: run_study(c)[0],
+    }
+    return studies[cfg.kind](cfg)

@@ -126,6 +126,21 @@ def eval_extended(lf: LinearFunction, emb: DomainEmbedding, x: BitString) -> flo
     return lf.value(emb.restrict(as_bits(x)))
 
 
+def _check_shape(n: int, s: int, alpha: Fraction) -> None:
+    """Reject (n, s, alpha) outside the model: n >= 1, 0 <= s <= (1-alpha)*n,
+    alpha*n integral and 1/2 <= alpha < ln 2."""
+    if n < 1:
+        raise ValueError("nominal dimension n must be positive")
+    if s < 0:
+        raise ValueError("overlap s must be non-negative")
+    if (alpha * n).denominator != 1:
+        raise ValueError(f"alpha*n = {alpha}*{n} is not an integer")
+    if not (Fraction(1, 2) <= alpha and float(alpha) < math.log(2)):
+        raise ValueError(f"alpha = {alpha} outside [1/2, ln 2)")
+    if s > (1 - alpha) * n:
+        raise ValueError(f"overlap s = {s} exceeds (1-alpha)*n = {(1 - alpha) * n}")
+
+
 @dataclass(eq=False)
 class CompositeObjective:
     """h1(l1*(x)) + h2(l2*(x)) on m = n - s bits.
@@ -161,16 +176,7 @@ class CompositeObjective:
         self._positive = (self._ext_weights[0] > 0) | (self._ext_weights[1] > 0)
 
     def _validate(self):
-        if self.n < 1:
-            raise ValueError("nominal dimension n must be positive")
-        if self.s < 0:
-            raise ValueError("overlap s must be non-negative")
-        if (self.alpha * self.n).denominator != 1:
-            raise ValueError(f"alpha*n = {self.alpha}*{self.n} is not an integer")
-        if not (Fraction(1, 2) <= self.alpha and float(self.alpha) < math.log(2)):
-            raise ValueError(f"alpha = {self.alpha} outside [1/2, ln 2)")
-        if self.s > (1 - self.alpha) * self.n:
-            raise ValueError(f"overlap s = {self.s} exceeds (1-alpha)*n = {(1 - self.alpha) * self.n}")
+        _check_shape(self.n, self.s, self.alpha)
         m = self.n - self.s
         k1 = int(self.alpha * self.n)
         k2 = self.n - k1
@@ -494,12 +500,7 @@ def generate_instance(
     alpha = Fraction(alpha)
     n = int(n)
     s = int(s)
-    if (alpha * n).denominator != 1:
-        raise ValueError(f"alpha*n = {alpha}*{n} is not an integer")
-    if not (Fraction(1, 2) <= alpha and float(alpha) < math.log(2)):
-        raise ValueError(f"alpha = {alpha} outside [1/2, ln 2)")
-    if s < 0 or s > (1 - alpha) * n:
-        raise ValueError(f"overlap s = {s} exceeds (1-alpha)*n = {(1 - alpha) * n}")
+    _check_shape(n, s, alpha)
     if weight_scheme not in WEIGHT_SCHEMES:
         raise ValueError(f"unknown weight scheme {weight_scheme!r}; choose from {WEIGHT_SCHEMES}")
     if embedding_scheme not in EMBEDDING_SCHEMES:

@@ -199,6 +199,9 @@ class TestTopLevel:
 @pytest.mark.parametrize("argv", [
     ["scale", "--preset", "onemax", "--n", "16", "--reps", "2", "--seed", "8"],
     ["escape", "--n", "6", "--reps", "2", "--seed", "8"],
+    ["drift", "--n", "8", "--s", "2", "--exhaustive", "--seed", "8"],
+    ["drift", "--n", "12", "--states", "5", "--seed", "8"],
+    ["tail", "--preset", "onemax", "--n", "8", "--reps", "50", "--seed", "8"],
 ])
 def test_repeat_invocations_reproduce_output(tmp_path, argv):
     # same config + seed => byte-identical reports (paths live in separate dirs
@@ -211,6 +214,191 @@ def test_repeat_invocations_reproduce_output(tmp_path, argv):
     assert (dirs[0] / "r.csv").read_bytes() == (dirs[1] / "r.csv").read_bytes()
     docs = [json.loads((d / "r.json").read_text()) for d in dirs]
     for doc in docs:
-        doc["config"].pop("out_json")
-        doc["config"].pop("out_csv")
+        if "config" in doc:  # drift's JSON report is its summary, without a config echo
+            doc["config"].pop("out_json")
+            doc["config"].pop("out_csv")
     assert docs[0] == docs[1]
+
+
+# -- one pipeline, honest flags -------------------------------------------------
+
+import math  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+import driftlab as dl  # noqa: E402
+from driftlab.cli import _FLAGS, _build_parser  # noqa: E402
+from driftlab.experiments import STUDY_FIELDS, ExperimentConfig  # noqa: E402
+
+
+def write_config(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def saved_instance(tmp_path, instance, name="inst.json"):
+    path = tmp_path / name
+    dl.save_instance(instance, path)
+    return str(path)
+
+
+class TestDriftPipeline:
+    def test_config_file_supplies_size(self, tmp_path):
+        cfg = write_config(tmp_path / "f.json", {"n": 8})
+        out = tmp_path / "d.json"
+        assert cli_main(["drift", "--config", cfg, "--json", str(out)]) == 0
+        assert json.loads(out.read_text())["pass"] is True
+
+    @pytest.mark.parametrize("flag", [["--reps", "5"], ["--workers", "3"], ["--budget", "7"]])
+    def test_unread_run_flags_rejected(self, flag):
+        assert cli_main(["drift", "--n", "8", *flag]) == 1
+
+    def test_exhaustive_excludes_states(self):
+        assert cli_main(["drift", "--n", "8", "--exhaustive", "--states", "3"]) == 1
+
+    def test_exhaustive_flag_overrides_config_states(self, tmp_path):
+        cfg = write_config(tmp_path / "f.json", {"n": 8, "states": 3})
+        out = tmp_path / "d.csv"
+        assert cli_main(["drift", "--config", cfg, "--exhaustive", "--out", str(out)]) == 0
+        # uniform weights >= 1: only the all-zeros state is optimal
+        assert len(read_csv_lines(out)) == 1 + 255
+
+    def test_sampled_states_come_from_spawn_one(self, tmp_path):
+        out = tmp_path / "d.csv"
+        assert cli_main(["drift", "--n", "10", "--states", "6", "--seed", "3", "--out", str(out)]) == 0
+        gen = dl.RandomSource(3).spawn(1).generator
+        draws = [gen.integers(0, 2, 10, dtype=np.uint8) for _ in range(6)]
+        codes = sorted({int(x @ (1 << np.arange(10))) for x in draws if x.any()})
+        assert [int(line.split(",")[0]) for line in read_csv_lines(out)[1:]] == codes
+
+
+class TestSizesAndLabels:
+    def test_tail_rejects_budget(self):
+        assert cli_main(["tail", "--preset", "onemax", "--n", "8", "--reps", "20", "--budget", "1",
+                         "--check"]) == 1
+
+    @pytest.mark.parametrize("kind,doc", [
+        ("drift", {"n": [8, 10]}),
+        ("tail", {"preset": "onemax", "n": [8, 16], "reps": 5}),
+        ("chance", {"m": [4, 6], "reps": 1, "samples": 1000, "probes": 0}),
+        ("run", {"preset": "onemax", "n": [8, 16]}),
+    ])
+    def test_single_size_kinds_reject_size_lists(self, tmp_path, capsys, kind, doc):
+        assert cli_main([kind, "--config", write_config(tmp_path / "f.json", doc)]) == 1
+        assert "one size" in capsys.readouterr().err
+
+    def test_scale_instance_supplies_n(self, tmp_path):
+        path = saved_instance(tmp_path, dl.onemax(8))
+        out = tmp_path / "r.json"
+        assert cli_main(["scale", "--instance", path, "--reps", "3", "--json", str(out)]) == 0
+        (row,) = json.loads(out.read_text())["rows"]
+        assert row["n"] == 8
+        assert row["ratio_nlogn"] == pytest.approx(row["mean_T"] / (8 * math.log(8)), rel=1e-12)
+
+    @pytest.mark.parametrize("sizes", ["64,128", "64"])
+    def test_scale_instance_rejects_other_sizes(self, tmp_path, sizes):
+        path = saved_instance(tmp_path, dl.onemax(8))
+        assert cli_main(["scale", "--instance", path, "--n", sizes, "--reps", "2"]) == 1
+
+    @pytest.mark.parametrize("kind", ["drift", "tail", "run"])
+    def test_instance_rejects_conflicting_n(self, tmp_path, kind):
+        path = saved_instance(tmp_path, dl.onemax(8))
+        assert cli_main([kind, "--instance", path, "--n", "10"]) == 1
+
+    def test_chance_instance_rejects_conflicting_m_and_level(self, tmp_path):
+        path = tmp_path / "c.json"
+        dl.save_chance_instance(dl.ChanceInstance([1.0, 3.0], [1.0, 1.0], 0.85), path)
+        base = ["chance", "--instance", str(path), "--samples", "1000", "--reps", "1", "--probes", "0"]
+        assert cli_main(base) == 0
+        assert cli_main(base + ["--m", "5"]) == 1
+        assert cli_main(base + ["--alpha-c", "0.9"]) == 1
+
+    def test_row_alpha_comes_from_instance(self, tmp_path):
+        inst = dl.generate_instance(13, 1, "7/13", weight_scheme="all-ones")
+        path = saved_instance(tmp_path, inst)
+        out = tmp_path / "r.csv"
+        assert cli_main(["scale", "--instance", path, "--n", "13", "--reps", "2", "--out", str(out)]) == 0
+        assert read_csv_lines(out)[1].split(",")[:3] == ["13", "1", "7/13"]
+
+    @pytest.mark.parametrize("kind", ["scale", "tail", "run"])
+    def test_preset_with_instance_rejected(self, tmp_path, kind):
+        path = saved_instance(tmp_path, dl.onemax(8))
+        assert cli_main([kind, "--instance", path, "--n", "8", "--preset", "onemax", "--reps", "2"]) == 1
+
+    @pytest.mark.parametrize("flag", [
+        ["--s", "1"], ["--alpha", "1/2"], ["--weights", "all-ones"],
+        ["--transforms", "identity,square"], ["--embedding", "random"],
+    ])
+    @pytest.mark.parametrize("source", ["preset", "instance"])
+    def test_generation_flags_need_a_generated_instance(self, tmp_path, flag, source):
+        if source == "preset":
+            base = ["--preset", "onemax", "--n", "8"]
+        else:
+            base = ["--instance", saved_instance(tmp_path, dl.onemax(8))]
+        assert cli_main(["scale", *base, "--reps", "2"]) == 0
+        assert cli_main(["scale", *base, "--reps", "2", *flag]) == 1
+
+    def test_weight_range_needs_drawn_weights(self):
+        base = ["scale", "--n", "8", "--reps", "2"]
+        assert cli_main(base + ["--preset", "separable", "--wlo", "5"]) == 0
+        assert cli_main(base + ["--weights", "doubling", "--wlo", "5"]) == 1
+        assert cli_main(base + ["--preset", "onemax", "--whi", "5"]) == 1
+
+    def test_budget_multiplier_needs_relative_budget(self):
+        base = ["escape", "--n", "6", "--reps", "2"]
+        assert cli_main(base + ["--budget", "500"]) == 0
+        assert cli_main(base + ["--budget", "500", "--budget-mult", "5"]) == 1
+
+
+# A valid value for every ExperimentConfig field: (flag argument, config-file value).
+_FIELD_VALUES = {
+    "n_values": ("8", [8]), "s": ("1", 1), "alpha": ("1/2", "1/2"), "preset": ("onemax", "onemax"),
+    "weight_scheme": ("all-ones", "all-ones"), "weight_low": ("2", 2), "weight_high": ("50", 50),
+    "transforms": ("identity,square", ["identity", "square"]), "embedding": ("random", "random"),
+    "replicates": ("2", 2), "seed": ("3", 3), "budget_multiplier": ("5", 5.0), "budget": ("50", 50),
+    "workers": ("1", 1), "fresh_instances": (None, True), "r_values": ("1,2", [1, 2]),
+    "delta": ("0.01", 0.01), "states": ("2", 2), "mutation_probability": ("0.1", 0.1),
+    "confidence": ("0.8", 0.8), "level_samples": ("1000", 1000), "probes": ("1", 1),
+    "exponent": ("4", 4), "trace_stride": ("1", 1), "instance_file": ("inst.json", "inst.json"),
+    "out_csv": ("r.csv", "r.csv"), "out_json": ("r.json", "r.json"),
+}
+_BASE_ARGV = {
+    "scale": ["--preset", "onemax", "--n", "8", "--reps", "2"],
+    "drift": ["--n", "8"],
+    "escape": ["--n", "6", "--reps", "2"],
+    "tail": ["--preset", "onemax", "--n", "6", "--reps", "5"],
+    "chance": ["--m", "3", "--samples", "1000", "--reps", "1", "--probes", "0"],
+    "run": ["--preset", "onemax", "--n", "8"],
+}
+_UNREAD = [
+    (kind, name)
+    for kind, fields in STUDY_FIELDS.items()
+    for name in ExperimentConfig.__dataclass_fields__
+    if name != "kind" and name not in fields
+]
+
+
+def test_field_values_cover_every_config_field():
+    assert set(_FIELD_VALUES) == set(ExperimentConfig.__dataclass_fields__) - {"kind"}
+
+
+@pytest.mark.parametrize("kind", sorted(STUDY_FIELDS))
+def test_base_argv_runs(kind):
+    assert cli_main([kind, *_BASE_ARGV[kind]]) == 0
+
+
+@pytest.mark.parametrize("kind", sorted(STUDY_FIELDS))
+def test_subcommand_flags_are_the_table(kind):
+    sub = next(a for a in _build_parser()._actions if a.dest == "command").choices[kind]
+    dests = {a.dest for a in sub._actions} - {"help", "config", "check", "exhaustive"}
+    assert dests == set(STUDY_FIELDS[kind])
+
+
+@pytest.mark.parametrize("kind,name", _UNREAD, ids=[f"{k}-{n}" for k, n in _UNREAD])
+def test_unread_option_exits_1(tmp_path, kind, name):
+    flag_value, file_value = _FIELD_VALUES[name]
+    cfg = write_config(tmp_path / "f.json", {name: file_value})
+    assert cli_main([kind, *_BASE_ARGV[kind], "--config", cfg]) == 1
+    if name in _FLAGS:
+        flag = [_FLAGS[name][0]] + ([] if flag_value is None else [flag_value])
+        assert cli_main([kind, *_BASE_ARGV[kind], *flag]) == 1
