@@ -47,8 +47,7 @@ class StateSpace:
         if isinstance(instance, CompositeObjective):
             l1 = self._linear_over_states(instance.extended_weights(0))
             l2 = self._linear_over_states(instance.extended_weights(1))
-            t1, t2 = instance.transforms
-            self.f = np.asarray(t1.apply(l1) + t2.apply(l2), dtype=np.float64)
+            self.f = np.asarray(instance.combine(l1, l2), dtype=np.float64)
             positive = np.flatnonzero(
                 (instance.extended_weights(0) > 0) | (instance.extended_weights(1) > 0)
             )
@@ -213,7 +212,6 @@ def monte_carlo_drift(
     m = instance.domain_size
     w1 = instance.extended_weights(0)
     w2 = instance.extended_weights(1)
-    t1, t2 = instance.transforms
     f_x = instance.value(x)
     phi_x = float(coeffs @ x.astype(np.float64))
 
@@ -227,7 +225,7 @@ def monte_carlo_drift(
         take = min(chunk, trials - done)
         masks = gen.random((take, m)) < p
         ys = (x ^ masks).astype(np.float64)
-        f_y = t1.apply(ys @ w1) + t2.apply(ys @ w2)
+        f_y = instance.combine(ys @ w1, ys @ w2)
         accepted = f_y <= f_x
         dphi = (phi_x - ys @ coeffs) * accepted
         total += float(dphi.sum())
@@ -266,8 +264,8 @@ class DriftReport:
     epsilon: float
     delta_reference: float
     rows: list
-    min_ratio: float
-    passed: bool
+    min_ratio: Optional[float]  # None when no non-optimal state was checked
+    passed: bool  # False when no state was checked: nothing is certified
 
     def summary_dict(self) -> dict:
         return {
@@ -286,7 +284,8 @@ def exhaustive_drift_check(
     """Certify drift >= delta * potential over all (or the given) non-optimal states.
 
     All-states mode requires m <= 12; sampled mode accepts explicit states up
-    to the single-state cap of 20 bits.
+    to the single-state cap of 20 bits.  A sweep that meets no non-optimal
+    state certifies nothing: its min_ratio is None and it does not pass.
     """
     if p is None:
         p = instance.mutation_probability
@@ -303,14 +302,14 @@ def exhaustive_drift_check(
         codes = codes[~space.optimal[codes]]
 
     rows = []
-    min_ratio = math.inf
+    min_ratio = None
     for u in codes:
         offspring = space.codes ^ np.uint32(u)
         dphi = (space.phi[u] - space.phi[offspring]) * (space.f[offspring] <= space.f[u])
         drift = float(probs @ dphi)
         phi_u = float(space.phi[u])
         ratio = drift / phi_u
-        min_ratio = min(min_ratio, ratio)
+        min_ratio = ratio if min_ratio is None else min(min_ratio, ratio)
         rows.append(DriftRow(int(u), int(space.popcount[u]), phi_u, drift, ratio))
 
     delta = drift_rate_reference(instance)
@@ -320,7 +319,7 @@ def exhaustive_drift_check(
         delta_reference=delta,
         rows=rows,
         min_ratio=min_ratio,
-        passed=bool(min_ratio >= delta),
+        passed=min_ratio is not None and min_ratio >= delta,
     )
 
 

@@ -4,6 +4,17 @@ Minimization convention: an offspring replaces the parent iff its objective
 value does not exceed the parent's, so equal values (including the offspring
 that flips nothing) are always accepted.  One repeat-loop iteration equals one
 mutation + selection, whether or not any bit flips.
+
+`run_ea` simulates that loop sparsely but with the exact law of standard bit
+mutation: it draws each iteration's flip count K ~ Binomial(m, p) in blocks,
+passes over the iterations with K = 0 (they leave the parent as it is), and
+for K >= 1 draws K distinct uniform positions.  Objectives with a
+`linear_form` are updated in O(K) per offspring, with values bit-identical to
+`value(x)`; any other objective is evaluated in full.  The random stream is
+consumed in that sparse order, which is not the order of
+`standard_bit_mutation`; the same (instance, config, stream) still gives the
+same run.  `standard_bit_mutation` and `elitist_step` remain as one-step
+primitives; `run_ea` does not call them.
 """
 
 from __future__ import annotations
@@ -95,18 +106,6 @@ def standard_bit_mutation(
     return y, MutationEvent(mask, flipped[parent_ones], flipped[~parent_ones])
 
 
-def _mutate_select(x, f, p, rng, f_x):
-    y, event = standard_bit_mutation(x, p, rng)
-    if event.flip_count == 0:
-        event.accepted = True
-        return x, event, f_x
-    f_y = f(y)
-    if f_y <= f_x:
-        event.accepted = True
-        return y, event, f_y
-    return x, event, f_x
-
-
 def elitist_step(
     x: BitString,
     f: Callable[[BitString], float],
@@ -121,8 +120,129 @@ def elitist_step(
     """
     x = np.asarray(x, dtype=np.uint8)
     f_x = f(x) if current_value is None else current_value
-    new_x, event, _ = _mutate_select(x, f, p, rng, f_x)
-    return new_x, event
+    y, event = standard_bit_mutation(x, p, rng)
+    if event.flip_count == 0:
+        event.accepted = True
+        return x, event
+    if f(y) <= f_x:
+        event.accepted = True
+        return y, event
+    return x, event
+
+
+# Flip counts (and uniform positions) are drawn in blocks that double from
+# _FIRST_BLOCK up to _MAX_BLOCK: short runs draw little, long runs make few
+# generator calls.  Block sizes depend only on how many blocks were drawn.
+_FIRST_BLOCK = 32
+_MAX_BLOCK = 4096
+
+
+class _Mutations:
+    """Standard bit mutation on m bits as buffered draws from one generator.
+
+    An iteration flips K ~ Binomial(m, p) bits; given K = k >= 1 the flipped
+    set is uniform among the k-subsets.  Small k take k iid uniform
+    positions and redraw all of them on a repeat (k*k <= m keeps the success
+    chance above 1/2); larger k use an exact subset draw.
+    """
+
+    __slots__ = ("gen", "m", "p", "size", "pool", "at")
+
+    def __init__(self, gen: np.random.Generator, m: int, p: float):
+        self.gen, self.m, self.p = gen, m, p
+        self.size = _FIRST_BLOCK
+        self.pool: list = []
+        self.at = 0
+
+    def block(self) -> tuple[list, list, int]:
+        """The next block of iterations: offsets and flip counts of its
+        non-empty ones, and its length."""
+        size = self.size
+        counts = self.gen.binomial(self.m, self.p, size=size)
+        hits = np.flatnonzero(counts)
+        self.size = min(2 * size, _MAX_BLOCK)
+        return hits.tolist(), counts[hits].tolist(), size
+
+    def positions(self, k: int) -> list:
+        m = self.m
+        if k == m:
+            return list(range(m))
+        if k * k > m:
+            return self.gen.choice(m, k, replace=False).tolist()
+        while True:
+            if self.at + k > len(self.pool):
+                self.pool = self.gen.integers(0, m, size=max(self.size, k)).tolist()
+                self.at = 0
+            flips = self.pool[self.at : self.at + k]
+            self.at += k
+            if k == 1 or len(set(flips)) == k:
+                return flips
+
+
+class _LinearParent:
+    """The parent as a bit list plus its exact linear parts: offspring cost O(K).
+
+    Valid for an instance with a LinearForm; the offspring value is
+    combine(l1, l2), bit-identical to instance.value of the offspring.
+    """
+
+    __slots__ = ("bits", "l1", "l2", "w1", "w2", "combine", "optimum")
+
+    def __init__(self, instance, form, x: BitString):
+        self.bits = x.tolist()
+        self.l1, self.l2 = instance.linear_values(x)
+        self.w1, self.w2 = form.weights
+        self.combine = instance.combine
+        self.optimum = form.optimum
+
+    def select(self, flips: list, f_x: float) -> Optional[float]:
+        """Move to the offspring and return its value if it is no worse than f_x."""
+        bits, w1, w2 = self.bits, self.w1, self.w2
+        l1, l2 = self.l1, self.l2
+        for j in flips:
+            if bits[j]:
+                l1 -= w1[j]
+                l2 -= w2[j]
+            else:
+                l1 += w1[j]
+                l2 += w2[j]
+        f_y = float(self.combine(l1, l2))
+        if not f_y <= f_x:
+            return None
+        for j in flips:
+            bits[j] ^= 1
+        self.l1, self.l2 = l1, l2
+        return f_y
+
+    def is_optimal(self) -> bool:
+        return (self.l1, self.l2) == self.optimum
+
+    def state(self) -> BitString:
+        return np.array(self.bits, dtype=np.uint8)
+
+
+class _FullParent:
+    """The parent as a bit array; offspring are evaluated with instance.value."""
+
+    __slots__ = ("x", "value", "optimal")
+
+    def __init__(self, instance, x: BitString):
+        self.x, self.value, self.optimal = x, instance.value, instance.is_optimal
+
+    def select(self, flips: list, f_x: float) -> Optional[float]:
+        x = self.x
+        x[flips] ^= 1
+        f_y = self.value(x)
+        if f_y <= f_x:
+            return f_y
+        x[flips] ^= 1
+        return None
+
+    def is_optimal(self) -> bool:
+        return self.optimal(self.x)
+
+    def state(self) -> BitString:
+        return self.x
 
 
 def run_ea(
@@ -136,8 +256,10 @@ def run_ea(
 
     The start point is uniform over the domain unless `initial` is given.
     `instance` must expose domain_size, mutation_probability, value(x) and
-    is_optimal(x); `potential`, when given, fills the phi column of the trace.
-    The outcome is deterministic given (instance, config, rng state).
+    is_optimal(x); with a `linear_form` (see objectives.LinearForm) offspring
+    are evaluated in O(flipped bits).  `potential`, when given, fills the phi
+    column of the trace.  The outcome is deterministic given (instance,
+    config, rng state).
     """
     m = instance.domain_size
     p = config.mutation_probability
@@ -152,32 +274,53 @@ def run_ea(
     f_x = instance.value(x)
 
     samples = []
+    snapshot = None  # (f, phi, ones) of the current parent, once computed
 
     def record(iteration: int):
-        phi = float(potential(x)) if potential is not None else None
-        samples.append((iteration, f_x, phi, int(x.sum())))
+        nonlocal snapshot
+        if snapshot is None:
+            state = parent.state()
+            phi = float(potential(state)) if potential is not None else None
+            snapshot = (f_x, phi, int(state.sum()))
+        samples.append((iteration, *snapshot))
 
+    form = getattr(instance, "linear_form", None)
+    parent = _FullParent(instance, x) if form is None else _LinearParent(instance, form, x)
     record(0)
     hitting_time: Optional[int] = None
     accepted_steps = 0
     if instance.is_optimal(x):
         hitting_time = 0
     else:
+        budget = config.max_iterations
         stride = config.trace_stride
-        value = instance.value
-        for t in range(1, config.max_iterations + 1):
-            x_next, event, f_next = _mutate_select(x, value, p, rng, f_x)
-            if event.accepted and event.flip_count:
-                accepted_steps += 1
-                x, f_x = x_next, f_next
-                if instance.is_optimal(x):
-                    hitting_time = t
+        next_mark = stride  # next stride record still to write
+        mutations = _Mutations(rng.generator, m, p)
+        done = 0  # iterations simulated so far
+        while hitting_time is None and done < budget:
+            offsets, counts, size = mutations.block()
+            for offset, k in zip(offsets, counts):
+                t = done + offset + 1
+                if t > budget:
                     break
-            if stride and t % stride == 0:
-                record(t)
-        final_t = t if hitting_time is None else hitting_time
-        if samples[-1][0] != final_t:
-            record(final_t)
+                # the iterations since the last non-empty one left the parent as it is
+                while stride and next_mark < t:
+                    record(next_mark)
+                    next_mark += stride
+                f_y = parent.select(mutations.positions(k), f_x)
+                if f_y is not None:
+                    accepted_steps += 1
+                    f_x = f_y
+                    snapshot = None
+                    if parent.is_optimal():
+                        hitting_time = t
+                        break
+            done += size
+        final_t = budget if hitting_time is None else hitting_time
+        while stride and next_mark < final_t:
+            record(next_mark)
+            next_mark += stride
+        record(final_t)
 
     return RunTrace(
         seed=rng.seed,
@@ -186,7 +329,7 @@ def run_ea(
         budget_exhausted=hitting_time is None,
         accepted_steps=accepted_steps,
         samples=samples,
-        final_state=x,
+        final_state=parent.state(),
     )
 
 

@@ -629,7 +629,11 @@ def drift_study(cfg: ExperimentConfig) -> ReportBundle:
         gen = root.spawn(1).generator
         states = [gen.integers(0, 2, instance.domain_size, dtype=np.uint8) for _ in range(cfg.states)]
     report = exhaustive_drift_check(instance, p=cfg.mutation_probability, states=states)
-    verdict = "pass" if report.passed else "FAIL"
+    if report.min_ratio is None:
+        note = "no non-optimal state to check: uncertified"
+    else:
+        verdict = "pass" if report.passed else "FAIL"
+        note = f"min ratio {report.min_ratio:.6g} vs delta {report.delta_reference:.6g}: {verdict}"
     return ReportBundle(
         kind="drift",
         config=cfg.to_dict(),
@@ -637,7 +641,7 @@ def drift_study(cfg: ExperimentConfig) -> ReportBundle:
         fits=None,
         environment=_environment(cfg),
         checks={"min_ratio_at_least_delta": report.passed},
-        notes=[f"min ratio {report.min_ratio:.6g} vs delta {report.delta_reference:.6g}: {verdict}"],
+        notes=[note],
         json_document=report.summary_dict(),
     )
 
@@ -668,14 +672,20 @@ STUDY_FIELDS = {
 def _unread(cfg: ExperimentConfig) -> dict:
     """Fields of STUDY_FIELDS[cfg.kind] that cfg's other settings leave unread, with why."""
     if cfg.instance_file:
-        unread = dict.fromkeys(("preset", "confidence", *_GENERATOR_FIELDS), "the instance file fixes it")
+        unread = dict.fromkeys(
+            ("preset", "confidence", "fresh_instances", *_GENERATOR_FIELDS), "the instance file fixes it"
+        )
     elif cfg.preset is not None:
         unread = dict.fromkeys(_GENERATOR_FIELDS, f"preset {cfg.preset} fixes it")
         if cfg.preset == "separable":
             del unread["weight_low"], unread["weight_high"]
+        else:
+            unread["fresh_instances"] = f"preset {cfg.preset} draws no instance"
     elif cfg.weight_scheme != "uniform-int":
         why = f"weight scheme {cfg.weight_scheme} draws none"
         unread = dict.fromkeys(("weight_low", "weight_high"), why)
+        if cfg.embedding == "canonical":
+            unread["fresh_instances"] = f"{why}, and the canonical embedding draws nothing"
     else:
         unread = {}
     if cfg.budget:

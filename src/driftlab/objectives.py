@@ -17,6 +17,7 @@ with domain dimension ``D`` and mutation probability ``1/(D+s)`` corresponds to
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -126,6 +127,26 @@ def eval_extended(lf: LinearFunction, emb: DomainEmbedding, x: BitString) -> flo
     return lf.value(emb.restrict(as_bits(x)))
 
 
+@dataclass(frozen=True)
+class LinearForm:
+    """An objective as combine(w1 @ x, w2 @ x) with sums that float64 keeps exact.
+
+    Every subset sum of either per-position weight list is an integer below
+    2**53, so adding or removing one position's weight never rounds: a pair
+    (l1, l2) updated one flipped bit at a time equals linear_values(x) bit for
+    bit, and so does combine(l1, l2) and value(x).  The optimal points are
+    exactly those whose pair equals `optimum`.
+    """
+
+    weights: tuple  # (w1, w2): lists of Python floats, one entry per position
+    optimum: tuple  # (l1, l2) at every optimal point
+
+
+def _exact_sums(w: np.ndarray) -> bool:
+    """True iff the (non-negative) weights w are integers summing to less than 2**53."""
+    return bool(np.all(w == np.floor(w))) and math.fsum(w) < 2.0**53
+
+
 def _check_shape(n: int, s: int, alpha: Fraction) -> None:
     """Reject (n, s, alpha) outside the model: n >= 1, 0 <= s <= (1-alpha)*n,
     alpha*n integral and 1/2 <= alpha < ln 2."""
@@ -216,11 +237,22 @@ class CompositeObjective:
         xf = np.asarray(x, dtype=np.float64)
         return float(self._ext_weights[0] @ xf), float(self._ext_weights[1] @ xf)
 
+    def combine(self, l1, l2):
+        """h1(l1) + h2(l2) for linear-part values (scalars or arrays)."""
+        return self.transforms[0].apply(l1) + self.transforms[1].apply(l2)
+
     def value(self, x: BitString) -> float:
         if len(x) != self.domain_size:
             raise ValueError(f"expected {self.domain_size} bits, got {len(x)}")
-        l1, l2 = self.linear_values(x)
-        return float(self.transforms[0].apply(l1) + self.transforms[1].apply(l2))
+        return float(self.combine(*self.linear_values(x)))
+
+    @functools.cached_property
+    def linear_form(self) -> Optional[LinearForm]:
+        """The exact incremental form, or None if some weight sum can round
+        (non-integer weights, or a part's total of 2**53 or more)."""
+        if not all(_exact_sums(w) for w in self._ext_weights):
+            return None
+        return LinearForm(tuple(w.tolist() for w in self._ext_weights), (0.0, 0.0))
 
     def is_optimal(self, x: BitString) -> bool:
         """True iff every position carrying positive weight in either part is 0.
@@ -456,13 +488,26 @@ class MultimodalInstance:
     def mutation_probability(self) -> float:
         return 1.0 / self.n
 
+    def linear_values(self, x: BitString) -> tuple[float, float]:
+        """(x_1, sum_{i>=2} x_i): the first bit and the one-count of the rest."""
+        xf = np.asarray(x, dtype=np.float64)
+        return float(xf[0]), float(xf[1:].sum())
+
+    def combine(self, l1, l2):
+        """The ones term l1/2 + l2 plus the large power of the zeros count."""
+        return 0.5 * l1 + l2 + ((self.n - (l1 + l2)) / (self.n - 0.5)) ** self.exponent
+
     def value(self, x: BitString) -> float:
         if len(x) != self.n:
             raise ValueError(f"expected {self.n} bits, got {len(x)}")
-        xf = np.asarray(x, dtype=np.float64)
-        ones_term = 0.5 * xf[0] + float(xf[1:].sum())
-        zeros = self.n - float(xf.sum())
-        return ones_term + (zeros / (self.n - 0.5)) ** self.exponent
+        return float(self.combine(*self.linear_values(x)))
+
+    @functools.cached_property
+    def linear_form(self) -> LinearForm:
+        """Both parts count bits, so their sums are exact; the optimum is (1, 0)."""
+        rest = [1.0] * self.n
+        rest[0] = 0.0
+        return LinearForm(([1.0] + [0.0] * (self.n - 1), rest), (1.0, 0.0))
 
     def global_optimum(self) -> BitString:
         x = np.zeros(self.n, dtype=np.uint8)

@@ -402,3 +402,38 @@ def test_unread_option_exits_1(tmp_path, kind, name):
     if name in _FLAGS:
         flag = [_FLAGS[name][0]] + ([] if flag_value is None else [flag_value])
         assert cli_main([kind, *_BASE_ARGV[kind], *flag]) == 1
+
+
+class TestUncertifiedAndMootOptions:
+    def test_empty_drift_sweep_is_uncertified(self, tmp_path, capsys):
+        # seed 3 samples only the all-zeros state of the 2-bit instance
+        out = tmp_path / "d.json"
+        code = cli_main(["drift", "--n", "2", "--states", "1", "--seed", "3", "--check", "--json", str(out)])
+        assert code == 3
+        doc = json.loads(out.read_text(), parse_constant=lambda name: pytest.fail(f"{name} is not JSON"))
+        assert doc["min_ratio"] is None and doc["pass"] is False
+        assert "uncertified" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("preset", ["onemax", "chance"])
+    def test_fresh_instances_moot_with_fixed_preset(self, tmp_path, preset):
+        base = ["scale", "--preset", preset, "--n", "8", "--reps", "2"]
+        assert cli_main(base) == 0
+        assert cli_main(base + ["--fresh-instances"]) == 1
+        cfg = write_config(tmp_path / "f.json", {"fresh_instances": True})
+        assert cli_main(base + ["--config", cfg]) == 1
+
+    def test_fresh_instances_moot_with_instance_file(self, tmp_path):
+        base = ["scale", "--instance", saved_instance(tmp_path, dl.onemax(8)), "--reps", "2"]
+        assert cli_main(base) == 0
+        assert cli_main(base + ["--fresh-instances"]) == 1
+        cfg = write_config(tmp_path / "f.json", {"fresh_instances": True})
+        assert cli_main(base + ["--config", cfg]) == 1
+
+    def test_fresh_instances_moot_without_random_generation(self):
+        base = ["scale", "--n", "8", "--reps", "2", "--weights", "doubling", "--fresh-instances"]
+        assert cli_main(base) == 1
+        assert cli_main(base + ["--embedding", "random"]) == 0
+
+    @pytest.mark.parametrize("source", [["--preset", "separable"], ["--s", "1"]])
+    def test_fresh_instances_read_when_instances_are_drawn(self, source):
+        assert cli_main(["scale", *source, "--n", "8", "--reps", "2", "--fresh-instances"]) == 0

@@ -241,3 +241,111 @@ class TestRunEA:
             dl.EAConfig(max_iterations=10, mutation_probability=1.5)
         with pytest.raises(ValueError):
             dl.EAConfig(max_iterations=10, trace_stride=-1)
+
+
+def exact_mean_hitting_time(instance, p):
+    """E[T] from a uniform start, solved on the absorbing chain of the EA."""
+    space = dl.StateSpace(instance)
+    probs = space.mask_probabilities(p)
+    size = space.codes.size
+    step = np.zeros((size, size))
+    for u in range(size):
+        offspring = space.codes ^ np.uint32(u)
+        accepted = space.f[offspring] <= space.f[u]
+        np.add.at(step[u], offspring[accepted], probs[accepted])
+        step[u, u] += probs[~accepted].sum()
+    transient = np.flatnonzero(~space.optimal)
+    q = step[np.ix_(transient, transient)]
+    times = np.linalg.solve(np.eye(transient.size) - q, np.ones(transient.size))
+    return float(times.sum()) / size
+
+
+class TestSparseEngine:
+    @pytest.mark.parametrize("case", ["onemax", "onemax-p-half", "generated"])
+    def test_mean_hitting_time_matches_markov_chain(self, case):
+        if case == "generated":
+            inst = dl.generate_instance(6, 1, "1/2", weight_range=(1, 5), rng=dl.RandomSource(8))
+            p = None
+        else:
+            inst = dl.onemax(4)
+            p = 0.5 if case == "onemax-p-half" else None
+        exact = exact_mean_hitting_time(inst, p or inst.mutation_probability)
+        cfg = dl.EAConfig(max_iterations=1000, mutation_probability=p)
+        root = dl.RandomSource(31)
+        times = [dl.run_ea(inst, cfg, root.spawn(r)).hitting_time for r in range(10_000)]
+        assert None not in times  # E[T] is below 20 here
+        times = np.array(times)
+        se = times.std(ddof=1) / math.sqrt(times.size)
+        assert abs(times.mean() - exact) <= 4 * se
+
+    @pytest.mark.parametrize("kind", ["integer", "float", "doubling"])
+    def test_value_after_every_step_is_bit_identical(self, kind):
+        gen = dl.RandomSource(12).generator
+        if kind == "integer":
+            inst = dl.generate_instance(64, 8, "1/2", rng=dl.RandomSource(3))
+        elif kind == "float":
+            inst = dl.build_separable(gen.uniform(0, 3, 8), gen.uniform(0, 3, 8))
+        else:
+            inst = dl.generate_instance(128, 0, "1/2", weight_scheme="doubling")
+        assert (inst.linear_form is not None) == (kind == "integer")
+        # The phi column evaluates each recorded parent from scratch.
+        cfg = dl.EAConfig(max_iterations=dl.default_budget(inst.n), trace_stride=1)
+        start = np.ones(inst.domain_size, dtype=np.uint8)
+        trace = dl.run_ea(inst, cfg, dl.RandomSource(7), initial=start, potential=inst.value)
+        assert trace.hitting_time is not None and trace.accepted_steps >= 8
+        assert [it for it, _, _, _ in trace.samples] == list(range(trace.hitting_time + 1))
+        assert all(f == phi for _, f, phi, _ in trace.samples)
+
+    def test_multimodal_value_is_bit_identical(self):
+        inst = dl.MultimodalInstance(8)
+        cfg = dl.EAConfig(max_iterations=5000, trace_stride=1)
+        trace = dl.run_ea(inst, cfg, dl.RandomSource(2), potential=inst.value)
+        assert trace.hitting_time is not None
+        assert all(f == phi for _, f, phi, _ in trace.samples)
+        assert inst.is_optimal(trace.final_state)
+
+    def test_p_one_flips_every_bit(self):
+        inst = dl.onemax(2)
+        cfg = dl.EAConfig(max_iterations=5, mutation_probability=1.0)
+        hit = dl.run_ea(inst, cfg, dl.RandomSource(0), initial=bits(1, 1))
+        assert hit.hitting_time == 1
+        # (1,0) and (0,1) tie, so every complement is accepted and none is optimal
+        tied = dl.run_ea(inst, cfg, dl.RandomSource(0), initial=bits(1, 0))
+        assert tied.budget_exhausted and tied.accepted_steps == 5
+        assert np.array_equal(tied.final_state, bits(0, 1))
+
+    def test_one_bit_domain_with_certain_flip(self):
+        cfg = dl.EAConfig(max_iterations=3, mutation_probability=1.0)
+        trace = dl.run_ea(single_bit_instance(), cfg, dl.RandomSource(4), initial=bits(1))
+        assert trace.hitting_time == 1 and trace.accepted_steps == 1
+
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    @pytest.mark.parametrize("stride", [0, 1, 2])
+    def test_small_budgets(self, budget, stride):
+        inst = dl.onemax(32)
+        cfg = dl.EAConfig(max_iterations=budget, trace_stride=stride)
+        trace = dl.run_ea(inst, cfg, dl.RandomSource(budget), initial=np.ones(32, dtype=np.uint8))
+        assert trace.budget_exhausted and trace.accepted_steps <= budget
+        iterations = [it for it, _, _, _ in trace.samples]
+        expected = sorted({0, budget, *range(stride, budget + 1, stride or budget + 1)})
+        assert iterations == expected
+        assert all(f == ones for _, f, _, ones in trace.samples)
+
+    def test_stride_records_across_skipped_gaps(self):
+        # p = 1/640 on 64 bits leaves about nine iterations in ten empty
+        inst = dl.onemax(64)
+        cfg = dl.EAConfig(max_iterations=4000, mutation_probability=1 / 640, trace_stride=7)
+        trace = dl.run_ea(inst, cfg, dl.RandomSource(9), potential=inst.value)
+        final = trace.samples[-1][0]
+        assert [it for it, _, _, _ in trace.samples[:-1]] == list(range(0, final, 7))
+        assert all(f == phi == ones for _, f, phi, ones in trace.samples)
+        values = [f for _, f, _, _ in trace.samples]
+        assert all(a >= b for a, b in zip(values, values[1:]))
+
+    def test_budget_prefix_is_shared(self):
+        # A larger budget continues the same run: draws do not depend on it.
+        inst = dl.onemax(16)
+        initial = np.ones(16, dtype=np.uint8)
+        short = dl.run_ea(inst, dl.EAConfig(max_iterations=40, trace_stride=1), dl.RandomSource(6), initial)
+        long = dl.run_ea(inst, dl.EAConfig(max_iterations=400, trace_stride=1), dl.RandomSource(6), initial)
+        assert long.samples[:41] == short.samples
