@@ -18,12 +18,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .ea import MutationEvent
-from .objectives import BitString, CompositeObjective, as_bits
+from .objectives import BitString, CompositeObjective, as_bits, linear_sums
 from .potential import PotentialLike, build_combined_potential, position_coefficients
 from .rng import RandomSource
 
 SINGLE_STATE_CAP = 20
 ALL_STATES_CAP = 12
+_STATE_CHUNK = 1 << 14  # states evaluated per batch while building a StateSpace
 
 
 def drift_rate_reference(instance: CompositeObjective) -> float:
@@ -32,7 +33,16 @@ def drift_rate_reference(instance: CompositeObjective) -> float:
 
 
 class StateSpace:
-    """All 2^m states of an instance with precomputed objective and potential."""
+    """All 2^m states of an instance with precomputed objective and potential.
+
+    State `code` has bit j at position j.  Every instance takes one path, in
+    batches of states: f = combine(*linear_values(states)), a state is optimal
+    iff its linear pair equals instance.optimum, and phi is linear_sums of the
+    states with the potential coefficients.  These are the sums value(x),
+    is_optimal(x) and CombinedPotential.value(x) compute for one state, so f,
+    optimal and phi agree with them bit for bit and exact drift accepts and
+    rejects exactly as the EA does.
+    """
 
     def __init__(self, instance, phi_coefficients: Optional[np.ndarray] = None, cap: int = SINGLE_STATE_CAP):
         m = instance.domain_size
@@ -40,42 +50,29 @@ class StateSpace:
             raise ValueError(f"domain size {m} exceeds enumeration cap {cap}")
         self.instance = instance
         self.m = m
-        size = 1 << m
-        codes = np.arange(size, dtype=np.uint32)
+        codes = np.arange(1 << m, dtype=np.uint32)
         self.codes = codes
         self.popcount = np.bitwise_count(codes).astype(np.int64)
-        if isinstance(instance, CompositeObjective):
-            l1 = self._linear_over_states(instance.extended_weights(0))
-            l2 = self._linear_over_states(instance.extended_weights(1))
-            self.f = np.asarray(instance.combine(l1, l2), dtype=np.float64)
-            positive = np.flatnonzero(
-                (instance.extended_weights(0) > 0) | (instance.extended_weights(1) > 0)
-            )
-            positive_code = int(sum(1 << int(j) for j in positive))
-            self.optimal = (codes & np.uint32(positive_code)) == 0
-        else:
-            self.f = np.array([instance.value(self.decode(u)) for u in range(size)])
-            self.optimal = np.array([instance.is_optimal(self.decode(u)) for u in range(size)])
-        if phi_coefficients is not None:
-            self.phi = self._linear_over_states(np.asarray(phi_coefficients, dtype=np.float64))
-        else:
-            self.phi = None
-
-    def _linear_over_states(self, weights: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.codes.size, dtype=np.float64)
-        for j in range(self.m):
-            if weights[j] != 0.0:
-                out[(self.codes >> np.uint32(j)) & 1 == 1] += weights[j]
-        return out
+        self.f = np.empty(codes.size)
+        self.optimal = np.empty(codes.size, dtype=bool)
+        coeffs = None if phi_coefficients is None else np.asarray(phi_coefficients, dtype=np.float64)
+        self.phi = None if coeffs is None else np.empty(codes.size)
+        shifts = np.arange(m, dtype=np.uint32)
+        o1, o2 = instance.optimum
+        for start in range(0, codes.size, _STATE_CHUNK):
+            rows = slice(start, start + _STATE_CHUNK)
+            states = ((codes[rows, None] >> shifts) & 1).astype(np.uint8)
+            l1, l2 = instance.linear_values(states)
+            self.f[rows] = instance.combine(l1, l2)
+            self.optimal[rows] = (l1 == o1) & (l2 == o2)
+            if coeffs is not None:
+                self.phi[rows] = linear_sums(states, coeffs)
 
     def encode(self, x: BitString) -> int:
         x = as_bits(x)
         if x.size != self.m:
             raise ValueError(f"expected {self.m} bits, got {x.size}")
         return int(x.astype(np.int64) @ (1 << np.arange(self.m, dtype=np.int64)))
-
-    def decode(self, code: int) -> BitString:
-        return ((code >> np.arange(self.m)) & 1).astype(np.uint8)
 
     def mask_probabilities(self, p: float) -> np.ndarray:
         return p**self.popcount * (1.0 - p) ** (self.m - self.popcount)
@@ -141,6 +138,19 @@ def classify_event(
     return EventClassification("single_flip", sorted_index, pos, lighter)
 
 
+def _drift_at(space: StateSpace, u: int, probs: np.ndarray):
+    """Exact one-step drift at state code u under mask probabilities `probs`.
+
+    Returns the acceptance of each mask (offspring u ^ mask no worse than u,
+    ties accepted as in the EA), the accepted potential decrease per mask,
+    and the drift probs @ dphi.
+    """
+    offspring = space.codes ^ np.uint32(u)
+    accepted = space.f[offspring] <= space.f[u]
+    dphi = (space.phi[u] - space.phi[offspring]) * accepted
+    return accepted, dphi, float(probs @ dphi)
+
+
 def _conditional(probs: np.ndarray, dphi: np.ndarray, mask: np.ndarray) -> Optional[float]:
     total = float(probs[mask].sum())
     if total == 0.0:
@@ -170,12 +180,9 @@ def exact_drift(
     if space.phi is None:
         raise ValueError("state space was built without potential values")
     u = space.encode(x)
-    offspring = space.codes ^ np.uint32(u)
     probs = space.mask_probabilities(p)
-    accepted = space.f[offspring] <= space.f[u]
+    accepted, dphi, drift = _drift_at(space, u, probs)
     phi_u = float(space.phi[u])
-    dphi = (phi_u - space.phi[offspring]) * accepted
-    drift = float(probs @ dphi)
 
     b2_code = np.uint32(sum(1 << int(j) for j in instance.embeddings[1].positions))
     ones_flipped_b2 = np.bitwise_count(space.codes & np.uint32(u) & b2_code)
@@ -210,24 +217,22 @@ def monte_carlo_drift(
     if p is None:
         p = instance.mutation_probability
     m = instance.domain_size
-    w1 = instance.extended_weights(0)
-    w2 = instance.extended_weights(1)
     f_x = instance.value(x)
-    phi_x = float(coeffs @ x.astype(np.float64))
+    phi_x = float(linear_sums(x, coeffs))
 
     gen = rng.generator
     total = 0.0
     total_sq = 0.0
     moves = 0
     done = 0
-    chunk = max(1, min(trials, 4_000_000 // max(1, m)))
+    chunk = max(1, min(trials, 1_000_000 // max(1, m)))
     while done < trials:
         take = min(chunk, trials - done)
         masks = gen.random((take, m)) < p
-        ys = (x ^ masks).astype(np.float64)
-        f_y = instance.combine(ys @ w1, ys @ w2)
+        ys = x ^ masks
+        f_y = instance.combine(*instance.linear_values(ys))
         accepted = f_y <= f_x
-        dphi = (phi_x - ys @ coeffs) * accepted
+        dphi = (phi_x - linear_sums(ys, coeffs)) * accepted
         total += float(dphi.sum())
         total_sq += float(dphi @ dphi)
         moves += int(np.count_nonzero(accepted & masks.any(axis=1)))
@@ -304,9 +309,7 @@ def exhaustive_drift_check(
     rows = []
     min_ratio = None
     for u in codes:
-        offspring = space.codes ^ np.uint32(u)
-        dphi = (space.phi[u] - space.phi[offspring]) * (space.f[offspring] <= space.f[u])
-        drift = float(probs @ dphi)
+        drift = _drift_at(space, u, probs)[2]
         phi_u = float(space.phi[u])
         ratio = drift / phi_u
         min_ratio = ratio if min_ratio is None else min(min_ratio, ratio)

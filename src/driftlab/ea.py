@@ -8,9 +8,12 @@ mutation + selection, whether or not any bit flips.
 `run_ea` simulates that loop sparsely but with the exact law of standard bit
 mutation: it draws each iteration's flip count K ~ Binomial(m, p) in blocks,
 passes over the iterations with K = 0 (they leave the parent as it is), and
-for K >= 1 draws K distinct uniform positions.  Objectives with a
-`linear_form` are updated in O(K) per offspring, with values bit-identical to
-`value(x)`; any other objective is evaluated in full.  The random stream is
+for K >= 1 draws K distinct uniform positions.  The parent carries its
+linear pair (l1, l2), so f = combine(l1, l2) and the parent is optimal iff the
+pair equals the instance's `optimum`.  Objectives with a `linear_form` (exact
+sums) update the pair in O(K) per offspring; any other objective re-sums it in
+full with `linear_values`.  Either way f is bit-identical to `value(x)`, which
+is computed by the same left-to-right sums.  The random stream is
 consumed in that sparse order, which is not the order of
 `standard_bit_mutation`; the same (instance, config, stream) still gives the
 same run.  `standard_bit_mutation` and `elitist_step` remain as one-step
@@ -188,12 +191,12 @@ class _LinearParent:
 
     __slots__ = ("bits", "l1", "l2", "w1", "w2", "combine", "optimum")
 
-    def __init__(self, instance, form, x: BitString):
+    def __init__(self, instance, form, x: BitString, pair):
         self.bits = x.tolist()
-        self.l1, self.l2 = instance.linear_values(x)
+        self.l1, self.l2 = map(float, pair)
         self.w1, self.w2 = form.weights
         self.combine = instance.combine
-        self.optimum = form.optimum
+        self.optimum = instance.optimum
 
     def select(self, flips: list, f_x: float) -> Optional[float]:
         """Move to the offspring and return its value if it is no worse than f_x."""
@@ -222,24 +225,28 @@ class _LinearParent:
 
 
 class _FullParent:
-    """The parent as a bit array; offspring are evaluated with instance.value."""
+    """The parent as a bit array and its linear pair; offspring are summed in full."""
 
-    __slots__ = ("x", "value", "optimal")
+    __slots__ = ("x", "pair", "linear_values", "combine", "optimum")
 
-    def __init__(self, instance, x: BitString):
-        self.x, self.value, self.optimal = x, instance.value, instance.is_optimal
+    def __init__(self, instance, x: BitString, pair):
+        self.x, self.pair = x, pair
+        self.linear_values, self.combine = instance.linear_values, instance.combine
+        self.optimum = instance.optimum
 
     def select(self, flips: list, f_x: float) -> Optional[float]:
         x = self.x
         x[flips] ^= 1
-        f_y = self.value(x)
+        pair = self.linear_values(x)
+        f_y = float(self.combine(*pair))
         if f_y <= f_x:
+            self.pair = pair
             return f_y
         x[flips] ^= 1
         return None
 
     def is_optimal(self) -> bool:
-        return self.optimal(self.x)
+        return self.pair == self.optimum
 
     def state(self) -> BitString:
         return self.x
@@ -255,9 +262,11 @@ def run_ea(
     """Run to the first optimal point or until the iteration budget is spent.
 
     The start point is uniform over the domain unless `initial` is given.
-    `instance` must expose domain_size, mutation_probability, value(x) and
-    is_optimal(x); with a `linear_form` (see objectives.LinearForm) offspring
-    are evaluated in O(flipped bits).  `potential`, when given, fills the phi
+    `instance` must expose domain_size, mutation_probability, value(x),
+    linear_values(x), combine(l1, l2) and optimum; with a `linear_form` (see
+    objectives.LinearForm) offspring are evaluated in O(flipped bits).  The
+    start point is valued once, and its linear pair decides its optimality and
+    seeds the parent.  `potential`, when given, fills the phi
     column of the trace.  The outcome is deterministic given (instance,
     config, rng state).
     """
@@ -272,6 +281,7 @@ def run_ea(
         if x.size != m:
             raise ValueError(f"initial point must have {m} bits")
     f_x = instance.value(x)
+    pair = instance.linear_values(x)
 
     samples = []
     snapshot = None  # (f, phi, ones) of the current parent, once computed
@@ -285,11 +295,11 @@ def run_ea(
         samples.append((iteration, *snapshot))
 
     form = getattr(instance, "linear_form", None)
-    parent = _FullParent(instance, x) if form is None else _LinearParent(instance, form, x)
+    parent = _FullParent(instance, x, pair) if form is None else _LinearParent(instance, form, x, pair)
     record(0)
     hitting_time: Optional[int] = None
     accepted_steps = 0
-    if instance.is_optimal(x):
+    if parent.is_optimal():
         hitting_time = 0
     else:
         budget = config.max_iterations

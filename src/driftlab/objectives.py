@@ -6,7 +6,9 @@ Conventions used throughout the package:
 * bit positions are 0-based in code and 1-based in JSON instance files;
 * objectives are minimized, weights are non-negative, transforms are monotone
   non-decreasing, so the minimizers are exactly the strings whose
-  positive-weight positions are all zero.
+  positive-weight positions are all zero;
+* every linear part (and every potential) is one left-to-right sum,
+  :func:`linear_sums`, whether one state or a batch of states is evaluated.
 
 A :class:`CompositeObjective` lives on ``m = n - s`` bits, where ``n`` is the
 nominal dimension (the mutation probability defaults to ``1/n``) and ``s``
@@ -34,6 +36,28 @@ BitString = np.ndarray
 
 WEIGHT_SCHEMES = ("all-ones", "uniform-int", "doubling")
 EMBEDDING_SCHEMES = ("canonical", "random")
+
+
+def linear_sums(bits, weights) -> np.ndarray:
+    """Sum_j weights[j] * bits[j] along the last axis, added left to right in float64.
+
+    `bits` is one state (shape (m,)) or a batch of states (rows); `weights`
+    broadcasts against it.  The products are added in position order
+    0, ..., m-1, the same order for one state, for every row of a batch and
+    for the independent oracle, so a state's value never depends on how it
+    was evaluated.  This is np.cumsum's last entry; `@`, np.sum (pairwise)
+    and the builtin sum() (compensated from Python 3.12) each choose their own
+    order and are not used.
+    """
+    return np.add.accumulate(bits * weights, axis=-1)[..., -1]
+
+
+def _linear_pair(x, weights: np.ndarray):
+    """(l1, l2) for a (2, m) weight matrix: scalars for one state, arrays for a batch of rows."""
+    x = np.asarray(x)
+    # The pair axis leads: (2, m) weights meet one state, (2, 1, m) a batch of rows.
+    l1, l2 = linear_sums(x, weights if x.ndim == 1 else weights[:, None, :])
+    return l1, l2
 
 
 def as_bits(x: Sequence[int]) -> BitString:
@@ -81,7 +105,7 @@ class LinearFunction:
     def value(self, y: BitString) -> float:
         if len(y) != self.arity:
             raise ValueError(f"expected {self.arity} bits, got {len(y)}")
-        return float(self.weights @ np.asarray(y, dtype=np.float64))
+        return float(linear_sums(np.asarray(y), self.weights))
 
 
 @dataclass(eq=False)
@@ -129,22 +153,24 @@ def eval_extended(lf: LinearFunction, emb: DomainEmbedding, x: BitString) -> flo
 
 @dataclass(frozen=True)
 class LinearForm:
-    """An objective as combine(w1 @ x, w2 @ x) with sums that float64 keeps exact.
+    """An objective as combine(l1, l2) with linear sums that float64 keeps exact.
 
     Every subset sum of either per-position weight list is an integer below
-    2**53, so adding or removing one position's weight never rounds: a pair
-    (l1, l2) updated one flipped bit at a time equals linear_values(x) bit for
-    bit, and so does combine(l1, l2) and value(x).  The optimal points are
-    exactly those whose pair equals `optimum`.
+    2**53, so adding or removing one position's weight never rounds, and every
+    summation order gives the same bits: a pair (l1, l2) updated one flipped
+    bit at a time equals linear_values(x), and so does combine(l1, l2) and
+    value(x).
     """
 
     weights: tuple  # (w1, w2): lists of Python floats, one entry per position
-    optimum: tuple  # (l1, l2) at every optimal point
 
 
-def _exact_sums(w: np.ndarray) -> bool:
-    """True iff the (non-negative) weights w are integers summing to less than 2**53."""
-    return bool(np.all(w == np.floor(w))) and math.fsum(w) < 2.0**53
+def _linear_form(weights: np.ndarray) -> Optional[LinearForm]:
+    """The exact incremental form of a (2, m) weight matrix, or None if some
+    weight sum can round (a non-integer weight, or a part total of 2**53 or more)."""
+    if not all(np.all(w == np.floor(w)) and math.fsum(w) < 2.0**53 for w in weights):
+        return None
+    return LinearForm(tuple(w.tolist() for w in weights))
 
 
 def _check_shape(n: int, s: int, alpha: Fraction) -> None:
@@ -170,7 +196,13 @@ class CompositeObjective:
     (|B2| = (1-alpha)*n) with |B1 & B2| = s and B1 | B2 = {0, ..., m-1};
     alpha is rational with alpha*n integral, 1/2 <= alpha < ln 2, and
     slack = 2 - e^alpha > 0 is the instance's drift margin.
+
+    Weights are non-negative, so a state is optimal iff its pair
+    linear_values(x) equals `optimum` = (0, 0): a sum is 0 iff no
+    positive-weight bit is set.
     """
+
+    optimum = (0.0, 0.0)
 
     n: int
     s: int
@@ -188,13 +220,9 @@ class CompositeObjective:
         self.transforms = tuple(transforms)
         self.label = label
         self._validate()
-        f1, f2 = self.functions
-        e1, e2 = self.embeddings
-        self._ext_weights = (
-            _extended_weights(f1, e1, self.domain_size),
-            _extended_weights(f2, e2, self.domain_size),
-        )
-        self._positive = (self._ext_weights[0] > 0) | (self._ext_weights[1] > 0)
+        self._weights = np.zeros((2, self.domain_size))
+        for w, lf, emb in zip(self._weights, self.functions, self.embeddings):
+            w[emb.positions] = lf.weights
 
     def _validate(self):
         _check_shape(self.n, self.s, self.alpha)
@@ -231,11 +259,11 @@ class CompositeObjective:
 
     def extended_weights(self, part: int) -> np.ndarray:
         """Per-position weight vector of part 0 or 1 over the full domain."""
-        return self._ext_weights[part]
+        return self._weights[part]
 
-    def linear_values(self, x: BitString) -> tuple[float, float]:
-        xf = np.asarray(x, dtype=np.float64)
-        return float(self._ext_weights[0] @ xf), float(self._ext_weights[1] @ xf)
+    def linear_values(self, x: BitString):
+        """(w1 . x, w2 . x) through linear_sums, for one state or a batch of rows."""
+        return _linear_pair(x, self._weights)
 
     def combine(self, l1, l2):
         """h1(l1) + h2(l2) for linear-part values (scalars or arrays)."""
@@ -248,22 +276,18 @@ class CompositeObjective:
 
     @functools.cached_property
     def linear_form(self) -> Optional[LinearForm]:
-        """The exact incremental form, or None if some weight sum can round
-        (non-integer weights, or a part's total of 2**53 or more)."""
-        if not all(_exact_sums(w) for w in self._ext_weights):
-            return None
-        return LinearForm(tuple(w.tolist() for w in self._ext_weights), (0.0, 0.0))
+        """The exact incremental form, or None if some weight sum can round."""
+        return _linear_form(self._weights)
 
     def is_optimal(self, x: BitString) -> bool:
-        """True iff every position carrying positive weight in either part is 0.
+        """True iff no position carrying positive weight in either part is set.
 
-        This is the exact minimizer set: weights are non-negative and the
-        transforms monotone, so no value comparison (and no float equality)
-        is needed.
+        This is the exact minimizer set (non-negative weights, monotone
+        transforms), read off the linear pair without any value comparison.
         """
         if len(x) != self.domain_size:
             raise ValueError(f"expected {self.domain_size} bits, got {len(x)}")
-        return not bool(np.any(np.asarray(x, dtype=bool) & self._positive))
+        return self.linear_values(x) == self.optimum
 
     def to_dict(self) -> dict:
         f1, f2 = self.functions
@@ -300,12 +324,6 @@ class CompositeObjective:
         )
 
 
-def _extended_weights(lf: LinearFunction, emb: DomainEmbedding, m: int) -> np.ndarray:
-    w = np.zeros(m, dtype=np.float64)
-    w[emb.positions] = lf.weights
-    return w
-
-
 def normal_quantile(level: float) -> float:
     """Quantile of the standard normal distribution at `level` in (0, 1)."""
     if not 0.0 < level < 1.0:
@@ -319,7 +337,9 @@ class ChanceInstance:
 
     The smallest W guaranteed with probability `confidence` for selection x is
     fitness(x) = mu(x) + quantile(confidence) * sigma(x); minimizing that is
-    the deterministic equivalent of the probabilistic guarantee.
+    the deterministic equivalent of the probabilistic guarantee.  Both sums go
+    through linear_sums, so fitness_value(x) equals build_chance(self).value(x)
+    bit for bit.
     """
 
     mu: np.ndarray
@@ -346,10 +366,10 @@ class ChanceInstance:
         return normal_quantile(self.confidence)
 
     def mean_value(self, x: BitString) -> float:
-        return float(self.mu @ np.asarray(x, dtype=np.float64))
+        return float(linear_sums(np.asarray(x), self.mu))
 
     def std_value(self, x: BitString) -> float:
-        return math.sqrt(float((self.sigma**2) @ np.asarray(x, dtype=np.float64)))
+        return math.sqrt(float(linear_sums(np.asarray(x), self.sigma**2)))
 
     def fitness_value(self, x: BitString) -> float:
         return self.mean_value(x) + self.fractile * self.std_value(x)
@@ -467,10 +487,16 @@ class MultimodalInstance:
     and negligible elsewhere, so each single-one-bit string at positions
     2..n is a strict local optimum while (1, 0, ..., 0) is the unique global
     minimizer.  Escaping a local optimum requires a simultaneous two-bit flip.
+
+    The linear pair is (x_1, sum_{i>=2} x_i), with weight rows e_1 and 1 - e_1,
+    and the optimum is the pair (1, 0).  The zeros term takes one value per
+    one-count 0..n; it is tabulated once, so one state and a batch of states
+    read the same bits.
     """
 
     n: int
     exponent: int = 0
+    optimum = (1.0, 0.0)
 
     def __post_init__(self):
         if self.n < 2:
@@ -479,6 +505,12 @@ class MultimodalInstance:
             self.exponent = self.n * self.n
         if self.exponent < 1:
             raise ValueError("exponent must be positive")
+        self._weights = np.zeros((2, self.n))
+        self._weights[0, 0] = 1.0
+        self._weights[1, 1:] = 1.0
+        self._zeros_term = np.array(
+            [((self.n - k) / (self.n - 0.5)) ** self.exponent for k in range(self.n + 1)]
+        )
 
     @property
     def domain_size(self) -> int:
@@ -488,14 +520,13 @@ class MultimodalInstance:
     def mutation_probability(self) -> float:
         return 1.0 / self.n
 
-    def linear_values(self, x: BitString) -> tuple[float, float]:
-        """(x_1, sum_{i>=2} x_i): the first bit and the one-count of the rest."""
-        xf = np.asarray(x, dtype=np.float64)
-        return float(xf[0]), float(xf[1:].sum())
+    def linear_values(self, x: BitString):
+        """(x_1, sum_{i>=2} x_i) through linear_sums, for one state or a batch of rows."""
+        return _linear_pair(x, self._weights)
 
     def combine(self, l1, l2):
         """The ones term l1/2 + l2 plus the large power of the zeros count."""
-        return 0.5 * l1 + l2 + ((self.n - (l1 + l2)) / (self.n - 0.5)) ** self.exponent
+        return 0.5 * l1 + l2 + self._zeros_term[np.intp(l1 + l2)]
 
     def value(self, x: BitString) -> float:
         if len(x) != self.n:
@@ -504,10 +535,8 @@ class MultimodalInstance:
 
     @functools.cached_property
     def linear_form(self) -> LinearForm:
-        """Both parts count bits, so their sums are exact; the optimum is (1, 0)."""
-        rest = [1.0] * self.n
-        rest[0] = 0.0
-        return LinearForm(([1.0] + [0.0] * (self.n - 1), rest), (1.0, 0.0))
+        """Both parts count bits, so their sums are exact."""
+        return _linear_form(self._weights)
 
     def global_optimum(self) -> BitString:
         x = np.zeros(self.n, dtype=np.uint8)
@@ -523,7 +552,9 @@ class MultimodalInstance:
         return x
 
     def is_optimal(self, x: BitString) -> bool:
-        return bool(np.array_equal(np.asarray(x, dtype=np.uint8), self.global_optimum()))
+        if len(x) != self.n:
+            raise ValueError(f"expected {self.n} bits, got {len(x)}")
+        return self.linear_values(x) == self.optimum
 
 
 def generate_instance(

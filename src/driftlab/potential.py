@@ -6,7 +6,8 @@ sorted index holding the same weight as i; ties therefore share one
 coefficient, every coefficient lies in [1, (1+1/n)^(k-1)] and the sequence is
 non-decreasing.  The combined potential of a composite objective adds the two
 parts' coefficients position-wise, so it is itself a non-negative linear form
-over the domain.
+over the domain, evaluated like the objective's parts by
+:func:`driftlab.objectives.linear_sums`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .objectives import BitString, CompositeObjective
+from .objectives import BitString, CompositeObjective, linear_sums
 
 
 @dataclass(eq=False)
@@ -94,11 +95,7 @@ class CombinedPotential:
             raise ValueError(
                 f"expected {self.position_coefficients.size} bits, got {len(x)}"
             )
-        return float(self.position_coefficients @ np.asarray(x, dtype=np.float64))
-
-    @property
-    def max_value(self) -> float:
-        return float(self.position_coefficients.sum())
+        return float(linear_sums(np.asarray(x), self.position_coefficients))
 
 
 def combine_potentials(

@@ -54,7 +54,7 @@ class MonotoneTransform:
         if self.kind == "square_root":
             return np.sqrt(v)
         if self.kind == "power":
-            return v**self.k
+            return np.power(v, self.k)  # one ufunc path: a scalar gets an array element's bits
         if self.kind == "scale":
             return self.R * v
         if self.kind == "affine":

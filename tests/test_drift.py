@@ -6,6 +6,7 @@ import pytest
 
 import driftlab as dl
 from oracle_drift import exact_drift as oracle_exact_drift
+from oracle_drift import objective_value as oracle_objective_value
 
 
 def bits(*values):
@@ -26,6 +27,25 @@ def random_instance(key, n_choices=(8, 10), s_max=3):
         embedding_scheme="random" if gen.random() < 0.5 else "canonical",
         rng=rng.spawn(0),
     )
+
+
+def float_weight_instance(transforms, n=20, s=4, seed=16):
+    """m = n - s bits, alpha = 1/2, weights drawn from {0.1, 0.2, 0.3, 0.6, 0.7}.
+
+    Sums of these weights round differently in different orders, and with
+    identity transforms many distinct states tie in exact arithmetic.
+    """
+    data = dl.generate_instance(n, s, "1/2", rng=dl.RandomSource(seed)).to_dict()
+    gen = dl.RandomSource(seed + 1).generator
+    data["weights1"] = gen.choice([0.1, 0.2, 0.3, 0.6, 0.7], n // 2).tolist()
+    data["weights2"] = gen.choice([0.1, 0.2, 0.3, 0.6, 0.7], n // 2).tolist()
+    data["transform1"], data["transform2"] = ({"kind": t} for t in transforms)
+    return dl.CompositeObjective.from_dict(data)
+
+
+def all_states(m):
+    """Every m-bit state as a row, row u holding the bits of code u."""
+    return ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(np.uint8)
 
 
 class TestClassifyEvent:
@@ -249,6 +269,58 @@ class TestExhaustiveDriftCheck:
     def test_summary_schema(self):
         report = dl.exhaustive_drift_check(dl.onemax(6))
         assert set(report.summary_dict()) == {"min_ratio", "delta_ref", "epsilon", "pass"}
+
+
+class TestOneEvaluationPath:
+    """value, is_optimal, StateSpace, exact and Monte-Carlo drift share one sum."""
+
+    def test_value_statespace_and_oracle_agree_on_every_state(self):
+        inst = float_weight_instance(("square", "square_root"))
+        assert inst.linear_form is None
+        data = inst.to_dict()
+        states = all_states(16)
+        values = np.array([inst.value(x) for x in states])
+        oracle = np.array([oracle_objective_value(data, x.tolist()) for x in states])
+        assert np.array_equal(values, oracle)
+        assert np.array_equal(dl.StateSpace(inst).f, values)
+
+    def test_exact_drift_accepts_exactly_when_value_does(self):
+        inst = float_weight_instance(("identity", "identity"))
+        pot = dl.build_combined_potential(inst)
+        space = dl.StateSpace(inst, pot.position_coefficients)
+        states = all_states(16)
+        values = np.array([inst.value(x) for x in states])
+        probs = space.mask_probabilities(inst.mutation_probability)
+        moved = space.codes != 0
+        for u in (12345, 28086, 54321, 61680):
+            sample = dl.exact_drift(inst, pot, states[u], space=space)
+            accepted = values[space.codes ^ u] <= values[u]
+            assert sample.acceptance_probability == float(probs[accepted & moved].sum())
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 12])
+    def test_multimodal_statespace_matches_per_state_value(self, n):
+        inst = dl.MultimodalInstance(n)
+        space = dl.StateSpace(inst)
+        states = all_states(n)
+        assert np.array_equal(space.f, [inst.value(x) for x in states])
+        assert np.array_equal(space.optimal, [inst.is_optimal(x) for x in states])
+        assert np.flatnonzero(space.optimal).tolist() == [1]
+
+    def test_monte_carlo_batch_values_match_value(self):
+        # Replays the estimator's one batch of masks with per-state value():
+        # any row valued differently changes an acceptance and the estimate.
+        inst = float_weight_instance(("identity", "identity"), n=40)
+        pot = dl.build_combined_potential(inst)
+        x = dl.RandomSource(3).generator.integers(0, 2, 36, dtype=np.uint8)
+        p, trials = 0.25, 4000
+        sample = dl.monte_carlo_drift(inst, pot, x, p=p, trials=trials, rng=dl.RandomSource(8))
+        masks = dl.RandomSource(8).generator.random((trials, 36)) < p
+        ys = x ^ masks
+        accepted = np.array([inst.value(y) for y in ys]) <= inst.value(x)
+        dphi = (pot.value(x) - np.array([pot.value(y) for y in ys])) * accepted
+        assert 0 < sample.acceptance_probability < 1
+        assert sample.acceptance_probability == np.count_nonzero(accepted & masks.any(axis=1)) / trials
+        assert sample.drift == float(dphi.sum()) / trials
 
 
 class TestDriftTimeBounds:

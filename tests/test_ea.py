@@ -71,29 +71,35 @@ class TestStandardBitMutation:
             assert not ones & zeros
             assert np.array_equal(y, x ^ event.mask)
 
+    @staticmethod
+    def masks_of_consecutive_calls(seed, m, p, trials):
+        """The masks of `trials` consecutive standard_bit_mutation calls from `seed`.
+
+        Each call draws its m uniforms right after the previous call's, so the
+        calls' masks are the rows of one random((trials, m)) < p draw from the
+        same seed; that identity is asserted on a 1000-call prefix.
+        """
+        rng = dl.RandomSource(seed)
+        x = np.zeros(m, dtype=np.uint8)
+        prefix = [dl.standard_bit_mutation(x, p, rng)[1].mask for _ in range(1000)]
+        masks = dl.RandomSource(seed).generator.random((trials, m)) < p
+        assert np.array_equal(np.array(prefix), masks[:1000])
+        return masks
+
     def test_single_bit_flip_frequency(self):
         # Pr(exactly bit 0 flips) = (1/4)(3/4)^3 = 27/256 on 4 bits
         p_true = 27 / 256
         trials = 10**6
-        rng = dl.RandomSource(2024)
-        x = bits(0, 0, 0, 0)
-        hits = 0
-        for _ in range(trials):
-            _, event = dl.standard_bit_mutation(x, 0.25, rng)
-            if event.flip_count == 1 and event.mask[0]:
-                hits += 1
+        masks = self.masks_of_consecutive_calls(2024, 4, 0.25, trials)
+        hits = int(np.count_nonzero(masks[:, 0] & (np.count_nonzero(masks, axis=1) == 1)))
         se = math.sqrt(p_true * (1 - p_true) / trials)
         assert abs(hits / trials - p_true) <= 3 * se
 
     def test_flip_count_matches_binomial(self):
         # chi-square goodness of fit at significance 0.001, N = 1e6
         m, p, trials = 16, 1 / 8, 10**6
-        rng = dl.RandomSource(7)
-        x = np.zeros(m, dtype=np.uint8)
-        counts = np.zeros(m + 1, dtype=np.int64)
-        for _ in range(trials):
-            _, event = dl.standard_bit_mutation(x, p, rng)
-            counts[event.flip_count] += 1
+        masks = self.masks_of_consecutive_calls(7, m, p, trials)
+        counts = np.bincount(np.count_nonzero(masks, axis=1), minlength=m + 1)
         expected = binom.pmf(np.arange(m + 1), m, p) * trials
         # pool the sparse upper tail so every expected count is >= 5
         cut = int(np.argmax(np.cumsum(expected[::-1]) >= 5.0))

@@ -218,6 +218,19 @@ class TestChanceDemo:
         for row in bundle.rows:
             assert abs(row.empirical_level - 0.9) <= 0.003
 
+    def test_float_instance_g_value_of_best_is_best_fitness(self, tmp_path):
+        gen = dl.RandomSource(31).generator
+        c = dl.ChanceInstance(gen.uniform(0.1, 10, 16), gen.uniform(0.1, 3, 16), 0.9)
+        path = tmp_path / "c.json"
+        dl.save_chance_instance(c, path)
+        cfg = ExperimentConfig(
+            kind="chance", n_values=(16,), replicates=3, seed=5, budget=10,
+            level_samples=20_000, probes=1, instance_file=str(path),
+        )
+        bundle = dl.chance_demo(cfg)
+        assert not bundle.notes  # the short runs end away from the all-zeros optimum
+        assert bundle.rows[0].g_value == bundle.extras["best_fitness"]
+
     def test_chance_instance_file(self, tmp_path):
         c = dl.ChanceInstance([2.0, 4.0, 1.0], [1.0, 0.5, 1.5], 0.8)
         path = tmp_path / "c.json"

@@ -39,6 +39,27 @@ class TestLinearFunction:
             assert np.array_equal(lf.sorted_weights[lf.rank_in_sorted], lf.weights)
 
 
+class TestLinearSums:
+    def test_one_state_equals_its_batch_row_and_a_left_to_right_loop(self):
+        gen = dl.RandomSource(21).generator
+        w = gen.choice([0.1, 0.2, 0.3, 0.6, 0.7], 40)
+        states = gen.integers(0, 2, (2000, 40), dtype=np.uint8)
+        batch = dl.linear_sums(states, w)
+        for x, row_sum in zip(states, batch):
+            total = 0.0
+            for wj, xj in zip(w.tolist(), x.tolist()):
+                total += wj * xj
+            assert dl.linear_sums(x, w) == row_sum == total
+
+    def test_pair_of_one_state_equals_the_batch_pair(self):
+        gen = dl.RandomSource(22).generator
+        inst = dl.build_separable(gen.uniform(0, 3, 20), gen.uniform(0, 3, 20))
+        states = gen.integers(0, 2, (500, 40), dtype=np.uint8)
+        l1, l2 = inst.linear_values(states)
+        assert [inst.linear_values(x) for x in states] == list(zip(l1, l2))
+        assert np.array_equal(inst.combine(l1, l2), [inst.value(x) for x in states])
+
+
 class TestDomainEmbedding:
     def test_extended_zeros(self):
         lf = dl.LinearFunction([2, 9])
@@ -280,6 +301,13 @@ class TestChance:
             ratio = (g - c.mean_value(x)) / c.std_value(x)
             assert ratio == pytest.approx(c.fractile, rel=1e-12)
 
+    def test_float_fitness_is_the_composite_value_bit_for_bit(self):
+        gen = dl.RandomSource(30).generator
+        c = dl.ChanceInstance(gen.uniform(0.1, 10, 16), gen.uniform(0.1, 3, 16), 0.9)
+        inst = dl.build_chance(c)
+        states = gen.integers(0, 2, (3000, 16), dtype=np.uint8)
+        assert all(c.fitness_value(x) == inst.value(x) for x in states)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             dl.ChanceInstance([1], [1], 0.0)
@@ -318,6 +346,14 @@ class TestMultimodal:
         assert inst.value(bits(1, 0, 0, 0)) == pytest.approx(0.5 + (3 / 3.5) ** 16)
         assert inst.value(bits(1, 1, 1, 1)) == pytest.approx(3.5)
         assert inst.value(bits(0, 0, 0, 0)) == pytest.approx((4 / 3.5) ** 16)
+
+    def test_values_follow_the_closed_form_exactly(self):
+        for n in (4, 9, 16, 64):
+            inst = dl.MultimodalInstance(n)
+            zeros = np.zeros(n, dtype=np.uint8)
+            assert inst.value(zeros) == (n / (n - 0.5)) ** (n * n)
+            assert inst.value(inst.global_optimum()) == 0.5 + ((n - 1) / (n - 0.5)) ** (n * n)
+            assert inst.value(inst.local_optimum(1)) == 1.0 + ((n - 1) / (n - 0.5)) ** (n * n)
 
     def test_all_zeros_is_worst_near_origin(self):
         for n in (4, 8, 12, 16):

@@ -27,6 +27,13 @@ def test_monotone_on_sampled_pairs(transform):
     assert np.all(transform.apply(a) <= transform.apply(b))
 
 
+@pytest.mark.parametrize("transform", CATALOG, ids=lambda t: t.kind)
+def test_scalar_gets_the_bits_of_an_array_element(transform):
+    values = dl.RandomSource(32).generator.uniform(0, 1e3, size=2000)
+    batch = transform.apply(values)
+    assert all(transform.apply(v) == b for v, b in zip(values.tolist(), batch))
+
+
 def test_known_values():
     assert dl.square().apply(3.0) == 9.0
     assert dl.square_root().apply(4.0) == 2.0
