@@ -1,10 +1,12 @@
 """Experiment drivers: runtime scaling, drift sweeps, tail checks, demos.
 
-Every study consumes an :class:`ExperimentConfig`, spends replicate runs that
-are independently seeded by (master seed, size index, replicate index), and
-returns a :class:`ReportBundle` whose config echo is complete enough to re-run
-the experiment.  Outputs are deterministic byte-for-byte for a fixed config:
-aggregation happens in replicate-index order and reports carry no timestamps.
+Every study consumes an :class:`ExperimentConfig` and returns a
+:class:`ReportBundle` whose config echo is complete enough to re-run the
+experiment.  The EA studies (scale, escape, tail, chance, run) build one job
+per replicate, each with its own child stream of the master seed, and run them
+all through :func:`_run_replicates`.  Outputs are deterministic byte-for-byte
+for a fixed config: aggregation happens in replicate-index order and reports
+carry no timestamps.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .version import __version__
-from .drift import ALL_STATES_CAP, exhaustive_drift_check
+from .drift import ALL_STATES_CAP, drift_time_bounds, exhaustive_drift_check
 from .ea import EAConfig, RunTrace, default_budget, run_ea
 from .objectives import (
     ChanceInstance,
@@ -287,27 +289,29 @@ def build_objective(cfg: ExperimentConfig, n: int, rng: RandomSource):
     )
 
 
-def _hitting_time_job(args):
-    instance, budget, seed, spawn_key, initial = args
-    trace = run_ea(
-        instance, EAConfig(max_iterations=budget), RandomSource(seed, spawn_key), initial=initial
-    )
-    return trace.hitting_time
+def _replicate(job) -> RunTrace:
+    instance, config, rng, initial, potential = job
+    return run_ea(instance, config, rng, initial=initial, potential=potential)
 
 
-def _run_replicates(jobs: list, workers: int) -> list:
-    """Execute hitting-time jobs; results come back in replicate order."""
+def _run_replicates(jobs: list, workers: int = 1) -> list[RunTrace]:
+    """The replicate engine: run (instance, EAConfig, RandomSource, initial or
+    None, potential or None) jobs, serially or on `workers` processes.
+
+    Traces come back in job order.  Each job carries its own stream, so the
+    results do not depend on `workers`.
+    """
     if workers <= 1 or len(jobs) <= 1:
-        return [_hitting_time_job(j) for j in jobs]
+        return [_replicate(job) for job in jobs]
     chunk = max(1, len(jobs) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_hitting_time_job, jobs, chunksize=chunk))
+        return list(pool.map(_replicate, jobs, chunksize=chunk))
 
 
-def _time_stats(times: list) -> tuple[int, float, float, float]:
-    """(censored count, mean, sd, median) over the completed runs only."""
-    completed = [t for t in times if t is not None]
-    censored = len(times) - len(completed)
+def _time_stats(traces: list) -> tuple[int, float, float, float]:
+    """(censored count, mean, sd, median) of the hitting times of the completed runs only."""
+    completed = [t.hitting_time for t in traces if t.hitting_time is not None]
+    censored = len(traces) - len(completed)
     if not completed:
         return censored, math.nan, math.nan, math.nan
     mean = statistics.fmean(completed)
@@ -360,29 +364,23 @@ def scaling_study(cfg: ExperimentConfig) -> ReportBundle:
     rows = []
     for idx, n in enumerate(cfg.n_values):
         source = root.spawn(idx)
-        budget = cfg.budget if cfg.budget else default_budget(n, cfg.budget_multiplier)
+        config = EAConfig(max_iterations=cfg.budget or default_budget(n, cfg.budget_multiplier))
         if cfg.fresh_instances:
-            jobs = []
-            for rep in range(cfg.replicates):
-                rep_source = source.spawn(rep + 1)
-                instance = build_objective(cfg, n, rep_source.spawn(0))
-                run_source = rep_source.spawn(1)
-                jobs.append((instance, budget, run_source.seed, run_source.spawn_key, None))
-            shared = jobs[0][0]
+            # replicate j: its instance from (i, j+1, 0), its run from (i, j+1, 1)
+            reps = [source.spawn(rep + 1) for rep in range(cfg.replicates)]
+            jobs = [(build_objective(cfg, n, r.spawn(0)), config, r.spawn(1), None, None) for r in reps]
         else:
-            shared = build_objective(cfg, n, source.spawn(0))
-            jobs = [
-                (shared, budget, source.seed, source.spawn_key + (rep + 1,), None)
-                for rep in range(cfg.replicates)
-            ]
-        times = _run_replicates(jobs, cfg.workers)
-        censored, mean, sd, median = _time_stats(times)
+            instance = build_objective(cfg, n, source.spawn(0))
+            jobs = [(instance, config, source.spawn(rep + 1), None, None) for rep in range(cfg.replicates)]
+        censored, mean, sd, median = _time_stats(_run_replicates(jobs, cfg.workers))
         ratio = mean / (n * math.log(n)) if n > 1 else math.nan
+        # every instance of one size has the s and alpha of the first
+        first = jobs[0][0]
         rows.append(
             ScalingRow(
                 n=n,
-                s=shared.s,
-                alpha=f"{shared.alpha.numerator}/{shared.alpha.denominator}",
+                s=first.s,
+                alpha=f"{first.alpha.numerator}/{first.alpha.denominator}",
                 reps=cfg.replicates,
                 censored=censored,
                 mean_T=mean,
@@ -413,15 +411,12 @@ def escape_study(cfg: ExperimentConfig) -> ReportBundle:
     rows = []
     for idx, n in enumerate(cfg.n_values):
         instance = MultimodalInstance(n, cfg.exponent or 0)
-        budget = cfg.budget if cfg.budget else max(100, math.ceil(cfg.budget_multiplier * math.e * n * n))
+        budget = cfg.budget or max(100, math.ceil(cfg.budget_multiplier * math.e * n * n))
+        config = EAConfig(max_iterations=budget)
         source = root.spawn(idx)
         start = instance.local_optimum(1)
-        jobs = [
-            (instance, budget, source.seed, source.spawn_key + (rep + 1,), start)
-            for rep in range(cfg.replicates)
-        ]
-        times = _run_replicates(jobs, cfg.workers)
-        censored, mean, sd, _ = _time_stats(times)
+        jobs = [(instance, config, source.spawn(rep + 1), start, None) for rep in range(cfg.replicates)]
+        censored, mean, sd, _ = _time_stats(_run_replicates(jobs, cfg.workers))
         rows.append(EscapeRow(n=n, reps=cfg.replicates, censored=censored, mean_T=mean, sd_T=sd))
     checks = {"censoring_at_most_1pct": all(r.censored <= 0.01 * r.reps for r in rows)}
     return ReportBundle(
@@ -468,11 +463,9 @@ def tail_study(cfg: ExperimentConfig) -> ReportBundle:
 
     potential = build_combined_potential(instance)
     floor = 1.0  # every nonzero state carries a coefficient >= 1
-    r_values = cfg.r_values
-    exceed = {r: 0 for r in r_values}
-    threshold_sums = {r: 0.0 for r in r_values}
-    counted = 0
+    jobs, time_bounds = [], []
     for rep in range(cfg.replicates):
+        # replicate j draws its start from (j+1,), then runs on the same stream
         source = root.spawn(rep + 1)
         x0 = source.generator.integers(0, 2, instance.domain_size, dtype=np.uint8)
         start = potential.value(x0)
@@ -480,23 +473,28 @@ def tail_study(cfg: ExperimentConfig) -> ReportBundle:
             # T = 0 never exceeds a positive threshold; no threshold is defined
             # for a zero start potential.
             continue
-        counted += 1
-        thresholds = {r: (math.log(start / floor) + r) / delta for r in r_values}
-        budget = max(1, math.ceil(max(thresholds.values())))
-        trace = run_ea(instance, EAConfig(max_iterations=budget), source, initial=x0)
-        for r in r_values:
-            threshold_sums[r] += thresholds[r]
-            if trace.hitting_time is None or trace.hitting_time > thresholds[r]:
-                exceed[r] += 1
+        time_bound = drift_time_bounds(start, floor, delta, cfg.r_values)
+        budget = max(1, math.ceil(max(point.threshold for point in time_bound.tail)))
+        jobs.append((instance, EAConfig(max_iterations=budget), source, x0, None))
+        time_bounds.append(time_bound)
+    traces = _run_replicates(jobs)
+    counted = len(jobs)
+    exceed = [0] * len(cfg.r_values)
+    threshold_sums = [0.0] * len(cfg.r_values)
+    for trace, time_bound in zip(traces, time_bounds):
+        for i, point in enumerate(time_bound.tail):
+            threshold_sums[i] += point.threshold
+            if trace.hitting_time is None or trace.hitting_time > point.threshold:
+                exceed[i] += 1
     rows = []
-    for r in r_values:
-        freq = exceed[r] / cfg.replicates
+    for i, r in enumerate(cfg.r_values):
+        freq = exceed[i] / cfg.replicates
         bound = math.exp(-r)
         se = math.sqrt(freq * (1.0 - freq) / cfg.replicates)
         rows.append(
             TailRow(
                 r=r,
-                threshold=threshold_sums[r] / counted if counted else math.nan,
+                threshold=threshold_sums[i] / counted if counted else math.nan,
                 exceed_freq=freq,
                 bound=bound,
                 violation=freq - bound > 3.0 * se,
@@ -527,12 +525,12 @@ def chance_demo(cfg: ExperimentConfig) -> ReportBundle:
         chance = ChanceInstance(np.arange(1, m + 1, dtype=float), np.ones(m), cfg.confidence)
     composite = build_chance(chance)
     root = RandomSource(cfg.seed)
-    budget = cfg.budget if cfg.budget else default_budget(composite.n, cfg.budget_multiplier)
+    config = EAConfig(max_iterations=cfg.budget or default_budget(composite.n, cfg.budget_multiplier))
+    jobs = [(composite, config, root.spawn(rep + 1), None, None) for rep in range(cfg.replicates)]
     best_state = None
     best_value = math.inf
-    for rep in range(cfg.replicates):
-        trace = run_ea(composite, EAConfig(max_iterations=budget), root.spawn(rep + 1))
-        value = composite.value(trace.final_state)
+    for trace in _run_replicates(jobs):
+        value = trace.samples[-1][1]  # the final state's f, as value() gives it
         if value < best_value:
             best_value = value
             best_state = trace.final_state
@@ -582,26 +580,20 @@ def run_study(cfg: ExperimentConfig) -> tuple[ReportBundle, list[RunTrace]]:
     n = cfg.n_values[0]
     root = RandomSource(cfg.seed)
     instance = build_objective(cfg, n, root.spawn(0))
-    budget = cfg.budget if cfg.budget else default_budget(n, cfg.budget_multiplier)
+    budget = cfg.budget or default_budget(n, cfg.budget_multiplier)
+    config = EAConfig(max_iterations=budget, trace_stride=cfg.trace_stride)
     potential = build_combined_potential(instance).value
-    traces = []
-    rows = []
-    for rep in range(cfg.replicates):
-        trace = run_ea(
-            instance,
-            EAConfig(max_iterations=budget, trace_stride=cfg.trace_stride),
-            root.spawn(rep + 1),
-            potential=potential,
+    jobs = [(instance, config, root.spawn(rep + 1), None, potential) for rep in range(cfg.replicates)]
+    traces = _run_replicates(jobs)
+    rows = [
+        RunRow(
+            replicate=rep,
+            hitting_time=trace.hitting_time,
+            accepted_steps=trace.accepted_steps,
+            budget_exhausted=trace.budget_exhausted,
         )
-        traces.append(trace)
-        rows.append(
-            RunRow(
-                replicate=rep,
-                hitting_time=trace.hitting_time,
-                accepted_steps=trace.accepted_steps,
-                budget_exhausted=trace.budget_exhausted,
-            )
-        )
+        for rep, trace in enumerate(traces)
+    ]
     bundle = ReportBundle(
         kind="run",
         config=cfg.to_dict(),

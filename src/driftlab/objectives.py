@@ -508,9 +508,15 @@ class MultimodalInstance:
         self._weights = np.zeros((2, self.n))
         self._weights[0, 0] = 1.0
         self._weights[1, 1:] = 1.0
-        self._zeros_term = np.array(
-            [((self.n - k) / (self.n - 0.5)) ** self.exponent for k in range(self.n + 1)]
-        )
+        try:
+            self._zeros_term = np.array(
+                [((self.n - k) / (self.n - 0.5)) ** self.exponent for k in range(self.n + 1)]
+            )
+        except OverflowError:
+            raise ValueError(
+                f"zeros term (n/(n-0.5))^exponent overflows float64 at n={self.n}, "
+                f"exponent={self.exponent}"
+            ) from None
 
     @property
     def domain_size(self) -> int:

@@ -102,6 +102,11 @@ class TestEscapeCommand:
         assert lines[0] == "n,reps,mean_T,sd_T"
         assert len(lines) == 3
 
+    def test_overflowing_exponent_exits_1(self, capsys):
+        code = cli_main(["escape", "--n", "16", "--exponent", "100000", "--reps", "2"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: zeros term")
+
 
 class TestTailCommand:
     def test_certified_smoke(self, tmp_path):

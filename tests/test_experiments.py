@@ -1,11 +1,13 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import driftlab as dl
-from driftlab.experiments import ExperimentConfig
+from driftlab import experiments
+from driftlab.experiments import ExperimentConfig, build_objective
 
 
 def make_cfg(**overrides):
@@ -81,15 +83,21 @@ class TestScalingStudy:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_workers_do_not_change_results(self, tmp_path):
-        serial = dl.scaling_study(make_cfg(replicates=4))
-        parallel = dl.scaling_study(make_cfg(replicates=4, workers=2))
-        a, b = tmp_path / "serial.json", tmp_path / "parallel.json"
-        serial.write_json(a)
-        parallel.write_json(b)
-        doc_a, doc_b = json.loads(a.read_text()), json.loads(b.read_text())
-        doc_a["config"].pop("workers")
-        doc_b["config"].pop("workers")
-        assert doc_a == doc_b
+        inputs = [
+            make_cfg(replicates=4),
+            make_cfg(preset=None, n_values=(12,), s=2, weight_high=9, replicates=4, fresh_instances=True),
+            ExperimentConfig(kind="escape", n_values=(6, 8), replicates=4, seed=2),
+        ]
+        for cfg in inputs:
+            serial = experiments.run_experiment(cfg)
+            parallel = experiments.run_experiment(replace(cfg, workers=2))
+            a, b = tmp_path / "serial.json", tmp_path / "parallel.json"
+            serial.write_json(a)
+            parallel.write_json(b)
+            doc_a, doc_b = json.loads(a.read_text()), json.loads(b.read_text())
+            doc_a["config"].pop("workers")
+            doc_b["config"].pop("workers")
+            assert doc_a == doc_b, cfg.kind
 
     def test_budget_censoring_is_reported_not_mixed(self):
         bundle = dl.scaling_study(make_cfg(n_values=(32,), replicates=6, budget=3))
@@ -169,6 +177,13 @@ class TestTailStudy:
         for a, b in zip(certified.rows, halved.rows):
             assert b.threshold == pytest.approx(2 * a.threshold, rel=1e-12)
             assert b.exceed_freq <= a.exceed_freq
+
+    def test_repeated_r_is_counted_once(self):
+        base = dict(kind="tail", n_values=(8,), preset="onemax", replicates=50, seed=3, delta=0.05)
+        once = dl.tail_study(ExperimentConfig(**base, r_values=(0.5,)))
+        twice = dl.tail_study(ExperimentConfig(**base, r_values=(0.5, 0.5)))
+        assert once.rows[0].exceed_freq > 0
+        assert twice.rows == [once.rows[0]] * 2
 
     def test_refuses_uncertifiable_instance(self):
         cfg = ExperimentConfig(kind="tail", n_values=(64,), preset="onemax", replicates=10, seed=1)
@@ -283,3 +298,75 @@ class TestRunStudy:
         )
         bundle, traces = dl.run_study(cfg)
         assert all(t.hitting_time is not None for t in traces)
+
+
+def _replay_scale(cfg):
+    # size i = 1, replicate j = 2: stream (i, j+1) on the size's one instance
+    return dl.run_ea(dl.onemax(12), dl.EAConfig(dl.default_budget(12)), dl.RandomSource(cfg.seed, (1, 3)))
+
+
+def _replay_scale_fresh(cfg):
+    # instance from (i, j+1, 0), run from (i, j+1, 1)
+    instance = build_objective(cfg, 12, dl.RandomSource(cfg.seed, (1, 3, 0)))
+    return dl.run_ea(instance, dl.EAConfig(dl.default_budget(12)), dl.RandomSource(cfg.seed, (1, 3, 1)))
+
+
+def _replay_escape(cfg):
+    # stream (i, j+1), from the local optimum at position 1
+    instance = dl.MultimodalInstance(8)
+    budget = math.ceil(20.0 * math.e * 8 * 8)
+    return dl.run_ea(
+        instance, dl.EAConfig(budget), dl.RandomSource(cfg.seed, (1, 3)), initial=instance.local_optimum(1)
+    )
+
+
+def _replay_tail(cfg):
+    # stream (j+1,): the start point first, then the run, budget the largest threshold
+    instance = dl.onemax(8)
+    source = dl.RandomSource(cfg.seed, (3,))
+    x0 = source.generator.integers(0, 2, 8, dtype=np.uint8)
+    start = dl.build_combined_potential(instance).value(x0)
+    budget = math.ceil((math.log(start) + max(cfg.r_values)) / cfg.delta)
+    return dl.run_ea(instance, dl.EAConfig(budget), source, initial=x0)
+
+
+def _replay_chance(cfg):
+    # stream (j+1,)
+    composite = dl.build_chance(dl.ChanceInstance(np.arange(1.0, 7.0), np.ones(6), 0.9))
+    return dl.run_ea(composite, dl.EAConfig(dl.default_budget(composite.n)), dl.RandomSource(cfg.seed, (3,)))
+
+
+def _replay_run(cfg):
+    # stream (j+1,)
+    return dl.run_ea(dl.onemax(16), dl.EAConfig(dl.default_budget(16)), dl.RandomSource(cfg.seed, (3,)))
+
+
+REPLAYS = {
+    "scale": (dict(kind="scale", n_values=(8, 12), preset="onemax"), _replay_scale),
+    "scale-fresh": (
+        dict(kind="scale", n_values=(10, 12), s=1, weight_high=9, fresh_instances=True), _replay_scale_fresh
+    ),
+    "escape": (dict(kind="escape", n_values=(6, 8)), _replay_escape),
+    "tail": (dict(kind="tail", n_values=(8,), preset="onemax", delta=0.05, r_values=(1.0, 2.0)), _replay_tail),
+    "chance": (dict(kind="chance", n_values=(6,), level_samples=1000, probes=0), _replay_chance),
+    "run": (dict(kind="run", n_values=(16,), preset="onemax"), _replay_run),
+}
+
+
+@pytest.mark.parametrize("study", sorted(REPLAYS))
+def test_one_replicate_replays_in_isolation(monkeypatch, study):
+    """The last replicate of a study, rerun alone on its documented stream, hits at the same time."""
+    options, replay = REPLAYS[study]
+    cfg = ExperimentConfig(**options, replicates=3, seed=23)
+    traces = []
+
+    def recording_run_ea(*args, **kwargs):
+        traces.append(dl.run_ea(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(experiments, "run_ea", recording_run_ea)
+    experiments.run_experiment(cfg)
+    assert len(traces) == 3 * len(cfg.n_values)  # no replicate skipped
+    hitting_times = [t.hitting_time for t in traces[-3:]]
+    assert len(set(hitting_times)) > 1, "replicates of one size should differ"
+    assert replay(cfg).hitting_time == hitting_times[-1]

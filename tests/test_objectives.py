@@ -374,6 +374,12 @@ class TestMultimodal:
         with pytest.raises(ValueError):
             dl.MultimodalInstance(4).value(bits(1, 0))
 
+    @pytest.mark.parametrize("n, exponent", [(16, 100_000), (1500, 0), (4, 10**400)])
+    def test_overflowing_zeros_term_is_a_value_error(self, n, exponent):
+        # (n/(n-0.5))^E exceeds float64; at the default E = n^2 from n ~ 1418 on
+        with pytest.raises(ValueError, match=rf"n={n}, exponent={exponent or n * n}"):
+            dl.MultimodalInstance(n, exponent)
+
 
 class TestInstanceFiles:
     def test_round_trip(self, tmp_path):
