@@ -3,10 +3,11 @@
 Exact drift enumerates all 2^m mutation masks of an m-bit state (m capped at
 20 for a single state, 12 for whole-space sweeps), weighting mask mu by
 p^|mu| (1-p)^(m-|mu|) and applying elitist selection against the objective.
-Mutations are classified relative to the second part's sub-string: flipping
-at least two of its one-bits ("multi_flip"), exactly one ("single_flip"), or
-none.  The multiplicative-drift time bound turns a certified per-step rate
-into an expected hitting time and exponential tail thresholds.
+`exact_drift` also conditions the drift on how many of the second part's
+one-bits a mask flips: at least two (`drift_given_multi_flip`) or exactly one
+(`drift_given_single_flip`).  The multiplicative-drift time bound turns a
+certified per-step rate into an expected hitting time and exponential tail
+thresholds.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ea import MutationEvent
 from .objectives import BitString, CompositeObjective, as_bits, linear_sums
 from .potential import PotentialLike, build_combined_potential, position_coefficients
 from .rng import RandomSource
@@ -95,47 +95,6 @@ class DriftSample:
     one_bits: np.ndarray
     acceptance_probability: Optional[float] = None
     standard_error: Optional[float] = None
-
-
-@dataclass
-class EventClassification:
-    """A mutation's class relative to the chosen part's sub-string."""
-
-    label: str  # "none" | "single_flip" | "multi_flip"
-    flipped_sorted_index: Optional[int] = None  # 0-based, sorted-weight order
-    flipped_position: Optional[int] = None  # domain position of the one-bit
-    zero_flips_strictly_lighter: Optional[bool] = None
-
-
-def classify_event(
-    x: BitString, event: MutationEvent, instance: CompositeObjective, part: int = 1
-) -> EventClassification:
-    """Classify a mutation by how many of the part's one-bits it flips.
-
-    For single_flip, also reports the flipped bit's index in the part's
-    sorted-weight order and whether every flipped zero-bit of the part
-    carries a strictly smaller weight.
-    """
-    x = as_bits(x)
-    emb = instance.embeddings[part]
-    lf = instance.functions[part]
-    in_part = np.zeros(instance.domain_size, dtype=bool)
-    in_part[emb.positions] = True
-    ones_flipped = [int(i) for i in event.flipped_one_bits if in_part[i]]
-    if len(ones_flipped) >= 2:
-        return EventClassification("multi_flip")
-    if len(ones_flipped) == 0:
-        return EventClassification("none")
-    pos = ones_flipped[0]
-    arg_index = emb.rank(pos) - 1
-    star_weight = float(lf.weights[arg_index])
-    sorted_index = int(lf.rank_in_sorted[arg_index])
-    lighter = all(
-        float(lf.weights[emb.rank(int(z)) - 1]) < star_weight
-        for z in event.flipped_zero_bits
-        if in_part[z]
-    )
-    return EventClassification("single_flip", sorted_index, pos, lighter)
 
 
 def _drift_at(space: StateSpace, u: int, probs: np.ndarray):

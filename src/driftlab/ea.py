@@ -14,10 +14,12 @@ pair equals the instance's `optimum`.  Objectives with a `linear_form` (exact
 sums) update the pair in O(K) per offspring; any other objective re-sums it in
 full with `linear_values`.  Either way f is bit-identical to `value(x)`, which
 is computed by the same left-to-right sums.  The random stream is
-consumed in that sparse order, which is not the order of
-`standard_bit_mutation`; the same (instance, config, stream) still gives the
-same run.  `standard_bit_mutation` and `elitist_step` remain as one-step
-primitives; `run_ea` does not call them.
+consumed in that sparse order, and the same (instance, config, stream) gives
+the same run.
+
+`standard_bit_mutation` (the dense one-step draw, one uniform per bit) and
+its `MutationEvent` are kept only because the benchmark tracer wraps that
+function; `run_ea` does not call them.
 """
 
 from __future__ import annotations
@@ -107,30 +109,6 @@ def standard_bit_mutation(
     flipped = np.flatnonzero(mask)
     parent_ones = x[flipped] == 1
     return y, MutationEvent(mask, flipped[parent_ones], flipped[~parent_ones])
-
-
-def elitist_step(
-    x: BitString,
-    f: Callable[[BitString], float],
-    p: float,
-    rng: RandomSource,
-    current_value: Optional[float] = None,
-) -> tuple[BitString, MutationEvent]:
-    """One mutation + selection; ties keep the offspring.
-
-    current_value, if given, must equal f(x); it skips re-evaluating the
-    parent (and the offspring when no bit flipped).
-    """
-    x = np.asarray(x, dtype=np.uint8)
-    f_x = f(x) if current_value is None else current_value
-    y, event = standard_bit_mutation(x, p, rng)
-    if event.flip_count == 0:
-        event.accepted = True
-        return x, event
-    if f(y) <= f_x:
-        event.accepted = True
-        return y, event
-    return x, event
 
 
 # Flip counts (and uniform positions) are drawn in blocks that double from

@@ -102,6 +102,10 @@ class ExperimentConfig:
         self.alpha = Fraction(self.alpha)
         self.transforms = _items(self.transforms)
         self.r_values = tuple(float(r) for r in _items(self.r_values))
+        if not all(math.isfinite(r) and r >= 0.0 for r in self.r_values):
+            raise ValueError(
+                f"tail parameters r must be finite and non-negative, got {list(self.r_values)}"
+            )
         if self.replicates < 1:
             raise ValueError("replicate count must be at least 1")
         if self.workers < 1:
@@ -251,6 +255,11 @@ def _environment(cfg: ExperimentConfig) -> dict:
     return {"artifact": "driftlab", "version": __version__, "seed": cfg.seed}
 
 
+def _chance_preset(m: int, confidence: float) -> ChanceInstance:
+    """The chance preset on m items: expected weights 1..m, unit variances."""
+    return ChanceInstance(np.arange(1, m + 1, dtype=float), np.ones(m), confidence)
+
+
 def build_objective(cfg: ExperimentConfig, n: int, rng: RandomSource):
     """Instance factory shared by all studies; the instance's n is always n."""
     if cfg.instance_file:
@@ -273,10 +282,7 @@ def build_objective(cfg: ExperimentConfig, n: int, rng: RandomSource):
     if cfg.preset == "chance":
         if n < 2 or n % 2:
             raise ValueError("chance preset needs an even nominal n >= 2 (n = 2m)")
-        m = n // 2
-        return build_chance(
-            ChanceInstance(np.arange(1, m + 1, dtype=float), np.ones(m), cfg.confidence)
-        )
+        return build_chance(_chance_preset(n // 2, cfg.confidence))
     return generate_instance(
         n,
         cfg.s,
@@ -316,8 +322,7 @@ def _time_stats(traces: list) -> tuple[int, float, float, float]:
         return censored, math.nan, math.nan, math.nan
     mean = statistics.fmean(completed)
     sd = statistics.stdev(completed) if len(completed) > 1 else 0.0
-    median = float(statistics.median(completed))
-    return censored, mean, sd, float(median)
+    return censored, mean, sd, float(statistics.median(completed))
 
 
 def fit_nlogn(rows: Sequence) -> FitResult:
@@ -522,7 +527,7 @@ def chance_demo(cfg: ExperimentConfig) -> ReportBundle:
         if chance.item_count != m:
             raise ValueError(f"instance file {cfg.instance_file} has m={chance.item_count}, not m={m}")
     else:
-        chance = ChanceInstance(np.arange(1, m + 1, dtype=float), np.ones(m), cfg.confidence)
+        chance = _chance_preset(m, cfg.confidence)
     composite = build_chance(chance)
     root = RandomSource(cfg.seed)
     config = EAConfig(max_iterations=cfg.budget or default_budget(composite.n, cfg.budget_multiplier))

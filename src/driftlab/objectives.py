@@ -130,26 +130,6 @@ class DomainEmbedding:
     def arity(self) -> int:
         return int(self.positions.size)
 
-    def rank(self, position: int) -> int:
-        """1-based rank of `position` within B (smallest position has rank 1)."""
-        idx = np.searchsorted(self.positions, position)
-        if idx == self.arity or self.positions[idx] != position:
-            raise ValueError(f"position {position} not in embedding")
-        return int(idx) + 1
-
-    def restrict(self, x: BitString) -> BitString:
-        """The sub-bitstring of x at the embedded positions, in rank order."""
-        if len(x) != self.domain_size:
-            raise ValueError(f"expected {self.domain_size} bits, got {len(x)}")
-        return np.asarray(x, dtype=np.uint8)[self.positions]
-
-
-def eval_extended(lf: LinearFunction, emb: DomainEmbedding, x: BitString) -> float:
-    """Value of the embedded function on the full string; bits outside B are inert."""
-    if emb.arity != lf.arity:
-        raise ValueError("embedding arity does not match function arity")
-    return lf.value(emb.restrict(as_bits(x)))
-
 
 @dataclass(frozen=True)
 class LinearForm:

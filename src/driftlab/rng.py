@@ -28,9 +28,5 @@ class RandomSource:
         """Derive the `index`-th independent child stream."""
         return RandomSource(self.seed, self.spawn_key + (int(index),))
 
-    def clone(self) -> "RandomSource":
-        """A fresh source replaying this stream from the beginning."""
-        return RandomSource(self.seed, self.spawn_key)
-
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed}, spawn_key={self.spawn_key})"

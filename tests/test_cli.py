@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+import driftlab
+from driftlab import experiments
 from driftlab.cli import cli_main
 
 
@@ -120,6 +122,18 @@ class TestTailCommand:
         assert lines[0] == "r,threshold,exceed_freq,bound"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("r", ["inf", "nan", "-1"])
+    def test_bad_r_exits_1_before_certification(self, monkeypatch, capsys, r):
+        def certify(*args, **kwargs):
+            raise AssertionError("drift certification ran")
+
+        monkeypatch.setattr(experiments, "exhaustive_drift_check", certify)
+        code = cli_main(["tail", "--n", "8", "--preset", "onemax", f"--r={r}", "--reps", "20"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: tail parameters r must be finite and non-negative"
+        )
+
     def test_absurd_delta_fails_check(self):
         code = cli_main(
             ["tail", "--n", "8", "--preset", "onemax", "--r", "1", "--reps", "50",
@@ -189,6 +203,11 @@ class TestTopLevel:
 
     def test_no_command_is_error(self):
         assert cli_main([]) == 1
+
+    def test_every_export_resolves(self):
+        assert len(set(driftlab.__all__)) == len(driftlab.__all__)
+        for name in driftlab.__all__:
+            assert hasattr(driftlab, name), name
 
     def test_console_entry_point(self, tmp_path):
         result = subprocess.run(

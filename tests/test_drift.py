@@ -48,80 +48,6 @@ def all_states(m):
     return ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(np.uint8)
 
 
-class TestClassifyEvent:
-    def test_empty_mask_is_none(self):
-        inst = dl.onemax(8)
-        x = bits(1, 1, 1, 1, 0, 0, 0, 0)
-        _, event = dl.standard_bit_mutation(x, 1e-12, dl.RandomSource(0))
-        assert dl.classify_event(x, event, inst).label == "none"
-
-    def test_single_one_bit_in_second_part(self):
-        inst = dl.onemax(8)  # second part sits on positions 4..7
-        x = bits(0, 0, 0, 0, 1, 0, 1, 0)
-        mask = np.zeros(8, dtype=bool)
-        mask[4] = True
-        event = dl.MutationEvent(mask, np.array([4]), np.array([], dtype=np.int64))
-        out = dl.classify_event(x, event, inst)
-        assert out.label == "single_flip"
-        assert out.flipped_position == 4
-        assert out.flipped_sorted_index == 0
-        assert out.zero_flips_strictly_lighter is True
-
-    def test_two_one_bits_plus_first_part_noise(self):
-        inst = dl.onemax(8)
-        x = bits(1, 0, 0, 0, 1, 1, 0, 0)
-        mask = np.zeros(8, dtype=bool)
-        mask[[0, 4, 5]] = True
-        event = dl.MutationEvent(mask, np.array([0, 4, 5]), np.array([], dtype=np.int64))
-        assert dl.classify_event(x, event, inst).label == "multi_flip"
-
-    def test_zero_bit_only_flip_is_none(self):
-        inst = dl.onemax(8)
-        x = bits(0, 0, 0, 0, 1, 0, 0, 0)
-        mask = np.zeros(8, dtype=bool)
-        mask[5] = True
-        event = dl.MutationEvent(mask, np.array([], dtype=np.int64), np.array([5]))
-        assert dl.classify_event(x, event, inst).label == "none"
-
-    def test_lighter_zero_flag_uses_strict_weight_order(self):
-        inst = dl.CompositeObjective(
-            8, 0, Fraction(1, 2),
-            (dl.LinearFunction([1, 1, 1, 1]), dl.LinearFunction([2, 5, 5, 9])),
-            (dl.DomainEmbedding([0, 1, 2, 3], 8), dl.DomainEmbedding([4, 5, 6, 7], 8)),
-            (dl.identity(), dl.identity()),
-        )
-        x = bits(0, 0, 0, 0, 0, 0, 1, 0)  # one-bit: second-part weight 5
-        mask = np.zeros(8, dtype=bool)
-        mask[[4, 6]] = True  # zero-bit with weight 2 < 5
-        event = dl.MutationEvent(mask, np.array([6]), np.array([4]))
-        out = dl.classify_event(x, event, inst)
-        assert out.label == "single_flip" and out.zero_flips_strictly_lighter is True
-        mask2 = np.zeros(8, dtype=bool)
-        mask2[[5, 6]] = True  # tied weight 5 is not strictly lighter
-        event2 = dl.MutationEvent(mask2, np.array([6]), np.array([5]))
-        assert dl.classify_event(x, event2, inst).zero_flips_strictly_lighter is False
-
-    def test_partition_of_second_part_changes(self):
-        inst = random_instance(5)
-        gen = dl.RandomSource(6).generator
-        in_b2 = np.zeros(inst.domain_size, dtype=bool)
-        in_b2[inst.embeddings[1].positions] = True
-        for _ in range(300):
-            x = gen.integers(0, 2, inst.domain_size, dtype=np.uint8)
-            y, event = dl.standard_bit_mutation(x, 0.3, dl.RandomSource(int(gen.integers(1 << 30))))
-            label = dl.classify_event(x, event, inst).label
-            ones_flipped = int(np.count_nonzero(event.mask & (x == 1) & in_b2))
-            changes_part = bool(np.any(event.mask & in_b2))
-            if ones_flipped >= 2:
-                assert label == "multi_flip"
-            elif ones_flipped == 1:
-                assert label == "single_flip"
-            else:
-                assert label == "none"
-            # the three classes partition the part-changing mutations
-            assert changes_part == (label != "none") or (label == "none" and changes_part)
-
-
 class TestExactDrift:
     def test_optimal_state_has_zero_drift(self):
         inst = dl.onemax(8)

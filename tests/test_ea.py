@@ -1,10 +1,13 @@
+import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.stats import binom, chi2
 
 import driftlab as dl
+from driftlab.ea import _FIRST_BLOCK, _MAX_BLOCK, _Mutations
 
 
 def bits(*values):
@@ -111,34 +114,70 @@ class TestStandardBitMutation:
         assert p_value > 0.001
 
 
-class TestElitistStep:
-    def test_strict_improvement_accepted(self):
-        inst = dl.onemax(2)
-        # p = 1 flips both bits: (1,1) -> (0,0), f drops
-        x_new, event = dl.elitist_step(bits(1, 1), inst.value, 1.0, dl.RandomSource(0))
-        assert event.accepted
-        assert np.array_equal(x_new, bits(0, 0))
+class TestMutationsLaw:
+    """The exact law of standard bit mutation as `run_ea` draws it.
 
-    def test_optimum_rejects_worse(self):
-        inst = dl.onemax(2)
-        x_new, event = dl.elitist_step(bits(0, 0), inst.value, 1.0, dl.RandomSource(0))
-        assert not event.accepted
-        assert np.array_equal(x_new, bits(0, 0))
+    `_Mutations.block` gives the flip count K ~ Binomial(m, p) of every
+    iteration of a block, and `positions(k)` the flipped set, which must be a
+    uniform k-subset.  All checks are at significance 0.001.
+    """
 
-    def test_constant_objective_accepts_ties(self):
-        rng = dl.RandomSource(5)
-        x = bits(0, 1, 0, 1)
-        for _ in range(50):
-            x_new, event = dl.elitist_step(x, lambda _: 0.0, 0.5, rng)
-            assert event.accepted
-            x = x_new
+    def test_block_flip_counts_match_binomial(self):
+        m, p, trials = 16, 1 / 8, 10**6
+        mutations = _Mutations(dl.RandomSource(7).generator, m, p)
+        counts = np.zeros(m + 1, dtype=np.int64)
+        sizes = []
+        done = 0
+        while done < trials:
+            offsets, flips, size = mutations.block()
+            assert offsets == sorted(set(offsets)) and all(0 <= a < size for a in offsets)
+            assert all(k >= 1 for k in flips)
+            counts += np.bincount(flips, minlength=m + 1)
+            counts[0] += size - len(flips)
+            sizes.append(size)
+            done += size
+        doubling = [_FIRST_BLOCK << i for i in range((_MAX_BLOCK // _FIRST_BLOCK).bit_length())]
+        assert sizes[: len(doubling)] == doubling and doubling[-1] == _MAX_BLOCK
+        assert set(sizes[len(doubling) :]) == {_MAX_BLOCK}
+        expected = binom.pmf(np.arange(m + 1), m, p) * done
+        # pool the sparse upper tail so every expected count is >= 5
+        cut = m + 1 - int(np.argmax(np.cumsum(expected[::-1]) >= 5.0))
+        obs = np.append(counts[: cut - 1], counts[cut - 1 :].sum())
+        exp = np.append(expected[: cut - 1], expected[cut - 1 :].sum())
+        stat = float(((obs - exp) ** 2 / exp).sum())
+        assert chi2.sf(stat, df=len(obs) - 1) > 0.001
 
-    def test_objective_failure_propagates(self):
-        def broken(_):
-            raise RuntimeError("boom")
+    @pytest.mark.parametrize("k", [1, 2, 4, 5, 8])
+    def test_positions_are_uniform_per_position(self, k):
+        # k = 1, 2, 4 take the rejection path on 16 bits (k*k <= m), 5 and 8 `choice`
+        m, draws = 16, 20_000
+        mutations = _Mutations(dl.RandomSource(2024).generator, m, 1 / m)
+        hits = np.zeros(m, dtype=np.int64)
+        for _ in range(draws):
+            np.add.at(hits, mutations.positions(k), 1)
+        # Each draw holds exactly k distinct positions, so the counts have
+        # covariance draws*q*(1-q)*m/(m-1) * (I - J/m) with q = k/m; Pearson's
+        # statistic times (m-1)/(m-k) is then chi-square with m-1 df.
+        expected = draws * k / m
+        stat = float(((hits - expected) ** 2).sum() / expected) * (m - 1) / (m - k)
+        assert chi2.sf(stat, df=m - 1) > 0.001
 
-        with pytest.raises(RuntimeError):
-            dl.elitist_step(bits(1, 1, 1), broken, 1.0, dl.RandomSource(0))
+    @pytest.mark.parametrize("m, k", [(9, 3), (6, 3), (5, 5)])
+    def test_positions_are_uniform_subsets(self, m, k):
+        # (9, 3) takes the rejection path, (6, 3) `choice`, and K = m the full set
+        draws = 50_000
+        mutations = _Mutations(dl.RandomSource(42).generator, m, 1 / m)
+        subsets = {s: 0 for s in itertools.combinations(range(m), k)}
+        for _ in range(draws):
+            flips = mutations.positions(k)
+            assert len(flips) == k and all(0 <= j < m for j in flips)
+            subsets[tuple(sorted(flips))] += 1  # a repeated position raises KeyError
+        if len(subsets) == 1:
+            return
+        obs = np.array(list(subsets.values()))
+        expected = draws / len(subsets)
+        stat = float(((obs - expected) ** 2).sum() / expected)
+        assert chi2.sf(stat, df=len(subsets) - 1) > 0.001
 
 
 class TestRunEA:
@@ -194,13 +233,20 @@ class TestRunEA:
         b = dl.run_ea(inst, cfg, dl.RandomSource(21), potential=pot)
         assert a.to_json() == b.to_json()
 
-    def test_absorption_after_optimum(self):
-        inst = dl.onemax(6)
-        rng = dl.RandomSource(17)
-        x = np.zeros(6, dtype=np.uint8)
-        for _ in range(300):
-            x, _ = dl.elitist_step(x, inst.value, 1 / 6, rng)
-            assert np.array_equal(x, np.zeros(6, dtype=np.uint8))
+    def test_objective_failure_propagates(self):
+        inst = dl.onemax(4)
+
+        def broken(l1, l2):
+            raise RuntimeError("boom")
+
+        # valuing the start point works; valuing the first offspring raises
+        failing = SimpleNamespace(
+            domain_size=4, mutation_probability=0.25, value=inst.value,
+            linear_values=inst.linear_values, combine=broken, optimum=inst.optimum,
+        )
+        cfg = dl.EAConfig(max_iterations=10, mutation_probability=1.0)
+        with pytest.raises(RuntimeError, match="boom"):
+            dl.run_ea(failing, cfg, dl.RandomSource(0), initial=bits(1, 1, 1, 1))
 
     def test_budget_exhaustion_reported(self):
         inst = dl.onemax(32)

@@ -61,34 +61,11 @@ class TestLinearSums:
 
 
 class TestDomainEmbedding:
-    def test_extended_zeros(self):
-        lf = dl.LinearFunction([2, 9])
-        emb = dl.DomainEmbedding([0, 2], 4)
-        assert dl.eval_extended(lf, emb, bits(0, 0, 0, 0)) == 0.0
-
-    def test_extended_value(self):
-        lf = dl.LinearFunction([2, 9])
-        emb = dl.DomainEmbedding([0, 2], 4)
-        assert dl.eval_extended(lf, emb, bits(1, 0, 1, 0)) == 11.0
-
-    def test_bits_outside_support_are_inert(self):
-        lf = dl.LinearFunction([2, 9])
-        emb = dl.DomainEmbedding([0, 2], 4)
-        assert dl.eval_extended(lf, emb, bits(0, 1, 0, 1)) == 0.0
-
-    def test_rank_counts_smaller_members(self):
-        emb = dl.DomainEmbedding([1, 4, 5], 8)
-        assert emb.rank(1) == 1 and emb.rank(4) == 2 and emb.rank(5) == 3
-        with pytest.raises(ValueError):
-            emb.rank(3)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             dl.DomainEmbedding([2, 1], 4)
         with pytest.raises(ValueError):
             dl.DomainEmbedding([0, 5], 4)
-        with pytest.raises(ValueError):
-            dl.eval_extended(dl.LinearFunction([1.0]), dl.DomainEmbedding([0, 1], 3), bits(1, 0, 0))
 
 
 class TestCompositeObjective:
