@@ -180,6 +180,58 @@ class TestMutationsLaw:
         assert chi2.sf(stat, df=len(subsets) - 1) > 0.001
 
 
+class TestElitistStep:
+    """The elitist selection of one `run_ea` iteration: keep y iff f(y) <= f(x).
+
+    Each check runs on both offspring evaluators: the O(K) update of an
+    instance with a LinearForm, and the full sum of one without.
+    """
+
+    @staticmethod
+    def evaluators(inst):
+        full = SimpleNamespace(
+            domain_size=inst.domain_size, mutation_probability=inst.mutation_probability,
+            value=inst.value, linear_values=inst.linear_values, combine=inst.combine,
+            optimum=inst.optimum,
+        )
+        return inst, full
+
+    def test_strict_improvement_accepted(self):
+        # p = 1 flips both bits: (1,1) -> (0,0), f drops
+        cfg = dl.EAConfig(max_iterations=1, mutation_probability=1.0)
+        for inst in self.evaluators(dl.onemax(2)):
+            trace = dl.run_ea(inst, cfg, dl.RandomSource(0), initial=bits(1, 1))
+            assert trace.hitting_time == 1 and trace.accepted_steps == 1
+            assert np.array_equal(trace.final_state, bits(0, 0))
+
+    def test_optimum_rejects_worse(self):
+        # p = 1 always offers the complement (1,1,1,0), which is worse than (0,0,0,1)
+        cfg = dl.EAConfig(max_iterations=50, mutation_probability=1.0)
+        for inst in self.evaluators(dl.onemax(4)):
+            trace = dl.run_ea(inst, cfg, dl.RandomSource(0), initial=bits(0, 0, 0, 1))
+            assert trace.budget_exhausted and trace.accepted_steps == 0
+            assert np.array_equal(trace.final_state, bits(0, 0, 0, 1))
+
+    def test_constant_objective_accepts_ties(self):
+        constant = SimpleNamespace(
+            domain_size=4, mutation_probability=0.5, value=lambda _: 0.0,
+            linear_values=lambda _: (0.0, 0.0), combine=lambda l1, l2: 0.0, optimum=None,
+        )
+        zero_form = SimpleNamespace(weights=([0.0] * 4, [0.0] * 4))
+        cfg = dl.EAConfig(max_iterations=50, trace_stride=1)
+        for form in (zero_form, None):
+            constant.linear_form = form
+            # phi is the state read as a binary number, so it changes with every accepted flip
+            trace = dl.run_ea(
+                constant, cfg, dl.RandomSource(5), initial=bits(0, 1, 0, 1),
+                potential=lambda x: float(np.dot(x, [8, 4, 2, 1])),
+            )
+            phis = [phi for _, _, phi, _ in trace.samples]
+            changes = sum(a != b for a, b in zip(phis, phis[1:]))
+            assert trace.budget_exhausted and trace.accepted_steps > 0
+            assert changes == trace.accepted_steps
+
+
 class TestRunEA:
     def test_initial_optimum_gives_time_zero(self):
         inst = dl.onemax(6)
