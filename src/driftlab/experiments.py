@@ -108,6 +108,12 @@ class ExperimentConfig:
             )
         if self.replicates < 1:
             raise ValueError("replicate count must be at least 1")
+        if not (math.isfinite(self.budget_multiplier) and self.budget_multiplier > 0.0):
+            raise ValueError(f"budget multiplier must be finite and positive, got {self.budget_multiplier}")
+        if self.budget is not None and self.budget < 1:
+            raise ValueError(f"absolute budget must be at least 1, got {self.budget}")
+        if self.probes < 0:
+            raise ValueError(f"probe count must be non-negative, got {self.probes}")
         if self.workers < 1:
             raise ValueError("worker count must be at least 1")
         if self.preset is not None and self.preset not in PRESETS:
@@ -369,7 +375,8 @@ def scaling_study(cfg: ExperimentConfig) -> ReportBundle:
     rows = []
     for idx, n in enumerate(cfg.n_values):
         source = root.spawn(idx)
-        config = EAConfig(max_iterations=cfg.budget or default_budget(n, cfg.budget_multiplier))
+        budget = default_budget(n, cfg.budget_multiplier) if cfg.budget is None else cfg.budget
+        config = EAConfig(max_iterations=budget)
         if cfg.fresh_instances:
             # replicate j: its instance from (i, j+1, 0), its run from (i, j+1, 1)
             reps = [source.spawn(rep + 1) for rep in range(cfg.replicates)]
@@ -416,7 +423,9 @@ def escape_study(cfg: ExperimentConfig) -> ReportBundle:
     rows = []
     for idx, n in enumerate(cfg.n_values):
         instance = MultimodalInstance(n, cfg.exponent or 0)
-        budget = cfg.budget or max(100, math.ceil(cfg.budget_multiplier * math.e * n * n))
+        budget = cfg.budget
+        if budget is None:
+            budget = max(100, math.ceil(cfg.budget_multiplier * math.e * n * n))
         config = EAConfig(max_iterations=budget)
         source = root.spawn(idx)
         start = instance.local_optimum(1)
@@ -438,7 +447,7 @@ def tail_study(cfg: ExperimentConfig) -> ReportBundle:
     """Empirical exceedance of the drift-theorem tail thresholds.
 
     The drift rate is either supplied (cfg.delta) or certified by exhaustive
-    enumeration on the instance (needs domain size <= ALL_STATES_CAP).  Each replicate
+    enumeration on the instance (needs domain size <= ALL_STATES_CAP = 16).  Each replicate
     uses its own start potential; thresholds are per-run and the reported
     threshold column is the across-run mean for each r.
     """
@@ -530,7 +539,8 @@ def chance_demo(cfg: ExperimentConfig) -> ReportBundle:
         chance = _chance_preset(m, cfg.confidence)
     composite = build_chance(chance)
     root = RandomSource(cfg.seed)
-    config = EAConfig(max_iterations=cfg.budget or default_budget(composite.n, cfg.budget_multiplier))
+    budget = default_budget(composite.n, cfg.budget_multiplier) if cfg.budget is None else cfg.budget
+    config = EAConfig(max_iterations=budget)
     jobs = [(composite, config, root.spawn(rep + 1), None, None) for rep in range(cfg.replicates)]
     best_state = None
     best_value = math.inf
@@ -585,7 +595,7 @@ def run_study(cfg: ExperimentConfig) -> tuple[ReportBundle, list[RunTrace]]:
     n = cfg.n_values[0]
     root = RandomSource(cfg.seed)
     instance = build_objective(cfg, n, root.spawn(0))
-    budget = cfg.budget or default_budget(n, cfg.budget_multiplier)
+    budget = default_budget(n, cfg.budget_multiplier) if cfg.budget is None else cfg.budget
     config = EAConfig(max_iterations=budget, trace_stride=cfg.trace_stride)
     potential = build_combined_potential(instance).value
     jobs = [(instance, config, root.spawn(rep + 1), None, potential) for rep in range(cfg.replicates)]
@@ -630,7 +640,10 @@ def drift_study(cfg: ExperimentConfig) -> ReportBundle:
         note = "no non-optimal state to check: uncertified"
     else:
         verdict = "pass" if report.passed else "FAIL"
-        note = f"min ratio {report.min_ratio:.6g} vs delta {report.delta_reference:.6g}: {verdict}"
+        note = (
+            f"min ratio {report.min_ratio:.6g} (rounding bound {report.rounding_bound:.2g})"
+            f" vs delta {report.delta_reference:.6g}: {verdict}"
+        )
     return ReportBundle(
         kind="drift",
         config=cfg.to_dict(),
@@ -685,7 +698,7 @@ def _unread(cfg: ExperimentConfig) -> dict:
             unread["fresh_instances"] = f"{why}, and the canonical embedding draws nothing"
     else:
         unread = {}
-    if cfg.budget:
+    if cfg.budget is not None:
         unread["budget_multiplier"] = "an absolute budget is set"
     return unread
 

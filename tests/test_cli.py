@@ -72,9 +72,14 @@ class TestDriftCommand:
         assert code == 0
         assert "pass" in capsys.readouterr().out
         doc = json.loads(out_json.read_text())
-        assert set(doc) == {"min_ratio", "delta_ref", "epsilon", "pass"}
+        assert set(doc) == {"min_ratio", "rounding_bound", "delta_ref", "epsilon", "pass"}
         assert doc["pass"] is True
         assert read_csv_lines(out_csv)[0] == "state_index,ones,phi,drift,ratio"
+
+    def test_exhaustive_m14_runs(self, capsys):
+        assert cli_main(["drift", "--n", "14", "--exhaustive", "--check"]) == 0
+        out = capsys.readouterr().out
+        assert "drift: 16383 rows" in out and "rounding bound" in out
 
     def test_sampled_states(self, tmp_path):
         out_csv = tmp_path / "drift.csv"
@@ -133,6 +138,11 @@ class TestTailCommand:
         assert capsys.readouterr().err.startswith(
             "error: tail parameters r must be finite and non-negative"
         )
+
+    def test_certifies_m14_without_delta(self, capsys):
+        code = cli_main(["tail", "--n", "14", "--reps", "20", "--seed", "5", "--check"])
+        assert code == 0
+        assert "certified delta=" in capsys.readouterr().out
 
     def test_absurd_delta_fails_check(self):
         code = cli_main(
@@ -367,6 +377,22 @@ class TestSizesAndLabels:
         assert cli_main(base + ["--preset", "separable", "--wlo", "5"]) == 0
         assert cli_main(base + ["--weights", "doubling", "--wlo", "5"]) == 1
         assert cli_main(base + ["--preset", "onemax", "--whi", "5"]) == 1
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1", "0"])
+    def test_bad_budget_multiplier_exits_1(self, capsys, value):
+        code = cli_main(["scale", "--preset", "onemax", "--n", "16", "--reps", "2", f"--budget-mult={value}"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: budget multiplier must be finite and positive")
+
+    @pytest.mark.parametrize("kind", ["scale", "escape", "run"])
+    def test_zero_budget_exits_1(self, capsys, kind):
+        base = ["--n", "8"] if kind == "escape" else ["--preset", "onemax", "--n", "16"]
+        assert cli_main([kind, *base, "--reps", "2", "--budget", "0"]) == 1
+        assert capsys.readouterr().err.startswith("error: absolute budget must be at least 1")
+
+    def test_negative_probes_exit_1(self, capsys):
+        assert cli_main(["chance", "--m", "6", "--probes", "-2", "--reps", "2"]) == 1
+        assert capsys.readouterr().err.startswith("error: probe count must be non-negative")
 
     def test_budget_multiplier_needs_relative_budget(self):
         base = ["escape", "--n", "6", "--reps", "2"]

@@ -191,10 +191,86 @@ class TestExhaustiveDriftCheck:
         inst = dl.onemax(26)
         with pytest.raises(ValueError):
             dl.exhaustive_drift_check(inst)
+        m17 = dl.generate_instance(18, 1, "1/2", weight_scheme="all-ones")
+        with pytest.raises(ValueError, match="exceeds enumeration cap 16"):
+            dl.exhaustive_drift_check(m17)
 
     def test_summary_schema(self):
         report = dl.exhaustive_drift_check(dl.onemax(6))
-        assert set(report.summary_dict()) == {"min_ratio", "delta_ref", "epsilon", "pass"}
+        assert set(report.summary_dict()) == {"min_ratio", "rounding_bound", "delta_ref", "epsilon", "pass"}
+
+
+def largest_tie_level(inst):
+    _, counts = np.unique(dl.StateSpace(inst).f, return_counts=True)
+    return int(counts.max())
+
+
+_SWEEP_CASES = {
+    "onemax": (lambda: dl.onemax(10), None),
+    "onemax-m12": (lambda: dl.onemax(12), None),
+    "all-ones-s3": (lambda: dl.generate_instance(14, 3, "1/2", weight_scheme="all-ones"), None),
+    "doubling": (lambda: dl.generate_instance(11, 1, "6/11", weight_scheme="doubling",
+                                              transforms=("square", "identity")), None),
+    "uniform-random": (lambda: random_instance(5), None),
+    "float-weights": (lambda: float_weight_instance(("identity", "identity"), n=12, s=2), None),
+    "p-half": (lambda: dl.onemax(8), 0.5),
+    "p-one": (lambda: dl.generate_instance(9, 1, "5/9", weight_scheme="uniform-int",
+                                           weight_range=(1, 9), rng=dl.RandomSource(7)), 1.0),
+    "p-0.8": (lambda: dl.generate_instance(10, 2, "1/2", weight_scheme="uniform-int",
+                                           weight_range=(1, 30), rng=dl.RandomSource(8)), 0.8),
+}
+
+
+class TestConvolutionSweep:
+    """The all-states sweep (XOR convolution over blocks) against the direct per-state path."""
+
+    @pytest.mark.parametrize("case", sorted(_SWEEP_CASES))
+    def test_matches_direct_path_within_rounding_bound(self, case):
+        make, p = _SWEEP_CASES[case]
+        inst = make()
+        m = inst.domain_size
+        assert m <= 12
+        swept = dl.exhaustive_drift_check(inst, p=p)
+        direct = dl.exhaustive_drift_check(inst, p=p, states=list(all_states(m)))
+        assert [r.state_index for r in swept.rows] == [r.state_index for r in direct.rows]
+        assert [r.phi for r in swept.rows] == [r.phi for r in direct.rows]
+        phi = np.array([r.phi for r in swept.rows])
+        gap = np.abs(np.array([r.drift for r in swept.rows]) - [r.drift for r in direct.rows]) / phi
+        assert gap.max() <= swept.rounding_bound + direct.rounding_bound
+        assert gap.max() <= 1e-13
+        assert 0.0 < swept.rounding_bound < 1e-9
+
+    def test_whole_tie_level_larger_than_block(self):
+        # Weights 1 and 2 with identity transforms: m = 10 gives tie levels of
+        # up to 196 states, above the block size isqrt(10 * 2^10) = 101, and the
+        # potential varies inside a level, so a split level or a tie counted as
+        # rejected changes the drift.
+        inst = dl.generate_instance(10, 0, "1/2", weight_scheme="uniform-int", weight_range=(1, 2),
+                                    transforms=("identity", "identity"), rng=dl.RandomSource(1))
+        assert largest_tie_level(inst) > math.isqrt(10 << 10)
+        swept = dl.exhaustive_drift_check(inst)
+        direct = dl.exhaustive_drift_check(inst, states=list(all_states(10)))
+        for a, b in zip(swept.rows, direct.rows, strict=True):
+            assert abs(a.drift - b.drift) <= 1e-13 * a.phi
+        assert swept.min_ratio == pytest.approx(direct.min_ratio, rel=1e-13)
+
+    def test_spot_states_against_independent_oracle(self):
+        inst = dl.generate_instance(10, 2, "1/2", weight_scheme="uniform-int", weight_range=(1, 12),
+                                    transforms=("square", "square_root"), rng=dl.RandomSource(21))
+        data = inst.to_dict()
+        rows = dl.exhaustive_drift_check(inst).rows
+        for row in rows[:: len(rows) // 5]:
+            x = ((row.state_index >> np.arange(inst.domain_size)) & 1).tolist()
+            reference = oracle_exact_drift(data, x, inst.mutation_probability)
+            assert row.drift == pytest.approx(reference, rel=1e-12, abs=1e-15)
+
+    def test_certifies_m16(self):
+        inst = dl.generate_instance(16, 0, "1/2", weight_scheme="uniform-int", weight_range=(1, 20),
+                                    rng=dl.RandomSource(3))
+        report = dl.exhaustive_drift_check(inst)
+        assert len(report.rows) == (1 << 16) - 1
+        assert report.passed
+        assert report.min_ratio - report.rounding_bound >= report.delta_reference
 
 
 class TestOneEvaluationPath:
