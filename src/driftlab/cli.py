@@ -5,7 +5,7 @@ pipeline: flags and a JSON config file (--config; flags override its values)
 make an ExperimentConfig, its study makes a ReportBundle, and the bundle
 writes the CSV (--out) and JSON (--json) reports.  A subcommand has flags, and
 accepts config keys, only for the options its study reads
-(experiments.STUDY_FIELDS); any other flag or key is a configuration error.
+(experiments.STUDIES); any other flag or key is a configuration error.
 Exit codes: 0 success, 1 configuration error (including bad flags), 2 I/O
 failure, 3 a --check verification failed.
 """
@@ -17,17 +17,9 @@ import json
 import sys
 from typing import Optional
 
-from .experiments import PRESETS, STUDY_FIELDS, ExperimentConfig, resolve_config, run_experiment
+from .experiments import PRESETS, STUDIES, ExperimentConfig, resolve_config, run_experiment
+from .objectives import EMBEDDING_SCHEMES, WEIGHT_SCHEMES
 from .version import __version__
-
-_HELP = {
-    "scale": "runtime scaling study over a size grid",
-    "drift": "exact drift certification on a small instance",
-    "escape": "escape time from a planted local optimum",
-    "tail": "tail-bound exceedance frequencies",
-    "chance": "chance-constrained fitness demonstration",
-    "run": "plain EA runs with trace output",
-}
 
 # The flag of each ExperimentConfig field and its argparse keywords.
 _FLAGS = {
@@ -35,14 +27,13 @@ _FLAGS = {
     "preset": ("--preset", {"choices": PRESETS}),
     "s": ("--s", {"type": int, "help": "overlap between the two parts (default 0)"}),
     "alpha": ("--alpha", {"help": "balance fraction, e.g. 1/2"}),
-    "weight_scheme": ("--weights", {"choices": ["all-ones", "uniform-int", "doubling"],
-                                    "help": "weight scheme"}),
+    "weight_scheme": ("--weights", {"choices": WEIGHT_SCHEMES, "help": "weight scheme"}),
     "weight_low": ("--wlo", {"type": int, "help": "uniform weight lower bound (default 1)"}),
     "weight_high": ("--whi", {"type": int, "help": "uniform weight upper bound (default 100)"}),
     "transforms": ("--transforms", {
         "help": "comma pair, e.g. square,square_root "
                 "(names: identity, square, square_root, scaled_square_root)"}),
-    "embedding": ("--embedding", {"choices": ["canonical", "random"], "help": "position layout"}),
+    "embedding": ("--embedding", {"choices": EMBEDDING_SCHEMES, "help": "position layout"}),
     "instance_file": ("--instance", {"help": "JSON instance file; fixes the instance and its size"}),
     "fresh_instances": ("--fresh-instances", {"action": "store_true",
                                               "help": "draw a new instance for every replicate"}),
@@ -77,13 +68,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"driftlab {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
-    for kind, fields in STUDY_FIELDS.items():
+    for kind, study in STUDIES.items():
         # Absent flags leave no attribute, so only given options reach the
         # config; no abbreviations, or "--s" on escape would set the seed.
         sub = commands.add_parser(
-            kind, help=_HELP[kind], argument_default=argparse.SUPPRESS, allow_abbrev=False
+            kind, help=study.help, argument_default=argparse.SUPPRESS, allow_abbrev=False
         )
-        for name in fields:
+        for name in study.fields:
             flag, keywords = _KIND_FLAGS.get((kind, name), _FLAGS[name])
             if name == "states":
                 group = sub.add_mutually_exclusive_group()
@@ -107,7 +98,13 @@ def _merge_options(args: argparse.Namespace, kind: str) -> ExperimentConfig:
             raise ValueError("config file must hold a JSON object")
         if file_cfg.pop("kind", kind) != kind:
             raise ValueError(f"config file is not for {kind}")
-        options.update((_ALIASES.get(key, key), value) for key, value in file_cfg.items())
+        spellings = {}
+        for key, value in file_cfg.items():
+            name = _ALIASES.get(key, key)
+            if name in spellings:
+                raise ValueError(f"config file sets {name} twice, as {spellings[name]!r} and {key!r}")
+            spellings[name] = key
+            options[name] = value
     flags = vars(args)
     options.update(
         (key, value) for key, value in flags.items() if key not in ("command", "config", "check", "exhaustive")

@@ -75,6 +75,7 @@ class StateSpace:
         self.f = np.empty(codes.size)
         self.optimal = np.empty(codes.size, dtype=bool)
         coeffs = None if phi_coefficients is None else np.asarray(phi_coefficients, dtype=np.float64)
+        self.coefficients = coeffs  # the potential's, or None
         self.phi = None if coeffs is None else np.empty(codes.size)
         shifts = np.arange(m, dtype=np.uint32)
         o1, o2 = instance.optimum
@@ -156,8 +157,9 @@ def exact_drift(
     """Exact one-step expected potential decrease at state x.
 
     `potential` is a CombinedPotential or a raw per-position coefficient
-    vector.  A prebuilt StateSpace (with matching potential) can be passed to
-    amortize enumeration across states.
+    vector.  A StateSpace of this instance, built with these coefficients,
+    can be passed to amortize enumeration across states; any other space is
+    rejected.
     """
     x = as_bits(x)
     coeffs = position_coefficients(potential)
@@ -165,8 +167,12 @@ def exact_drift(
         p = instance.mutation_probability
     if space is None:
         space = StateSpace(instance, coeffs)
+    if space.instance is not instance:
+        raise ValueError("state space was built for another instance")
     if space.phi is None:
         raise ValueError("state space was built without potential values")
+    if not np.array_equal(space.coefficients, coeffs):
+        raise ValueError("state space was built with other potential coefficients")
     u = space.encode(x)
     probs = space.mask_probabilities(p)
     accepted, dphi, drift = _drift_at(space, u, probs)
@@ -257,7 +263,6 @@ class DriftReport:
     (see exhaustive_drift_check); passed asks min_ratio - rounding_bound >= delta.
     """
 
-    instance_label: str
     epsilon: float
     delta_reference: float
     rows: list
@@ -435,7 +440,6 @@ def exhaustive_drift_check(
 
     delta = drift_rate_reference(instance)
     return DriftReport(
-        instance_label=getattr(instance, "label", "") or "instance",
         epsilon=instance.slack,
         delta_reference=delta,
         rows=rows,

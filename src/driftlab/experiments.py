@@ -29,19 +29,74 @@ from .objectives import (
     ChanceInstance,
     MultimodalInstance,
     build_chance,
-    build_separable,
     chance_level_check,
     generate_instance,
     load_chance_instance,
     load_instance,
-    onemax,
 )
 from .potential import build_combined_potential
 from .rng import RandomSource
 
-KINDS = ("scale", "drift", "escape", "tail", "chance", "run")
-MULTI_SIZE_KINDS = ("scale", "escape")  # every other study runs one size
-PRESETS = ("onemax", "separable", "chance")
+# The generation settings that the onemax and separable presets fix; the
+# chance preset builds its instance with _chance_preset instead.
+PRESET_SETTINGS = {
+    "onemax": {"s": 0, "alpha": Fraction(1, 2), "weight_scheme": "all-ones",
+               "transforms": ("identity", "identity"), "embedding": "canonical"},
+    "separable": {"s": 0, "alpha": Fraction(1, 2), "weight_scheme": "uniform-int",
+                  "transforms": ("square", "square_root"), "embedding": "canonical"},
+}
+PRESETS = (*PRESET_SETTINGS, "chance")
+
+
+@dataclass(frozen=True)
+class Study:
+    """Everything the pipeline knows about one study kind."""
+
+    help: str  # the subcommand's help line
+    function: str  # the study's name in this module, looked up on every run
+    # The ExperimentConfig fields the study reads.  The CLI builds the
+    # subcommand's flags from them, and resolve_config rejects any other
+    # option, so no flag or config key is accepted that the study ignores.
+    fields: tuple
+    columns: tuple  # the CSV columns, attributes of the study's rows
+    replicates: int = 200  # the default replicate count
+    size_list: bool = False  # whether the study runs a list of sizes
+
+
+_GENERATOR_FIELDS = ("s", "alpha", "weight_scheme", "weight_low", "weight_high", "transforms", "embedding")
+_RUN_FIELDS = ("replicates", "budget", "budget_multiplier")
+_COMMON_FIELDS = ("seed", "out_csv", "out_json")
+STUDIES = {
+    "scale": Study(
+        "runtime scaling study over a size grid", "scaling_study",
+        ("n_values", "preset", *_GENERATOR_FIELDS, "instance_file", "fresh_instances", *_RUN_FIELDS,
+         "workers", *_COMMON_FIELDS),
+        ("n", "s", "alpha", "reps", "censored", "mean_T", "sd_T", "median_T", "ratio_nlogn"), size_list=True),
+    "drift": Study(
+        "exact drift certification on a small instance", "drift_study",
+        ("n_values", *_GENERATOR_FIELDS, "instance_file", "states", "mutation_probability", *_COMMON_FIELDS),
+        ("state_index", "ones", "phi", "drift", "ratio")),
+    "escape": Study(
+        "escape time from a planted local optimum", "escape_study",
+        ("n_values", "exponent", *_RUN_FIELDS, "workers", *_COMMON_FIELDS),
+        ("n", "reps", "mean_T", "sd_T"), size_list=True),
+    "tail": Study(
+        "tail-bound exceedance frequencies", "tail_study",
+        ("n_values", "preset", *_GENERATOR_FIELDS, "instance_file", "replicates", "r_values", "delta",
+         *_COMMON_FIELDS),
+        ("r", "threshold", "exceed_freq", "bound")),
+    # probe demos and single runs default to far fewer replicates than studies
+    "chance": Study(
+        "chance-constrained fitness demonstration", "chance_demo",
+        ("n_values", "confidence", "instance_file", "level_samples", "probes", *_RUN_FIELDS,
+         *_COMMON_FIELDS),
+        ("probe", "g_value", "empirical_level", "alpha_c"), replicates=10),
+    "run": Study(
+        "plain EA runs with trace output", "run_study",
+        ("n_values", "preset", *_GENERATOR_FIELDS, "instance_file", *_RUN_FIELDS, "trace_stride",
+         *_COMMON_FIELDS),
+        ("replicate", "hitting_time", "accepted_steps", "budget_exhausted"), replicates=1),
+}
 
 
 def _items(value) -> tuple:
@@ -88,14 +143,14 @@ class ExperimentConfig:
     out_json: Optional[str] = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown experiment kind {self.kind!r}; choose from {KINDS}")
+        if self.kind not in STUDIES:
+            raise ValueError(f"unknown experiment kind {self.kind!r}; choose from {tuple(STUDIES)}")
         self.n_values = tuple(int(n) for n in _items(self.n_values))
         if not self.n_values:
             raise ValueError("at least one problem size n is required")
         if any(n < 1 for n in self.n_values):
             raise ValueError("problem sizes must be positive")
-        if len(self.n_values) > 1 and self.kind not in MULTI_SIZE_KINDS:
+        if len(self.n_values) > 1 and not STUDIES[self.kind].size_list:
             raise ValueError(f"{self.kind} runs one size, got {list(self.n_values)}")
         if len(self.n_values) > 1 and self.instance_file:
             raise ValueError(f"an instance file fixes one size, got {list(self.n_values)}")
@@ -203,11 +258,9 @@ class FitResult:
 class ReportBundle:
     """Everything one study produced, sufficient to reproduce it."""
 
-    kind: str
-    config: dict
+    cfg: ExperimentConfig
     rows: list
-    fits: Optional[dict]
-    environment: dict
+    fits: Optional[dict] = None
     checks: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
@@ -217,16 +270,20 @@ class ReportBundle:
     json_document: object = None
 
     @property
+    def kind(self) -> str:
+        return self.cfg.kind
+
+    @property
     def passed(self) -> bool:
         return all(self.checks.values())
 
     def to_json_dict(self) -> dict:
         return {
             "kind": self.kind,
-            "config": self.config,
+            "config": self.cfg.to_dict(),
             "rows": [asdict(r) for r in self.rows],
             "fits": self.fits,
-            "environment": self.environment,
+            "environment": {"artifact": "driftlab", "version": __version__, "seed": self.cfg.seed},
             "checks": self.checks,
             "notes": self.notes,
             "extras": self.extras,
@@ -239,26 +296,12 @@ class ReportBundle:
             fh.write("\n")
 
     def write_csv(self, path) -> None:
-        columns = CSV_COLUMNS[self.kind]
+        columns = STUDIES[self.kind].columns
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
             for row in self.rows:
                 writer.writerow([getattr(row, c) for c in columns])
-
-
-CSV_COLUMNS = {
-    "scale": ["n", "s", "alpha", "reps", "censored", "mean_T", "sd_T", "median_T", "ratio_nlogn"],
-    "drift": ["state_index", "ones", "phi", "drift", "ratio"],
-    "escape": ["n", "reps", "mean_T", "sd_T"],
-    "tail": ["r", "threshold", "exceed_freq", "bound"],
-    "chance": ["probe", "g_value", "empirical_level", "alpha_c"],
-    "run": ["replicate", "hitting_time", "accepted_steps", "budget_exhausted"],
-}
-
-
-def _environment(cfg: ExperimentConfig) -> dict:
-    return {"artifact": "driftlab", "version": __version__, "seed": cfg.seed}
 
 
 def _chance_preset(m: int, confidence: float) -> ChanceInstance:
@@ -273,32 +316,27 @@ def build_objective(cfg: ExperimentConfig, n: int, rng: RandomSource):
         if instance.n != n:
             raise ValueError(f"instance file {cfg.instance_file} has n={instance.n}, not n={n}")
         return instance
-    if cfg.preset == "onemax":
-        return onemax(n)
-    if cfg.preset == "separable":
-        if n < 2 or n % 2:
-            raise ValueError("separable preset needs an even n >= 2")
-        gen = rng.generator
-        half = n // 2
-        lo, hi = cfg.weight_low, cfg.weight_high
-        return build_separable(
-            gen.integers(lo, hi + 1, size=half).astype(float),
-            gen.integers(lo, hi + 1, size=half).astype(float),
-        )
     if cfg.preset == "chance":
         if n < 2 or n % 2:
             raise ValueError("chance preset needs an even nominal n >= 2 (n = 2m)")
         return build_chance(_chance_preset(n // 2, cfg.confidence))
+    settings = _generation(cfg)
     return generate_instance(
         n,
-        cfg.s,
-        cfg.alpha,
-        weight_scheme=cfg.weight_scheme,
+        settings["s"],
+        settings["alpha"],
+        weight_scheme=settings["weight_scheme"],
         weight_range=(cfg.weight_low, cfg.weight_high),
-        transforms=cfg.transforms,
-        embedding_scheme=cfg.embedding,
+        transforms=settings["transforms"],
+        embedding_scheme=settings["embedding"],
         rng=rng,
     )
+
+
+def _generation(cfg: ExperimentConfig) -> dict:
+    """The settings cfg generates its instances with: those its preset fixes, else its own."""
+    own = {name: getattr(cfg, name) for name in ("s", "alpha", "weight_scheme", "transforms", "embedding")}
+    return {**own, **PRESET_SETTINGS.get(cfg.preset, {})}
 
 
 def _replicate(job) -> RunTrace:
@@ -313,7 +351,8 @@ def _run_replicates(jobs: list, workers: int = 1) -> list[RunTrace]:
     Traces come back in job order.  Each job carries its own stream, so the
     results do not depend on `workers`.
     """
-    if workers <= 1 or len(jobs) <= 1:
+    workers = min(workers, len(jobs))  # a pool starts all its workers at once
+    if workers <= 1:
         return [_replicate(job) for job in jobs]
     chunk = max(1, len(jobs) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -406,11 +445,9 @@ def scaling_study(cfg: ExperimentConfig) -> ReportBundle:
     if len(ratios) >= 2:
         checks["ratio_stability_1.4"] = max(ratios) / min(ratios) <= 1.4
     return ReportBundle(
-        kind="scale",
-        config=cfg.to_dict(),
-        rows=rows,
+        cfg,
+        rows,
         fits=_fit_dict(rows),
-        environment=_environment(cfg),
         checks=checks,
     )
 
@@ -434,11 +471,9 @@ def escape_study(cfg: ExperimentConfig) -> ReportBundle:
         rows.append(EscapeRow(n=n, reps=cfg.replicates, censored=censored, mean_T=mean, sd_T=sd))
     checks = {"censoring_at_most_1pct": all(r.censored <= 0.01 * r.reps for r in rows)}
     return ReportBundle(
-        kind="escape",
-        config=cfg.to_dict(),
-        rows=rows,
+        cfg,
+        rows,
         fits=_fit_dict(rows),
-        environment=_environment(cfg),
         checks=checks,
     )
 
@@ -515,11 +550,8 @@ def tail_study(cfg: ExperimentConfig) -> ReportBundle:
             )
         )
     return ReportBundle(
-        kind="tail",
-        config=cfg.to_dict(),
-        rows=rows,
-        fits=None,
-        environment=_environment(cfg),
+        cfg,
+        rows,
         checks={"no_tail_violation": not any(r.violation for r in rows)},
         notes=notes,
         extras={"delta": delta, "replicates_counted": counted},
@@ -577,19 +609,16 @@ def chance_demo(cfg: ExperimentConfig) -> ReportBundle:
         "levels_within_4se": all(abs(r.empirical_level - r.alpha_c) <= 4.0 * se for r in rows)
     }
     return ReportBundle(
-        kind="chance",
-        config=cfg.to_dict(),
-        rows=rows,
-        fits=None,
-        environment=_environment(cfg),
+        cfg,
+        rows,
         checks=checks,
         notes=notes,
         extras={"best_fitness": best_value, "fractile": chance.fractile},
     )
 
 
-def run_study(cfg: ExperimentConfig) -> tuple[ReportBundle, list[RunTrace]]:
-    """Plain EA runs on one instance; returns the bundle and the raw traces."""
+def run_study(cfg: ExperimentConfig) -> ReportBundle:
+    """Plain EA runs on one instance; the JSON report is the raw traces."""
     if cfg.kind != "run":
         raise ValueError(f"expected kind 'run', got {cfg.kind!r}")
     n = cfg.n_values[0]
@@ -609,16 +638,12 @@ def run_study(cfg: ExperimentConfig) -> tuple[ReportBundle, list[RunTrace]]:
         )
         for rep, trace in enumerate(traces)
     ]
-    bundle = ReportBundle(
-        kind="run",
-        config=cfg.to_dict(),
-        rows=rows,
-        fits=None,
-        environment=_environment(cfg),
+    return ReportBundle(
+        cfg,
+        rows,
         checks={"all_runs_reached_optimum": all(not r.budget_exhausted for r in rows)},
         json_document=traces[0] if len(traces) == 1 else traces,
     )
-    return bundle, traces
 
 
 def drift_study(cfg: ExperimentConfig) -> ReportBundle:
@@ -645,59 +670,30 @@ def drift_study(cfg: ExperimentConfig) -> ReportBundle:
             f" vs delta {report.delta_reference:.6g}: {verdict}"
         )
     return ReportBundle(
-        kind="drift",
-        config=cfg.to_dict(),
-        rows=report.rows,
-        fits=None,
-        environment=_environment(cfg),
+        cfg,
+        report.rows,
         checks={"min_ratio_at_least_delta": report.passed},
         notes=[note],
         json_document=report.summary_dict(),
     )
 
 
-# The ExperimentConfig fields each study reads.  The CLI builds every
-# subcommand's flags from this table, and resolve_config rejects any other
-# option, so no flag or config key is accepted that its study ignores.
-_GENERATOR_FIELDS = (
-    "s", "alpha", "weight_scheme", "weight_low", "weight_high", "transforms", "embedding",
-)
-_RUN_FIELDS = ("replicates", "budget", "budget_multiplier")
-_COMMON_FIELDS = ("seed", "out_csv", "out_json")
-STUDY_FIELDS = {
-    "scale": ("n_values", "preset", *_GENERATOR_FIELDS, "instance_file", "fresh_instances",
-              *_RUN_FIELDS, "workers", *_COMMON_FIELDS),
-    "drift": ("n_values", *_GENERATOR_FIELDS, "instance_file", "states", "mutation_probability",
-              *_COMMON_FIELDS),
-    "escape": ("n_values", "exponent", *_RUN_FIELDS, "workers", *_COMMON_FIELDS),
-    "tail": ("n_values", "preset", *_GENERATOR_FIELDS, "instance_file", "replicates", "r_values",
-             "delta", *_COMMON_FIELDS),
-    "chance": ("n_values", "confidence", "instance_file", "level_samples", "probes", *_RUN_FIELDS,
-               *_COMMON_FIELDS),
-    "run": ("n_values", "preset", *_GENERATOR_FIELDS, "instance_file", *_RUN_FIELDS, "trace_stride",
-            *_COMMON_FIELDS),
-}
-
-
 def _unread(cfg: ExperimentConfig) -> dict:
-    """Fields of STUDY_FIELDS[cfg.kind] that cfg's other settings leave unread, with why."""
+    """Fields of the study's table entry that cfg's other settings leave unread, with why."""
     if cfg.instance_file:
         unread = dict.fromkeys(
             ("preset", "confidence", "fresh_instances", *_GENERATOR_FIELDS), "the instance file fixes it"
         )
-    elif cfg.preset is not None:
-        unread = dict.fromkeys(_GENERATOR_FIELDS, f"preset {cfg.preset} fixes it")
-        if cfg.preset == "separable":
-            del unread["weight_low"], unread["weight_high"]
-        else:
-            unread["fresh_instances"] = f"preset {cfg.preset} draws no instance"
-    elif cfg.weight_scheme != "uniform-int":
-        why = f"weight scheme {cfg.weight_scheme} draws none"
-        unread = dict.fromkeys(("weight_low", "weight_high"), why)
-        if cfg.embedding == "canonical":
-            unread["fresh_instances"] = f"{why}, and the canonical embedding draws nothing"
+    elif cfg.preset == "chance":
+        unread = dict.fromkeys((*_GENERATOR_FIELDS, "fresh_instances"), "preset chance fixes the instance")
     else:
-        unread = {}
+        unread = dict.fromkeys(PRESET_SETTINGS.get(cfg.preset, ()), f"preset {cfg.preset} fixes it")
+        settings = _generation(cfg)
+        if settings["weight_scheme"] != "uniform-int":
+            why = f"weight scheme {settings['weight_scheme']} draws none"
+            unread.update(dict.fromkeys(("weight_low", "weight_high"), why))
+            if settings["embedding"] == "canonical":
+                unread["fresh_instances"] = f"{why}, and the canonical embedding draws nothing"
     if cfg.budget is not None:
         unread["budget_multiplier"] = "an absolute budget is set"
     return unread
@@ -707,13 +703,13 @@ def resolve_config(kind: str, options: dict) -> ExperimentConfig:
     """The config of one study from explicitly given options.
 
     Raises ValueError for an option the study would not read: one outside
-    STUDY_FIELDS[kind], or one that the other options make moot (a generation
+    STUDIES[kind].fields, or one that the other options make moot (a generation
     option next to a preset or an instance file, say).  With an instance file,
     the size comes from the file.
     """
-    if kind not in STUDY_FIELDS:
-        raise ValueError(f"unknown experiment kind {kind!r}; choose from {KINDS}")
-    unknown = sorted(set(options) - set(STUDY_FIELDS[kind]))
+    if kind not in STUDIES:
+        raise ValueError(f"unknown experiment kind {kind!r}; choose from {tuple(STUDIES)}")
+    unknown = sorted(set(options) - set(STUDIES[kind].fields))
     if unknown:
         raise ValueError(f"{kind} does not read option(s) {unknown}")
     options = dict(options)
@@ -721,8 +717,7 @@ def resolve_config(kind: str, options: dict) -> ExperimentConfig:
         path = options["instance_file"]
         size = load_chance_instance(path).item_count if kind == "chance" else load_instance(path).n
         options["n_values"] = (size,)
-    # single runs and probe demos default to far fewer replicates than studies
-    options.setdefault("replicates", {"run": 1, "chance": 10}.get(kind, 200))
+    options.setdefault("replicates", STUDIES[kind].replicates)
     try:
         cfg = ExperimentConfig(kind=kind, **options)
     except TypeError as exc:
@@ -734,13 +729,9 @@ def resolve_config(kind: str, options: dict) -> ExperimentConfig:
 
 
 def run_experiment(cfg: ExperimentConfig) -> ReportBundle:
-    """Run the study of cfg.kind and return its report bundle."""
-    studies = {
-        "scale": scaling_study,
-        "drift": drift_study,
-        "escape": escape_study,
-        "tail": tail_study,
-        "chance": chance_demo,
-        "run": lambda c: run_study(c)[0],
-    }
-    return studies[cfg.kind](cfg)
+    """Run the study of cfg.kind and return its report bundle.
+
+    The study function is looked up by name at each call, so a study
+    rebound on this module (to wrap or trace it) is the one that runs.
+    """
+    return globals()[STUDIES[cfg.kind].function](cfg)

@@ -191,14 +191,13 @@ class CompositeObjective:
     embeddings: tuple[DomainEmbedding, DomainEmbedding]
     transforms: tuple[MonotoneTransform, MonotoneTransform]
 
-    def __init__(self, n, s, alpha, functions, embeddings, transforms, label=""):
+    def __init__(self, n, s, alpha, functions, embeddings, transforms):
         self.n = int(n)
         self.s = int(s)
         self.alpha = Fraction(alpha)
         self.functions = tuple(functions)
         self.embeddings = tuple(embeddings)
         self.transforms = tuple(transforms)
-        self.label = label
         self._validate()
         self._weights = np.zeros((2, self.domain_size))
         for w, lf, emb in zip(self._weights, self.functions, self.embeddings):
@@ -418,7 +417,6 @@ def build_chance(c: ChanceInstance) -> CompositeObjective:
         (LinearFunction(c.mu), LinearFunction(c.sigma**2)),
         (DomainEmbedding(every, m), DomainEmbedding(every, m)),
         (identity(), compose(scale(c.fractile), square_root())),
-        label=f"chance(m={m}, alpha_c={c.confidence})",
     )
 
 
@@ -437,7 +435,6 @@ def build_separable(w1: Sequence[float], w2: Sequence[float]) -> CompositeObject
         (LinearFunction(w1), LinearFunction(w2)),
         (DomainEmbedding(np.arange(half), n), DomainEmbedding(np.arange(half, n), n)),
         (square(), square_root()),
-        label=f"separable(n={n})",
     )
 
 
@@ -454,7 +451,6 @@ def onemax(n: int) -> CompositeObjective:
         (LinearFunction(ones), LinearFunction(ones)),
         (DomainEmbedding(np.arange(half), n), DomainEmbedding(np.arange(half, n), n)),
         (identity(), identity()),
-        label=f"onemax(n={n})",
     )
 
 
@@ -609,7 +605,6 @@ def generate_instance(
         (LinearFunction(draw_weights(k1)), LinearFunction(draw_weights(k2))),
         (DomainEmbedding(b1, m), DomainEmbedding(b2, m)),
         tuple(pair),
-        label=f"generated(n={n}, s={s}, alpha={alpha}, weights={weight_scheme})",
     )
 
 

@@ -262,7 +262,7 @@ import numpy as np  # noqa: E402
 
 import driftlab as dl  # noqa: E402
 from driftlab.cli import _FLAGS, _build_parser  # noqa: E402
-from driftlab.experiments import STUDY_FIELDS, ExperimentConfig  # noqa: E402
+from driftlab.experiments import STUDIES, ExperimentConfig  # noqa: E402
 
 
 def write_config(path, doc):
@@ -422,9 +422,9 @@ _BASE_ARGV = {
 }
 _UNREAD = [
     (kind, name)
-    for kind, fields in STUDY_FIELDS.items()
+    for kind, study in STUDIES.items()
     for name in ExperimentConfig.__dataclass_fields__
-    if name != "kind" and name not in fields
+    if name != "kind" and name not in study.fields
 ]
 
 
@@ -432,16 +432,16 @@ def test_field_values_cover_every_config_field():
     assert set(_FIELD_VALUES) == set(ExperimentConfig.__dataclass_fields__) - {"kind"}
 
 
-@pytest.mark.parametrize("kind", sorted(STUDY_FIELDS))
+@pytest.mark.parametrize("kind", sorted(STUDIES))
 def test_base_argv_runs(kind):
     assert cli_main([kind, *_BASE_ARGV[kind]]) == 0
 
 
-@pytest.mark.parametrize("kind", sorted(STUDY_FIELDS))
+@pytest.mark.parametrize("kind", sorted(STUDIES))
 def test_subcommand_flags_are_the_table(kind):
     sub = next(a for a in _build_parser()._actions if a.dest == "command").choices[kind]
     dests = {a.dest for a in sub._actions} - {"help", "config", "check", "exhaustive"}
-    assert dests == set(STUDY_FIELDS[kind])
+    assert dests == set(STUDIES[kind].fields)
 
 
 @pytest.mark.parametrize("kind,name", _UNREAD, ids=[f"{k}-{n}" for k, n in _UNREAD])
@@ -452,6 +452,17 @@ def test_unread_option_exits_1(tmp_path, kind, name):
     if name in _FLAGS:
         flag = [_FLAGS[name][0]] + ([] if flag_value is None else [flag_value])
         assert cli_main([kind, *_BASE_ARGV[kind], *flag]) == 1
+
+
+@pytest.mark.parametrize("doc", [
+    {"reps": 3, "replicates": 7},
+    {"n_values": [8], "n": 10},
+    {"budget_mult": 5, "budget_multiplier": 6},
+])
+def test_config_file_setting_a_field_twice_exits_1(tmp_path, capsys, doc):
+    cfg = write_config(tmp_path / "f.json", {"preset": "onemax", **doc})
+    assert cli_main(["scale", "--config", cfg, "--n", "8", "--reps", "2"]) == 1
+    assert "twice" in capsys.readouterr().err
 
 
 class TestUncertifiedAndMootOptions:

@@ -86,6 +86,27 @@ class TestExactDrift:
             reference = oracle_exact_drift(data, x.tolist(), inst.mutation_probability)
             assert mine.drift == pytest.approx(reference, rel=1e-12, abs=1e-15)
 
+    def test_space_of_other_coefficients_rejected(self):
+        inst = random_instance(0)
+        assert inst.domain_size == 6
+        space = dl.StateSpace(inst, dl.build_combined_potential(inst).position_coefficients)
+        x = bits(1, 0, 1, 1, 0, 1)
+        with pytest.raises(ValueError, match="other potential coefficients"):
+            dl.exact_drift(inst, np.ones(6), x, space=space)
+        with pytest.raises(ValueError, match="without potential values"):
+            dl.exact_drift(inst, np.ones(6), x, space=dl.StateSpace(inst))
+
+    def test_space_of_other_instance_rejected(self):
+        inst, other = random_instance(3), random_instance(5)
+        assert inst.domain_size == other.domain_size
+        pot = dl.build_combined_potential(inst)
+        space = dl.StateSpace(other, pot.position_coefficients)
+        x = np.ones(inst.domain_size, dtype=np.uint8)
+        with pytest.raises(ValueError, match="another instance"):
+            dl.exact_drift(inst, pot, x, space=space)
+        own = dl.StateSpace(inst, pot.position_coefficients)
+        assert dl.exact_drift(inst, pot, x, space=own).drift == dl.exact_drift(inst, pot, x).drift
+
     def test_drift_equals_conditional_times_probability(self):
         inst = random_instance(11)
         gen = dl.RandomSource(12).generator

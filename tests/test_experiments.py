@@ -34,6 +34,71 @@ class TestExperimentConfig:
             make_cfg(confidence=1.5)
 
 
+class TestPresets:
+    @pytest.mark.parametrize("n", [8, 64, 512])
+    @pytest.mark.parametrize("preset", sorted(experiments.PRESET_SETTINGS))
+    def test_preset_is_generate_instance_with_its_settings(self, preset, n):
+        settings = experiments.PRESET_SETTINGS[preset]
+        cfg = ExperimentConfig(kind="scale", n_values=(n,), preset=preset, weight_low=3, weight_high=40)
+        built_rng, generated_rng = dl.RandomSource(5, (0,)), dl.RandomSource(5, (0,))
+        built = build_objective(cfg, n, built_rng)
+        generated = dl.generate_instance(
+            n, settings["s"], settings["alpha"], weight_scheme=settings["weight_scheme"],
+            weight_range=(3, 40), transforms=settings["transforms"],
+            embedding_scheme=settings["embedding"], rng=generated_rng,
+        )
+        assert built.to_dict() == generated.to_dict()
+        # both consumed the same draws
+        assert built_rng.generator.integers(2**62) == generated_rng.generator.integers(2**62)
+
+    @pytest.mark.parametrize("n", [8, 64, 512])
+    def test_presets_build_their_named_instances(self, n):
+        def preset_instance(preset, rng):
+            return build_objective(ExperimentConfig(kind="scale", n_values=(n,), preset=preset), n, rng)
+
+        assert preset_instance("onemax", dl.RandomSource(5)).to_dict() == dl.onemax(n).to_dict()
+        gen = dl.RandomSource(5).generator
+        w1, w2 = (gen.integers(1, 101, size=n // 2).astype(float) for _ in range(2))
+        separable = dl.build_separable(w1, w2)
+        assert preset_instance("separable", dl.RandomSource(5)).to_dict() == separable.to_dict()
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("kind", sorted(experiments.STUDIES))
+    def test_run_experiment_calls_the_study_bound_on_the_module(self, monkeypatch, kind):
+        cfg = ExperimentConfig(kind=kind, n_values=(8,))
+        calls = []
+        monkeypatch.setattr(experiments, experiments.STUDIES[kind].function, calls.append)
+        experiments.run_experiment(cfg)
+        assert calls == [cfg]
+
+    def test_pool_starts_no_more_workers_than_jobs(self, monkeypatch):
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        cfg = ExperimentConfig(kind="escape", n_values=(6, 8), replicates=2, seed=2)
+        serial = experiments.run_experiment(cfg)
+        assert pools == []
+        pooled = experiments.run_experiment(replace(cfg, workers=8))
+        assert pools == [2, 2]
+        assert pooled.rows == serial.rows
+        experiments.run_experiment(replace(cfg, replicates=1, workers=8))
+        assert pools == [2, 2]  # one job per size runs in this process
+
+
 class TestFitting:
     def test_exact_nlogn_recovery(self):
         rows = [(n, 5.0 * n * math.log(n)) for n in (50, 100, 200, 400)]
@@ -71,7 +136,7 @@ class TestScalingStudy:
     def test_config_echo_reparses(self):
         cfg = make_cfg()
         bundle = dl.scaling_study(cfg)
-        assert ExperimentConfig.from_dict(bundle.config) == cfg
+        assert ExperimentConfig.from_dict(bundle.to_json_dict()["config"]) == cfg
 
     def test_byte_identical_outputs(self, tmp_path):
         cfg = make_cfg()
@@ -283,7 +348,8 @@ class TestChanceDemo:
 class TestRunStudy:
     def test_traces_and_rows(self):
         cfg = ExperimentConfig(kind="run", n_values=(16,), preset="onemax", replicates=3, seed=9)
-        bundle, traces = dl.run_study(cfg)
+        bundle = dl.run_study(cfg)
+        traces = bundle.json_document
         assert len(traces) == 3 and len(bundle.rows) == 3
         for row, trace in zip(bundle.rows, traces):
             assert row.hitting_time == trace.hitting_time
@@ -296,7 +362,7 @@ class TestRunStudy:
         cfg = ExperimentConfig(
             kind="run", n_values=(8,), instance_file=str(path), replicates=2, seed=9
         )
-        bundle, traces = dl.run_study(cfg)
+        traces = dl.run_study(cfg).json_document
         assert all(t.hitting_time is not None for t in traces)
 
 
