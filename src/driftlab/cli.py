@@ -88,12 +88,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members as a dict; a key written twice is an error."""
+    seen: dict = {}
+    for key, value in pairs:
+        if key in seen:
+            raise ValueError(f"config file writes key {key!r} twice")
+        seen[key] = value
+    return seen
+
+
 def _merge_options(args: argparse.Namespace, kind: str) -> ExperimentConfig:
     options: dict = {}
     config_path = getattr(args, "config", None)
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+            file_cfg = json.load(fh, object_pairs_hook=_unique_keys)
         if not isinstance(file_cfg, dict):
             raise ValueError("config file must hold a JSON object")
         if file_cfg.pop("kind", kind) != kind:

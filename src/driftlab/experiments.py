@@ -169,6 +169,10 @@ class ExperimentConfig:
             raise ValueError(f"absolute budget must be at least 1, got {self.budget}")
         if self.probes < 0:
             raise ValueError(f"probe count must be non-negative, got {self.probes}")
+        if self.level_samples < 1:
+            raise ValueError(f"level samples (--samples) must be at least 1, got {self.level_samples}")
+        if self.exponent is not None and self.exponent < 1:
+            raise ValueError(f"exponent must be at least 1, got {self.exponent}")
         if self.workers < 1:
             raise ValueError("worker count must be at least 1")
         if self.preset is not None and self.preset not in PRESETS:
@@ -459,7 +463,7 @@ def escape_study(cfg: ExperimentConfig) -> ReportBundle:
     root = RandomSource(cfg.seed)
     rows = []
     for idx, n in enumerate(cfg.n_values):
-        instance = MultimodalInstance(n, cfg.exponent or 0)
+        instance = MultimodalInstance(n, cfg.exponent)
         budget = cfg.budget
         if budget is None:
             budget = max(100, math.ceil(cfg.budget_multiplier * math.e * n * n))

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -70,16 +70,9 @@ def as_bits(x: Sequence[int]) -> BitString:
 
 @dataclass(eq=False)
 class LinearFunction:
-    """Non-negative weighted sum, evaluated in the caller's index order.
-
-    A stable sorted view (ascending weights) plus the permutation between
-    orders is kept because potential coefficients are assigned in sorted-weight
-    order.
-    """
+    """Non-negative weighted sum, evaluated in the caller's index order."""
 
     weights: np.ndarray
-    sort_order: np.ndarray = field(init=False)
-    sorted_weights: np.ndarray = field(init=False)
 
     def __init__(self, weights: Sequence[float]):
         w = np.asarray(weights, dtype=np.float64)
@@ -88,19 +81,10 @@ class LinearFunction:
         if np.any(w < 0):
             raise ValueError("weights must be non-negative")
         self.weights = w
-        self.sort_order = np.argsort(w, kind="stable")
-        self.sorted_weights = w[self.sort_order]
 
     @property
     def arity(self) -> int:
         return int(self.weights.size)
-
-    @property
-    def rank_in_sorted(self) -> np.ndarray:
-        """For each original index, its 0-based position in the sorted view."""
-        inv = np.empty_like(self.sort_order)
-        inv[self.sort_order] = np.arange(self.arity)
-        return inv
 
     def value(self, y: BitString) -> float:
         if len(y) != self.arity:
@@ -471,13 +455,13 @@ class MultimodalInstance:
     """
 
     n: int
-    exponent: int = 0
+    exponent: Optional[int] = None
     optimum = (1.0, 0.0)
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("dimension must be at least 2")
-        if self.exponent == 0:
+        if self.exponent is None:
             self.exponent = self.n * self.n
         if self.exponent < 1:
             raise ValueError("exponent must be positive")

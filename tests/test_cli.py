@@ -394,6 +394,19 @@ class TestSizesAndLabels:
         assert cli_main(["chance", "--m", "6", "--probes", "-2", "--reps", "2"]) == 1
         assert capsys.readouterr().err.startswith("error: probe count must be non-negative")
 
+    def test_zero_samples_exit_1_before_any_replicate(self, capsys, monkeypatch):
+        def no_replicates(*args, **kwargs):
+            raise AssertionError("replicates ran before --samples was checked")
+
+        monkeypatch.setattr(experiments, "_run_replicates", no_replicates)
+        assert cli_main(["chance", "--m", "6", "--reps", "2", "--samples", "0"]) == 1
+        assert capsys.readouterr().err.startswith("error: level samples (--samples) must be at least 1")
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_exponent_below_1_exits_1(self, capsys, value):
+        assert cli_main(["escape", "--n", "8", "--exponent", value, "--reps", "3"]) == 1
+        assert capsys.readouterr().err.startswith("error: exponent must be at least 1")
+
     def test_budget_multiplier_needs_relative_budget(self):
         base = ["escape", "--n", "6", "--reps", "2"]
         assert cli_main(base + ["--budget", "500"]) == 0
@@ -463,6 +476,14 @@ def test_config_file_setting_a_field_twice_exits_1(tmp_path, capsys, doc):
     cfg = write_config(tmp_path / "f.json", {"preset": "onemax", **doc})
     assert cli_main(["scale", "--config", cfg, "--n", "8", "--reps", "2"]) == 1
     assert "twice" in capsys.readouterr().err
+
+
+def test_config_file_writing_a_key_twice_exits_1(tmp_path, capsys):
+    # json.load alone keeps the last value and would run 7 replicates
+    path = tmp_path / "f.json"
+    path.write_text('{"preset": "onemax", "n": 8, "reps": 3, "reps": 7}', encoding="utf-8")
+    assert cli_main(["scale", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: config file writes key 'reps' twice")
 
 
 class TestUncertifiedAndMootOptions:

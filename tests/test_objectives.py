@@ -30,14 +30,6 @@ class TestLinearFunction:
         with pytest.raises(ValueError):
             dl.LinearFunction([1, -2])
 
-    def test_sorted_view_round_trips(self):
-        gen = dl.RandomSource(8).generator
-        for _ in range(100):
-            w = gen.integers(0, 10, size=12).astype(float)
-            lf = dl.LinearFunction(w)
-            assert np.all(np.diff(lf.sorted_weights) >= 0)
-            assert np.array_equal(lf.sorted_weights[lf.rank_in_sorted], lf.weights)
-
 
 class TestLinearSums:
     def test_one_state_equals_its_batch_row_and_a_left_to_right_loop(self):
@@ -351,11 +343,15 @@ class TestMultimodal:
         with pytest.raises(ValueError):
             dl.MultimodalInstance(4).value(bits(1, 0))
 
-    @pytest.mark.parametrize("n, exponent", [(16, 100_000), (1500, 0), (4, 10**400)])
+    @pytest.mark.parametrize("n, exponent", [(16, 100_000), (1500, None), (4, 10**400)])
     def test_overflowing_zeros_term_is_a_value_error(self, n, exponent):
         # (n/(n-0.5))^E exceeds float64; at the default E = n^2 from n ~ 1418 on
         with pytest.raises(ValueError, match=rf"n={n}, exponent={exponent or n * n}"):
             dl.MultimodalInstance(n, exponent)
+
+    def test_exponent_zero_is_rejected_not_defaulted(self):
+        with pytest.raises(ValueError, match="exponent must be positive"):
+            dl.MultimodalInstance(8, 0)
 
 
 class TestInstanceFiles:
