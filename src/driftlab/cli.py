@@ -13,6 +13,7 @@ failure, 3 a --check verification failed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -61,7 +62,10 @@ _ALIASES = {flag.lstrip("-").replace("-", "_"): name for name, (flag, _) in _FLA
 _ALIASES["m"] = "n_values"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of all six subcommands, built once per process: building it
+    costs tens of times what one parse does, and a parse leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="driftlab",
         description="Run and verify the (1+1) EA on sums of two transformed linear functions.",

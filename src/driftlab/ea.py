@@ -17,6 +17,15 @@ is computed by the same left-to-right sums.  The random stream is
 consumed in that sparse order, and the same (instance, config, stream) gives
 the same run.
 
+The simulation is one fused loop over the non-empty iterations of each
+block.  K = 1 takes the next position of the `_Mutations` pool inline (what
+`_Mutations.positions(1)` would return); larger K call `positions`.  The pool,
+its cursor and its refill rule (`_Mutations.refill`) have that one owner.  The pair
+update, the selection and the optimality test are written out in the loop,
+with the full re-sum behind a per-iteration branch, so an offspring costs one
+`combine` call, plus `positions` for K >= 2 and `linear_values` without a
+linear form.
+
 `standard_bit_mutation` (the dense one-step draw, one uniform per bit) and
 its `MutationEvent` are kept only because the benchmark tracer wraps that
 function; `run_ea` does not call them.
@@ -140,9 +149,16 @@ class _Mutations:
         non-empty ones, and its length."""
         size = self.size
         counts = self.gen.binomial(self.m, self.p, size=size)
-        hits = np.flatnonzero(counts)
+        hits = counts.nonzero()[0]
         self.size = min(2 * size, _MAX_BLOCK)
         return hits.tolist(), counts[hits].tolist(), size
+
+    def refill(self, k: int) -> list:
+        """A fresh pool of iid uniform positions, at least k of them and as
+        many as the next block has iterations."""
+        self.pool = self.gen.integers(0, self.m, size=max(self.size, k)).tolist()
+        self.at = 0
+        return self.pool
 
     def positions(self, k: int) -> list:
         m = self.m
@@ -152,82 +168,11 @@ class _Mutations:
             return self.gen.choice(m, k, replace=False).tolist()
         while True:
             if self.at + k > len(self.pool):
-                self.pool = self.gen.integers(0, m, size=max(self.size, k)).tolist()
-                self.at = 0
+                self.refill(k)
             flips = self.pool[self.at : self.at + k]
             self.at += k
             if k == 1 or len(set(flips)) == k:
                 return flips
-
-
-class _LinearParent:
-    """The parent as a bit list plus its exact linear parts: offspring cost O(K).
-
-    Valid for an instance with a LinearForm; the offspring value is
-    combine(l1, l2), bit-identical to instance.value of the offspring.
-    """
-
-    __slots__ = ("bits", "l1", "l2", "w1", "w2", "combine", "optimum")
-
-    def __init__(self, instance, form, x: BitString, pair):
-        self.bits = x.tolist()
-        self.l1, self.l2 = map(float, pair)
-        self.w1, self.w2 = form.weights
-        self.combine = instance.combine
-        self.optimum = instance.optimum
-
-    def select(self, flips: list, f_x: float) -> Optional[float]:
-        """Move to the offspring and return its value if it is no worse than f_x."""
-        bits, w1, w2 = self.bits, self.w1, self.w2
-        l1, l2 = self.l1, self.l2
-        for j in flips:
-            if bits[j]:
-                l1 -= w1[j]
-                l2 -= w2[j]
-            else:
-                l1 += w1[j]
-                l2 += w2[j]
-        f_y = float(self.combine(l1, l2))
-        if not f_y <= f_x:
-            return None
-        for j in flips:
-            bits[j] ^= 1
-        self.l1, self.l2 = l1, l2
-        return f_y
-
-    def is_optimal(self) -> bool:
-        return (self.l1, self.l2) == self.optimum
-
-    def state(self) -> BitString:
-        return np.array(self.bits, dtype=np.uint8)
-
-
-class _FullParent:
-    """The parent as a bit array and its linear pair; offspring are summed in full."""
-
-    __slots__ = ("x", "pair", "linear_values", "combine", "optimum")
-
-    def __init__(self, instance, x: BitString, pair):
-        self.x, self.pair = x, pair
-        self.linear_values, self.combine = instance.linear_values, instance.combine
-        self.optimum = instance.optimum
-
-    def select(self, flips: list, f_x: float) -> Optional[float]:
-        x = self.x
-        x[flips] ^= 1
-        pair = self.linear_values(x)
-        f_y = float(self.combine(*pair))
-        if f_y <= f_x:
-            self.pair = pair
-            return f_y
-        x[flips] ^= 1
-        return None
-
-    def is_optimal(self) -> bool:
-        return self.pair == self.optimum
-
-    def state(self) -> BitString:
-        return self.x
 
 
 def run_ea(
@@ -244,46 +189,54 @@ def run_ea(
     linear_values(x), combine(l1, l2) and optimum; with a `linear_form` (see
     objectives.LinearForm) offspring are evaluated in O(flipped bits).  The
     start point is valued once, and its linear pair decides its optimality and
-    seeds the parent.  `potential`, when given, fills the phi
-    column of the trace.  The outcome is deterministic given (instance,
-    config, rng state).
+    seeds the parent.  `potential`, when given, fills the phi column of the trace.
+    The outcome is deterministic given (instance, config, rng state).
     """
     m = instance.domain_size
     p = config.mutation_probability
     if p is None:
         p = instance.mutation_probability
+    gen = rng.generator
     if initial is None:
-        x = rng.generator.integers(0, 2, m, dtype=np.uint8)
+        x = gen.integers(0, 2, m, dtype=np.uint8)
     else:
         x = as_bits(initial).copy()
         if x.size != m:
             raise ValueError(f"initial point must have {m} bits")
+    linear_values, combine, optimum = instance.linear_values, instance.combine, instance.optimum
     f_x = instance.value(x)
-    pair = instance.linear_values(x)
+    l1, l2 = linear_values(x)
+    form = getattr(instance, "linear_form", None)
+    if form is not None:
+        # the parent as a bit list and exact Python-float sums, updated in O(K)
+        bits = x.tolist()
+        w1, w2 = form.weights
+        l1, l2 = float(l1), float(l2)
 
     samples = []
     snapshot = None  # (f, phi, ones) of the current parent, once computed
 
+    def state() -> BitString:
+        return x if form is None else np.array(bits, dtype=np.uint8)
+
     def record(iteration: int):
         nonlocal snapshot
         if snapshot is None:
-            state = parent.state()
-            phi = float(potential(state)) if potential is not None else None
-            snapshot = (f_x, phi, int(state.sum()))
+            parent = state()
+            phi = float(potential(parent)) if potential is not None else None
+            snapshot = (f_x, phi, int(np.count_nonzero(parent)))
         samples.append((iteration, *snapshot))
 
-    form = getattr(instance, "linear_form", None)
-    parent = _FullParent(instance, x, pair) if form is None else _LinearParent(instance, form, x, pair)
     record(0)
     hitting_time: Optional[int] = None
     accepted_steps = 0
-    if parent.is_optimal():
+    if (l1, l2) == optimum:
         hitting_time = 0
     else:
         budget = config.max_iterations
         stride = config.trace_stride
-        next_mark = stride  # next stride record still to write
-        mutations = _Mutations(rng.generator, m, p)
+        next_mark = stride or budget + 1  # next stride record still to write (none without a stride)
+        mutations = _Mutations(gen, m, p)
         done = 0  # iterations simulated so far
         while hitting_time is None and done < budget:
             offsets, counts, size = mutations.block()
@@ -292,20 +245,45 @@ def run_ea(
                 if t > budget:
                     break
                 # the iterations since the last non-empty one left the parent as it is
-                while stride and next_mark < t:
+                while next_mark < t:
                     record(next_mark)
                     next_mark += stride
-                f_y = parent.select(mutations.positions(k), f_x)
-                if f_y is not None:
+                if k == 1 and m > 1:  # positions(1) without the call: the pool's next entry
+                    pool, at = mutations.pool, mutations.at
+                    if at == len(pool):
+                        pool, at = mutations.refill(1), 0
+                    flips = [pool[at]]
+                    mutations.at = at + 1
+                else:
+                    flips = mutations.positions(k)
+                if form is None:
+                    x[flips] ^= 1
+                    y1, y2 = linear_values(x)
+                else:
+                    y1, y2 = l1, l2
+                    for j in flips:
+                        if bits[j]:
+                            y1 -= w1[j]
+                            y2 -= w2[j]
+                        else:
+                            y1 += w1[j]
+                            y2 += w2[j]
+                f_y = float(combine(y1, y2))
+                if f_y <= f_x:
+                    if form is not None:
+                        for j in flips:
+                            bits[j] ^= 1
+                    l1, l2, f_x = y1, y2, f_y
                     accepted_steps += 1
-                    f_x = f_y
                     snapshot = None
-                    if parent.is_optimal():
+                    if (l1, l2) == optimum:
                         hitting_time = t
                         break
+                elif form is None:
+                    x[flips] ^= 1
             done += size
         final_t = budget if hitting_time is None else hitting_time
-        while stride and next_mark < final_t:
+        while next_mark < final_t:
             record(next_mark)
             next_mark += stride
         record(final_t)
@@ -317,7 +295,7 @@ def run_ea(
         budget_exhausted=hitting_time is None,
         accepted_steps=accepted_steps,
         samples=samples,
-        final_state=parent.state(),
+        final_state=state(),
     )
 
 

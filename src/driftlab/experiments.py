@@ -34,7 +34,7 @@ from .objectives import (
     load_chance_instance,
     load_instance,
 )
-from .potential import build_combined_potential
+from .potential import build_combined_potential, zero_weight_positions
 from .rng import RandomSource
 
 # The generation settings that the onemax and separable presets fix; the
@@ -337,6 +337,15 @@ def build_objective(cfg: ExperimentConfig, n: int, rng: RandomSource):
     )
 
 
+def _zero_weight_caveat(instance) -> Optional[str]:
+    """Why the potential cannot certify an instance with zero weights, or None."""
+    zero = zero_weight_positions(instance)
+    if not zero:
+        return None
+    positions = ", ".join(str(j + 1) for j in zero)
+    return f"zero weights at positions {positions} (1-based); the potential certifies positive weights only"
+
+
 def _generation(cfg: ExperimentConfig) -> dict:
     """The settings cfg generates its instances with: those its preset fixes, else its own."""
     own = {name: getattr(cfg, name) for name in ("s", "alpha", "weight_scheme", "transforms", "embedding")}
@@ -506,7 +515,10 @@ def tail_study(cfg: ExperimentConfig) -> ReportBundle:
             )
         report = exhaustive_drift_check(instance)
         if not report.passed:
-            raise ValueError("exhaustive drift check failed; no certified drift rate")
+            caveat = _zero_weight_caveat(instance)
+            raise ValueError(
+                "exhaustive drift check failed; no certified drift rate" + (f": {caveat}" if caveat else "")
+            )
         delta = report.delta_reference
         notes.append(
             f"certified delta={delta} (min observed ratio {report.min_ratio})"
@@ -673,11 +685,12 @@ def drift_study(cfg: ExperimentConfig) -> ReportBundle:
             f"min ratio {report.min_ratio:.6g} (rounding bound {report.rounding_bound:.2g})"
             f" vs delta {report.delta_reference:.6g}: {verdict}"
         )
+    caveat = _zero_weight_caveat(instance)
     return ReportBundle(
         cfg,
         report.rows,
         checks={"min_ratio_at_least_delta": report.passed},
-        notes=[note],
+        notes=[note] if caveat is None else [note, caveat],
         json_document=report.summary_dict(),
     )
 

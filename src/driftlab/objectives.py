@@ -61,11 +61,15 @@ def _linear_pair(x, weights: np.ndarray):
 
 
 def as_bits(x: Sequence[int]) -> BitString:
-    """Coerce a 0/1 sequence to the canonical uint8 bitstring dtype."""
-    arr = np.asarray(x, dtype=np.uint8)
-    if arr.ndim != 1 or not np.all((arr == 0) | (arr == 1)):
+    """A flat sequence of values exactly 0 or 1 as the canonical uint8 bitstring.
+
+    The values are checked before the cast, so 0.5, -1 or 256 raise ValueError
+    instead of wrapping or truncating to a bit; a uint8 array is returned as it is.
+    """
+    arr = np.asarray(x)
+    if arr.ndim != 1 or arr.dtype.kind not in "biuf" or not np.all((arr == 0) | (arr == 1)):
         raise ValueError("bitstring must be a flat sequence of 0/1 values")
-    return arr
+    return arr if arr.dtype == np.uint8 else arr.astype(np.uint8)
 
 
 @dataclass(eq=False)

@@ -82,6 +82,19 @@ def build_combined_potential(instance: CompositeObjective) -> CombinedPotential:
     return CombinedPotential(coeffs)
 
 
+def zero_weight_positions(instance: CompositeObjective) -> list:
+    """The domain positions (0-based) where some part's weight is zero.
+
+    The potential still gives such a weight the coefficient (1+1/n)^0 = 1, so
+    phi counts a bit that this part of f ignores, and the drift bound it
+    certifies holds for positive weights only.
+    """
+    zero = set()
+    for lf, emb in zip(instance.functions, instance.embeddings):
+        zero.update(emb.positions[lf.weights == 0].tolist())
+    return sorted(zero)
+
+
 PotentialLike = Union[CombinedPotential, np.ndarray, Sequence[float]]
 
 

@@ -263,6 +263,7 @@ import numpy as np  # noqa: E402
 import driftlab as dl  # noqa: E402
 from driftlab.cli import _FLAGS, _build_parser  # noqa: E402
 from driftlab.experiments import STUDIES, ExperimentConfig  # noqa: E402
+from driftlab.potential import zero_weight_positions  # noqa: E402
 
 
 def write_config(path, doc):
@@ -519,3 +520,66 @@ class TestUncertifiedAndMootOptions:
     @pytest.mark.parametrize("source", [["--preset", "separable"], ["--s", "1"]])
     def test_fresh_instances_read_when_instances_are_drawn(self, source):
         assert cli_main(["scale", *source, "--n", "8", "--reps", "2", "--fresh-instances"]) == 0
+
+
+# -- one parser per process ------------------------------------------------------
+
+# Sequences of (argv, whether the call writes reports) run in one process.
+PARSER_REUSE = {
+    "states-then-exhaustive": [
+        (["drift", "--n", "8", "--states", "5", "--seed", "8"], True),
+        (["drift", "--n", "8", "--seed", "8"], True),
+    ],
+    "usage-error-then-run": [
+        (["scale", "--bogus", "1"], False),
+        (["scale", "--preset", "onemax", "--n", "16", "--reps", "2", "--seed", "8"], True),
+    ],
+    "help-then-run": [
+        (["--help"], False),
+        (["tail", "--preset", "onemax", "--n", "8", "--reps", "20", "--seed", "8"], True),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARSER_REUSE))
+def test_reused_parser_gives_every_call_its_first_call_outcome(tmp_path, capsys, name):
+    def outcome(argv, writes, d):
+        d.mkdir()
+        outputs = ["--out", str(d / "r.csv"), "--json", str(d / "r.json")] if writes else []
+        code = cli_main(argv + outputs)
+        printed = capsys.readouterr()
+        reports = None
+        if writes:
+            doc = json.loads((d / "r.json").read_text())
+            doc.get("config", {}).pop("out_json", None)
+            doc.get("config", {}).pop("out_csv", None)
+            reports = ((d / "r.csv").read_bytes(), doc)
+        return code, printed.out.replace(str(d), "<dir>"), printed.err, reports
+
+    calls = PARSER_REUSE[name]
+    _build_parser.cache_clear()
+    shared = [outcome(argv, writes, tmp_path / f"shared{i}") for i, (argv, writes) in enumerate(calls)]
+    assert _build_parser.cache_info().misses == 1  # every call parsed with the one parser
+    for i, (argv, writes) in enumerate(calls):
+        _build_parser.cache_clear()
+        assert shared[i] == outcome(argv, writes, tmp_path / f"first{i}"), argv
+
+
+def test_zero_weights_are_named_outside_the_certificate(capsys):
+    argv = ["--n", "12", "--s", "2", "--embedding", "random", "--wlo", "0", "--whi", "2"]
+    instance = experiments.build_objective(
+        experiments.resolve_config("drift", {"n_values": 12, "s": 2, "embedding": "random",
+                                             "weight_low": 0, "weight_high": 2}),
+        12, dl.RandomSource(1).spawn(0))
+    zero = zero_weight_positions(instance)
+    assert zero
+    named = "zero weights at positions " + ", ".join(str(j + 1) for j in zero)
+    assert cli_main(["drift", *argv]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" in out and named in out and "positive weights only" in out
+    assert cli_main(["tail", *argv]) == 1
+    err = capsys.readouterr().err
+    assert "exhaustive drift check failed" in err and named in err and "positive weights only" in err
+    # positive weights carry no such note
+    assert cli_main(["drift", *argv[:6]]) == 0
+    assert "zero weights" not in capsys.readouterr().out

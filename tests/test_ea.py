@@ -453,3 +453,71 @@ class TestSparseEngine:
         short = dl.run_ea(inst, dl.EAConfig(max_iterations=40, trace_stride=1), dl.RandomSource(6), initial)
         long = dl.run_ea(inst, dl.EAConfig(max_iterations=400, trace_stride=1), dl.RandomSource(6), initial)
         assert long.samples[:41] == short.samples
+
+
+def golden_cases():
+    """name -> (instance, EAConfig, seed, initial or None, potential or None)."""
+    onemax16 = dl.onemax(16)
+    floats = dl.RandomSource(12).generator.uniform(0, 3, 32)
+    multimodal = dl.MultimodalInstance(16)
+    return {
+        "onemax10": (dl.onemax(10), dl.EAConfig(dl.default_budget(10)), 1, None, None),
+        "separable64": (
+            dl.generate_instance(64, 0, "1/2", transforms=("square", "square_root"), rng=dl.RandomSource(5)),
+            dl.EAConfig(dl.default_budget(64)), 2, None, None),
+        "chance64": (
+            dl.build_chance(dl.ChanceInstance(np.arange(1.0, 33.0), np.ones(32), 0.9)),
+            dl.EAConfig(dl.default_budget(64)), 3, None, None),
+        "multimodal16": (multimodal, dl.EAConfig(20_000), 4, multimodal.local_optimum(5), None),
+        "float32": (
+            dl.build_separable(floats[:16], floats[16:]), dl.EAConfig(dl.default_budget(32)), 5, None, None),
+        "doubling128": (
+            dl.generate_instance(128, 0, "1/2", weight_scheme="doubling"),
+            dl.EAConfig(dl.default_budget(128)), 6, None, None),
+        "p_one": (dl.onemax(6), dl.EAConfig(9, mutation_probability=1.0), 7, bits(1, 1, 1, 0, 0, 0), None),
+        "p_half": (onemax16, dl.EAConfig(300, mutation_probability=0.5), 8, None, None),
+        "stride7": (onemax16, dl.EAConfig(2000, trace_stride=7), 9, None,
+                    dl.build_combined_potential(onemax16).value),
+    }
+
+
+# (hitting_time, accepted_steps, samples, final_state as a bit string) of each
+# golden case, recorded before run_ea became one fused loop.
+GOLDEN = {
+    "onemax10": (56, 7, [(0, 5.0, None, 5), (56, 0.0, None, 0)], "0" * 10),
+    "separable64": (722, 42, [(0, 958466.179356624, None, 38), (722, 0.0, None, 0)], "0" * 64),
+    "chance64": (191, 16, [(0, 219.79512688175166, None, 14), (191, 0.0, None, 0)], "0" * 32),
+    "multimodal16": (
+        507, 9, [(0, 1.0002261765559461, None, 1), (507, 0.5002261765559461, None, 1)], "1" + "0" * 15),
+    "float32": (258, 23, [(0, 278.47724840824424, None, 16), (258, 0.0, None, 0)], "0" * 32),
+    "doubling128": (1773, 151, [(0, 5.630913779987742e+35, None, 61), (1773, 0.0, None, 0)], "0" * 128),
+    "p_one": (None, 9, [(0, 3.0, None, 3), (9, 3.0, None, 3)], "000111"),
+    "p_half": (None, 12, [(0, 6.0, None, 6), (300, 4.0, None, 4)], "0110000000011000"),
+    "stride7": (
+        69, 10,
+        [(0, 8.0, 8.0, 8), (7, 8.0, 8.0, 8), (14, 5.0, 5.0, 5), (21, 3.0, 3.0, 3), (28, 3.0, 3.0, 3),
+         (35, 2.0, 2.0, 2), (42, 2.0, 2.0, 2), (49, 2.0, 2.0, 2), (56, 1.0, 1.0, 1), (63, 1.0, 1.0, 1),
+         (69, 0.0, 0.0, 0)],
+        "0" * 16),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_run(name):
+    """Fixed seeds pin every branch of run_ea: a drawn start and a given one,
+    the O(K) update (integer weights, the compose transform, the multimodal
+    instance) and the full re-sum (float weights, doubling), K = m at p = 1,
+    the `choice` subset draw at p = 1/2 on 16 bits, and stride records with a
+    potential.
+
+    A change that means to alter the random stream or the selection must
+    regenerate GOLDEN and say so in CHANGES.md; any other change must leave
+    these runs as they are.
+    """
+    instance, config, seed, initial, potential = golden_cases()[name]
+    trace = dl.run_ea(instance, config, dl.RandomSource(seed), initial=initial, potential=potential)
+    hitting_time, accepted_steps, samples, final_state = GOLDEN[name]
+    assert trace.hitting_time == hitting_time
+    assert trace.accepted_steps == accepted_steps
+    assert trace.samples == samples
+    assert "".join(map(str, trace.final_state.tolist())) == final_state

@@ -12,6 +12,25 @@ def bits(*values):
     return np.array(values, dtype=np.uint8)
 
 
+class TestAsBits:
+    @pytest.mark.parametrize("x", [
+        [0, 1, 1], [0.0, 1.0, 1.0], [False, True, True], np.array([0, 1, 1], dtype=np.int64)])
+    def test_exact_bits_of_any_numeric_type(self, x):
+        out = dl.as_bits(x)
+        assert out.dtype == np.uint8 and out.tolist() == [0, 1, 1]
+
+    def test_uint8_array_is_returned_as_it_is(self):
+        x = bits(1, 0, 1)
+        assert dl.as_bits(x) is x
+
+    @pytest.mark.parametrize("bad", [
+        [0.5, 1], [-1, 0], [256, 1], [2, 0], [np.nan, 0], [1j, 0], ["0", "1"], [0, None], [[0, 1]],
+        np.array([0, 2], dtype=np.uint8)])
+    def test_anything_but_exact_0_and_1_is_a_value_error(self, bad):
+        with pytest.raises(ValueError, match="0/1"):
+            dl.as_bits(bad)
+
+
 class TestLinearFunction:
     def test_zero_vector(self):
         assert dl.LinearFunction([1, 2, 4]).value(bits(0, 0, 0)) == 0.0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import driftlab as dl
+from driftlab.potential import zero_weight_positions
 from oracle_drift import potential_coefficients as oracle_potential_coefficients
 from oracle_drift import potential_value as oracle_potential_value
 
@@ -52,6 +53,20 @@ class TestBuildPotential:
             assert np.all(np.diff(coeffs) >= 0)
             assert np.all(coeffs >= 1.0)
             assert np.all(coeffs <= (1 + 1 / n) ** (k - 1) + 1e-15)
+
+
+def test_zero_weight_positions_are_read_from_either_part():
+    # part 1 on positions 0-1 with weights (0, 1), part 2 on 2-3 with (2, 0)
+    assert zero_weight_positions(dl.build_separable([0, 1], [2, 0])) == [0, 3]
+    assert zero_weight_positions(dl.onemax(8)) == []
+    # a shared position counts if either part gives it weight zero
+    shared = dl.CompositeObjective(
+        4, 1, "1/2",
+        (dl.LinearFunction([1, 0]), dl.LinearFunction([3, 1])),
+        (dl.DomainEmbedding([0, 1], 3), dl.DomainEmbedding([1, 2], 3)),
+        (dl.identity(), dl.identity()),
+    )
+    assert zero_weight_positions(shared) == [1]
 
 
 class TestSingleFlipDrift:
