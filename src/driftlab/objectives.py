@@ -141,6 +141,13 @@ def _linear_form(weights: np.ndarray) -> Optional[LinearForm]:
     return LinearForm(tuple(w.tolist() for w in weights))
 
 
+def _members(d: dict, *keys: str) -> list:
+    """d[key] for each key of an instance object; a missing key is a ValueError naming it."""
+    if missing := [key for key in keys if not isinstance(d, dict) or key not in d]:
+        raise ValueError(f"instance object lacks key(s) {missing}")
+    return [d[key] for key in keys]
+
+
 def _check_shape(n: int, s: int, alpha: Fraction) -> None:
     """Reject (n, s, alpha) outside the model: n >= 1, 0 <= s <= (1-alpha)*n,
     alpha*n integral and 1/2 <= alpha < ln 2."""
@@ -187,6 +194,7 @@ class CompositeObjective:
         self.embeddings = tuple(embeddings)
         self.transforms = tuple(transforms)
         self._validate()
+        self._h1, self._h2 = (t.evaluator for t in self.transforms)
         self._weights = np.zeros((2, self.domain_size))
         for w, lf, emb in zip(self._weights, self.functions, self.embeddings):
             w[emb.positions] = lf.weights
@@ -234,7 +242,10 @@ class CompositeObjective:
 
     def combine(self, l1, l2):
         """h1(l1) + h2(l2) for linear-part values (scalars or arrays)."""
-        return self.transforms[0].apply(l1) + self.transforms[1].apply(l2)
+        return self._h1(l1) + self._h2(l2)
+
+    def __reduce__(self):  # the compiled transforms do not pickle; build again from the parts
+        return CompositeObjective, (self.n, self.s, self.alpha, self.functions, self.embeddings, self.transforms)
 
     def value(self, x: BitString) -> float:
         if len(x) != self.domain_size:
@@ -274,20 +285,14 @@ class CompositeObjective:
 
     @staticmethod
     def from_dict(d: dict) -> "CompositeObjective":
-        n = int(d["n"])
-        s = int(d["s"])
-        alpha = Fraction(int(d["alpha_num"]), int(d["alpha_den"]))
-        m = n - s
+        n, s, num, den, w1, w2, b1, b2, t1, t2 = _members(
+            d, "n", "s", "alpha_num", "alpha_den", "weights1", "weights2", "B1", "B2", "transform1", "transform2"
+        )
         return CompositeObjective(
-            n,
-            s,
-            alpha,
-            (LinearFunction(d["weights1"]), LinearFunction(d["weights2"])),
-            (
-                DomainEmbedding(np.asarray(d["B1"], dtype=np.int64) - 1, m),
-                DomainEmbedding(np.asarray(d["B2"], dtype=np.int64) - 1, m),
-            ),
-            (MonotoneTransform.from_dict(d["transform1"]), MonotoneTransform.from_dict(d["transform2"])),
+            n, s, Fraction(int(num), int(den)),
+            (LinearFunction(w1), LinearFunction(w2)),
+            tuple(DomainEmbedding(np.asarray(b, dtype=np.int64) - 1, int(n) - int(s)) for b in (b1, b2)),
+            (MonotoneTransform.from_dict(t1), MonotoneTransform.from_dict(t2)),
         )
 
 
@@ -351,7 +356,7 @@ class ChanceInstance:
 
     @staticmethod
     def from_dict(d: dict) -> "ChanceInstance":
-        inst = ChanceInstance(d["mu"], d["sigma"], d["alpha_c"])
+        inst = ChanceInstance(*_members(d, "mu", "sigma", "alpha_c"))
         if int(d.get("m", inst.item_count)) != inst.item_count:
             raise ValueError("declared item count m does not match mu length")
         return inst
@@ -543,9 +548,7 @@ def generate_instance(
     B2 = {alpha*n - s + 1, ..., n - s} (1-based); the random scheme permutes
     the domain before carving out the exclusive and shared blocks.
     """
-    alpha = Fraction(alpha)
-    n = int(n)
-    s = int(s)
+    n, s, alpha = int(n), int(s), Fraction(alpha)
     _check_shape(n, s, alpha)
     if weight_scheme not in WEIGHT_SCHEMES:
         raise ValueError(f"unknown weight scheme {weight_scheme!r}; choose from {WEIGHT_SCHEMES}")
@@ -582,17 +585,13 @@ def generate_instance(
         b1 = np.sort(np.concatenate([only1, shared]))
         b2 = np.sort(np.concatenate([shared, only2]))
 
-    pair = []
-    for t in transforms:
-        pair.append(t if isinstance(t, MonotoneTransform) else from_name(t))
-
     return CompositeObjective(
         n,
         s,
         alpha,
         (LinearFunction(draw_weights(k1)), LinearFunction(draw_weights(k2))),
         (DomainEmbedding(b1, m), DomainEmbedding(b2, m)),
-        tuple(pair),
+        tuple(t if isinstance(t, MonotoneTransform) else from_name(t) for t in transforms),
     )
 
 

@@ -1,21 +1,49 @@
 """Monotone non-decreasing transforms applied to linear-function values.
 
 The catalog covers identity, square, square root, power(k > 0), scale(R >= 0),
-affine(a >= 0, b) and arbitrary compositions.  Every member is monotone
-non-decreasing on [0, inf), which is the only domain the objectives produce
-(non-negative weights, 0/1 variables).  Transforms serialize to tagged JSON
-objects, e.g. ``{"kind": "power", "k": 2}`` or
-``{"kind": "compose", "outer": {...}, "inner": {...}}``.
+affine(a >= 0, b) and compositions, each monotone non-decreasing on [0, inf),
+the only domain the objectives produce.  One table, ``_KINDS``, gives each kind
+its parameter checks and evaluator factory; a transform compiles its evaluator
+once, when built (a closure; ``compose`` nests its parts').  Numbers are finite
+reals.  JSON carries exactly the kind's keys, e.g. ``{"kind": "power", "k": 2}``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import sys
+from dataclasses import dataclass, field, fields
+from numbers import Real
+from typing import Callable, Optional
 
 import numpy as np
 
-_KINDS = ("identity", "square", "square_root", "power", "scale", "affine", "compose")
+
+def _real(rule: str = "", holds=lambda v: True):
+    """A check passing a finite real number (not a bool) for which `holds` is true, as a float."""
+    def check(kind: str, name: str, v) -> float:
+        if isinstance(v, bool) or not isinstance(v, Real) or not (abs(v) <= sys.float_info.max and holds(v)):
+            raise ValueError(f"{kind} transform needs a finite real number {name}{rule}, got {v!r}")
+        return float(v)
+    return check
+
+
+def _part(kind: str, name: str, v) -> "MonotoneTransform":
+    if not isinstance(v, MonotoneTransform):
+        raise ValueError(f"{kind} transform needs a transform {name}, got {v!r}")
+    return v
+
+
+# kind -> ({parameter: check}, evaluator factory over the checked parameters in that order).
+# Each evaluator runs its kind's numpy operation, so a Python float gets an array element's bits.
+_KINDS = {
+    "identity": ({}, lambda: lambda v: v),
+    "square": ({}, lambda: lambda v: v * v),
+    "square_root": ({}, lambda: np.sqrt),
+    "power": ({"k": _real(" > 0", lambda v: v > 0)}, lambda k: lambda v: np.power(v, k)),
+    "scale": ({"R": _real(" >= 0", lambda v: v >= 0)}, lambda R: lambda v: R * v),
+    "affine": ({"a": _real(" >= 0", lambda v: v >= 0), "b": _real()}, lambda a, b: lambda v: a * v + b),
+    "compose": ({"outer": _part, "inner": _part}, lambda o, i: lambda v, f=o.evaluator, g=i.evaluator: f(g(v))),
+}
 
 
 @dataclass(frozen=True)
@@ -27,63 +55,38 @@ class MonotoneTransform:
     b: Optional[float] = None
     outer: Optional["MonotoneTransform"] = None
     inner: Optional["MonotoneTransform"] = None
+    evaluator: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown transform kind {self.kind!r}")
-        if self.kind == "power":
-            if self.k is None or self.k <= 0:
-                raise ValueError("power transform needs exponent k > 0")
-        if self.kind == "scale":
-            if self.R is None or self.R < 0:
-                raise ValueError("scale transform needs factor R >= 0")
-        if self.kind == "affine":
-            if self.a is None or self.a < 0:
-                raise ValueError("affine transform needs slope a >= 0")
-            if self.b is None:
-                raise ValueError("affine transform needs offset b")
-        if self.kind == "compose" and (self.outer is None or self.inner is None):
-            raise ValueError("compose transform needs outer and inner")
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
+            raise ValueError(f"unknown transform kind {self.kind!r}; choose from {sorted(_KINDS)}")
+        checks, factory = _KINDS[self.kind]
+        for name in (f.name for f in fields(self)[1:-1]):  # the parameters, between kind and evaluator
+            if name in checks:
+                object.__setattr__(self, name, checks[name](self.kind, name, getattr(self, name)))
+            elif getattr(self, name) is not None:
+                raise ValueError(f"{self.kind} transform takes no parameter {name}")
+        object.__setattr__(self, "evaluator", factory(*(getattr(self, name) for name in checks)))
+
+    def __reduce__(self):  # the compiled evaluator does not pickle; rebuild from the JSON form
+        return MonotoneTransform.from_dict, (self.to_dict(),)
 
     def apply(self, v):
         """Evaluate on a scalar or numpy array of non-negative values."""
-        if self.kind == "identity":
-            return v
-        if self.kind == "square":
-            return v * v
-        if self.kind == "square_root":
-            return np.sqrt(v)
-        if self.kind == "power":
-            return np.power(v, self.k)  # one ufunc path: a scalar gets an array element's bits
-        if self.kind == "scale":
-            return self.R * v
-        if self.kind == "affine":
-            return self.a * v + self.b
-        return self.outer.apply(self.inner.apply(v))
+        return self.evaluator(v)
 
     def to_dict(self) -> dict:
-        if self.kind == "power":
-            return {"kind": "power", "k": self.k}
-        if self.kind == "scale":
-            return {"kind": "scale", "R": self.R}
-        if self.kind == "affine":
-            return {"kind": "affine", "a": self.a, "b": self.b}
-        if self.kind == "compose":
-            return {"kind": "compose", "outer": self.outer.to_dict(), "inner": self.inner.to_dict()}
-        return {"kind": self.kind}
+        d = {"kind": self.kind}
+        for name in _KINDS[self.kind][0]:
+            value = getattr(self, name)
+            d[name] = value.to_dict() if isinstance(value, MonotoneTransform) else value
+        return d
 
     @staticmethod
     def from_dict(d: dict) -> "MonotoneTransform":
-        kind = d.get("kind")
-        if kind == "power":
-            return power(d["k"])
-        if kind == "scale":
-            return scale(d["R"])
-        if kind == "affine":
-            return affine(d["a"], d["b"])
-        if kind == "compose":
-            return compose(MonotoneTransform.from_dict(d["outer"]), MonotoneTransform.from_dict(d["inner"]))
-        return MonotoneTransform(kind)
+        if not isinstance(d, dict) or "kind" not in d or not set(d) <= {f.name for f in fields(MonotoneTransform)[:-1]}:
+            raise ValueError(f"a transform object has a \"kind\" and only transform parameters, got {d!r}")
+        return MonotoneTransform(**{key: MonotoneTransform.from_dict(v) if isinstance(v, dict) else v for key, v in d.items()})
 
 
 def identity() -> MonotoneTransform:
@@ -99,15 +102,15 @@ def square_root() -> MonotoneTransform:
 
 
 def power(k: float) -> MonotoneTransform:
-    return MonotoneTransform("power", k=float(k))
+    return MonotoneTransform("power", k=k)
 
 
 def scale(R: float) -> MonotoneTransform:
-    return MonotoneTransform("scale", R=float(R))
+    return MonotoneTransform("scale", R=R)
 
 
 def affine(a: float, b: float) -> MonotoneTransform:
-    return MonotoneTransform("affine", a=float(a), b=float(b))
+    return MonotoneTransform("affine", a=a, b=b)
 
 
 def compose(outer: MonotoneTransform, inner: MonotoneTransform) -> MonotoneTransform:
@@ -124,9 +127,6 @@ NAMED_TRANSFORMS = {
 
 
 def from_name(name: str) -> MonotoneTransform:
-    try:
-        return NAMED_TRANSFORMS[name]()
-    except KeyError:
-        raise ValueError(
-            f"unknown transform name {name!r}; choose from {sorted(NAMED_TRANSFORMS)}"
-        ) from None
+    if name not in NAMED_TRANSFORMS:
+        raise ValueError(f"unknown transform name {name!r}; choose from {sorted(NAMED_TRANSFORMS)}")
+    return NAMED_TRANSFORMS[name]()

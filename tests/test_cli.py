@@ -100,6 +100,57 @@ class TestDriftCommand:
         assert cli_main(["drift", "--instance", str(path), "--exhaustive", "--check"]) == 0
 
 
+class TestInstanceFileErrors:
+    """A bad instance file is a configuration error: exit 1 with `error:`, no traceback."""
+
+    @pytest.fixture(params=[["run", "--reps", "2"], ["drift", "--exhaustive", "--check"]], ids=["run", "drift"])
+    def argv(self, request):
+        return request.param
+
+    @staticmethod
+    def _exit_and_error(argv, path, capsys):
+        code = cli_main([*argv, "--instance", str(path)])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "transform, said",
+        [
+            ({"kind": "scale", "R": float("nan")}, "finite real number R"),
+            ({"kind": "scale", "R": float("inf")}, "finite real number R"),
+            ({"kind": "power", "k": float("nan")}, "finite real number k"),
+            ({"kind": "affine", "a": float("nan"), "b": 0.0}, "finite real number a"),
+            ({"kind": "affine", "a": 1.0, "b": float("inf")}, "finite real number b"),
+            ({"kind": "power"}, "real number k > 0, got None"),
+            ({"kind": "compose", "outer": {"kind": "square"}}, "a transform inner, got None"),
+            ({"kind": "square", "k": 3}, "square transform takes no parameter k"),
+        ],
+    )
+    def test_bad_transform_exits_1(self, tmp_path, capsys, argv, transform, said):
+        doc = driftlab.onemax(8).to_dict()
+        doc["transform1"] = transform
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        code, err = self._exit_and_error(argv, path, capsys)
+        assert code == 1
+        assert err.startswith("error:") and said in err
+
+    def test_missing_instance_key_exits_1(self, tmp_path, capsys, argv):
+        doc = driftlab.onemax(8).to_dict()
+        del doc["transform2"]
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        code, err = self._exit_and_error(argv, path, capsys)
+        assert code == 1
+        assert err.startswith("error:") and "'transform2'" in err
+
+    def test_missing_chance_key_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"m": 2, "mu": [1.0, 3.0], "sigma": [1.0, 1.0]}))
+        code, err = self._exit_and_error(["chance", "--samples", "100", "--reps", "1"], path, capsys)
+        assert code == 1
+        assert err.startswith("error:") and "'alpha_c'" in err
+
+
 class TestEscapeCommand:
     def test_smoke(self, tmp_path):
         out = tmp_path / "escape.csv"

@@ -402,6 +402,20 @@ class TestInstanceFiles:
         }
         assert doc["B1"] == [1, 2]  # 1-based positions on disk
 
+    @pytest.mark.parametrize("key", ["n", "alpha_den", "weights1", "B2", "transform2"])
+    def test_missing_key_is_named(self, key):
+        doc = dl.onemax(4).to_dict()
+        del doc[key]
+        with pytest.raises(ValueError, match=rf"lacks key\(s\) \['{key}'\]"):
+            dl.CompositeObjective.from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["mu", "sigma", "alpha_c"])
+    def test_chance_missing_key_is_named(self, key):
+        doc = dl.ChanceInstance([1, 2.5], [0.5, 1], 0.9).to_dict()
+        del doc[key]
+        with pytest.raises(ValueError, match=rf"lacks key\(s\) \['{key}'\]"):
+            dl.ChanceInstance.from_dict(doc)
+
     def test_chance_round_trip(self, tmp_path):
         c = dl.ChanceInstance([1, 2.5], [0.5, 1], 0.9)
         path = tmp_path / "chance.json"

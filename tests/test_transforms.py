@@ -1,7 +1,11 @@
+import math
+import pickle
+
 import numpy as np
 import pytest
 
 import driftlab as dl
+from driftlab import transforms
 from driftlab.transforms import MonotoneTransform, from_name
 
 CATALOG = [
@@ -44,9 +48,27 @@ def test_known_values():
 
 
 def test_json_round_trip():
+    assert {t.kind for t in CATALOG} == set(transforms._KINDS), "every kind needs a CATALOG entry"
     for transform in CATALOG:
         again = MonotoneTransform.from_dict(transform.to_dict())
         assert again == transform
+        assert pickle.loads(pickle.dumps(transform)) == transform
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("h1, h2", list(zip(CATALOG, CATALOG[::-1])), ids=lambda t: t.kind)
+def test_combine_is_the_sum_of_the_two_applied_transforms(h1, h2):
+    inst = dl.generate_instance(8, 0, "1/2", weight_scheme="all-ones", transforms=(h1, h2))
+    gen = dl.RandomSource(33).generator
+    l1, l2 = gen.uniform(0, 1e3, size=(2, 500))
+    assert _bits(inst.combine(l1, l2)) == _bits(h1.apply(l1) + h2.apply(l2))
+    for a, b in zip(l1.tolist(), l2.tolist()):
+        assert _bits(inst.combine(a, b)) == _bits(h1.apply(a) + h2.apply(b))
+    again = pickle.loads(pickle.dumps(inst))
+    assert _bits(again.combine(l1, l2)) == _bits(inst.combine(l1, l2))
 
 
 def test_spec_tagged_forms():
@@ -57,6 +79,63 @@ def test_spec_tagged_forms():
         "inner": {"kind": "square_root"},
     }
     assert MonotoneTransform.from_dict(nested) == dl.compose(dl.scale(1.96), dl.square_root())
+
+
+NOT_FINITE_REALS = {
+    "power(nan)": lambda: dl.power(math.nan),
+    "power(inf)": lambda: dl.power(math.inf),
+    "power(10**400)": lambda: dl.power(10**400),
+    "scale(nan)": lambda: dl.scale(math.nan),
+    "scale(inf)": lambda: dl.scale(math.inf),
+    "scale('2')": lambda: dl.scale("2"),
+    "scale(True)": lambda: dl.scale(True),
+    "affine(nan, 0)": lambda: dl.affine(math.nan, 0.0),
+    "affine(1, inf)": lambda: dl.affine(1.0, math.inf),
+    "affine(1, -inf)": lambda: dl.affine(1.0, -math.inf),
+}
+
+
+@pytest.mark.parametrize("build", NOT_FINITE_REALS.values(), ids=NOT_FINITE_REALS)
+def test_parameters_must_be_finite_real_numbers(build):
+    with pytest.raises(ValueError, match="finite real number"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "kind, params, key",
+    [
+        ("square", {"k": 2.0}, "k"),
+        ("identity", {"R": 1.0}, "R"),
+        ("power", {"k": 2.0, "a": 1.0}, "a"),
+        ("scale", {"R": 2.0, "inner": dl.square()}, "inner"),
+        ("compose", {"outer": dl.square(), "inner": dl.square(), "b": 0.0}, "b"),
+    ],
+)
+def test_parameter_of_another_kind_rejected(kind, params, key):
+    with pytest.raises(ValueError, match=f"takes no parameter {key}"):
+        MonotoneTransform(kind, **params)
+
+
+@pytest.mark.parametrize(
+    "doc, match",
+    [
+        ({"kind": "power"}, "real number k > 0, got None"),
+        ({"kind": "scale"}, "real number R >= 0, got None"),
+        ({"kind": "affine", "a": 1.0}, "real number b, got None"),
+        ({"kind": "compose", "outer": {"kind": "square"}}, "a transform inner, got None"),
+        ({"kind": "compose", "outer": {"kind": "square"}, "inner": {"kind": "power"}}, "real number k > 0"),
+        ({"kind": "square", "k": 3}, "takes no parameter k"),
+        ({"kind": "scale", "R": 2.0, "a": 1.0}, "takes no parameter a"),
+        ({"kind": "square", "extra": 1}, "only transform parameters"),
+        ({"kind": "scale", "R": "2"}, "finite real number R"),
+        ({"kind": "scale", "R": float("nan")}, "finite real number R"),
+        ({"kind": "compose", "outer": "square", "inner": {"kind": "square"}}, "needs a transform outer"),
+        ("square", "transform object"),
+    ],
+)
+def test_strict_transform_json(doc, match):
+    with pytest.raises(ValueError, match=match):
+        MonotoneTransform.from_dict(doc)
 
 
 def test_invalid_parameters_rejected():
