@@ -27,7 +27,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from .rng import RandomSource
 from .transforms import MonotoneTransform, compose, from_name, identity, scale, square, square_root
@@ -82,8 +81,8 @@ class LinearFunction:
         w = np.asarray(weights, dtype=np.float64)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty flat sequence")
-        if np.any(w < 0):
-            raise ValueError("weights must be non-negative")
+        if not np.all(np.isfinite(w) & (w >= 0)):
+            raise ValueError("weights must be finite and non-negative")
         self.weights = w
 
     @property
@@ -141,11 +140,18 @@ def _linear_form(weights: np.ndarray) -> Optional[LinearForm]:
     return LinearForm(tuple(w.tolist() for w in weights))
 
 
-def _members(d: dict, *keys: str) -> list:
-    """d[key] for each key of an instance object; a missing key is a ValueError naming it."""
+def _members(d: dict, keys: tuple, optional: tuple = (), integers: tuple = ()) -> list:
+    """d[key] for each key of an instance object, then d.get(key) for each
+    optional key.  A missing or unknown key is a ValueError naming it, and so
+    is a value under one of `integers` that is no integer (a bool, 8.5 or "8";
+    int() would truncate 8.5 to 8)."""
     if missing := [key for key in keys if not isinstance(d, dict) or key not in d]:
         raise ValueError(f"instance object lacks key(s) {missing}")
-    return [d[key] for key in keys]
+    if unknown := sorted(set(d) - set(keys) - set(optional)):
+        raise ValueError(f"instance object has unknown key(s) {unknown}; its keys are {sorted(keys + optional)}")
+    if bad := {key: d[key] for key in integers if key in d and type(d[key]) is not int}:
+        raise ValueError(f"instance key(s) must be integers, got {bad}")
+    return [d[key] for key in keys] + [d.get(key) for key in optional]
 
 
 def _check_shape(n: int, s: int, alpha: Fraction) -> None:
@@ -286,18 +292,26 @@ class CompositeObjective:
     @staticmethod
     def from_dict(d: dict) -> "CompositeObjective":
         n, s, num, den, w1, w2, b1, b2, t1, t2 = _members(
-            d, "n", "s", "alpha_num", "alpha_den", "weights1", "weights2", "B1", "B2", "transform1", "transform2"
+            d,
+            ("n", "s", "alpha_num", "alpha_den", "weights1", "weights2", "B1", "B2", "transform1", "transform2"),
+            integers=("n", "s", "alpha_num", "alpha_den"),
         )
         return CompositeObjective(
-            n, s, Fraction(int(num), int(den)),
+            n, s, Fraction(num, den),
             (LinearFunction(w1), LinearFunction(w2)),
-            tuple(DomainEmbedding(np.asarray(b, dtype=np.int64) - 1, int(n) - int(s)) for b in (b1, b2)),
+            tuple(DomainEmbedding(np.asarray(b, dtype=np.int64) - 1, n - s) for b in (b1, b2)),
             (MonotoneTransform.from_dict(t1), MonotoneTransform.from_dict(t2)),
         )
 
 
 def normal_quantile(level: float) -> float:
-    """Quantile of the standard normal distribution at `level` in (0, 1)."""
+    """Quantile of the standard normal distribution at `level` in (0, 1).
+
+    scipy is imported here, on first use, so that importing driftlab (or any
+    study but the chance ones) does not pay for it.
+    """
+    from scipy.special import ndtri
+
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
     return float(ndtri(level))
@@ -323,8 +337,8 @@ class ChanceInstance:
         self.sigma = np.asarray(sigma, dtype=np.float64)
         if self.mu.ndim != 1 or self.mu.size == 0 or self.mu.shape != self.sigma.shape:
             raise ValueError("mu and sigma must be non-empty sequences of equal length")
-        if np.any(self.mu < 0) or np.any(self.sigma < 0):
-            raise ValueError("mu and sigma must be non-negative")
+        if not all(np.all(np.isfinite(v) & (v >= 0)) for v in (self.mu, self.sigma)):
+            raise ValueError("mu and sigma must be finite and non-negative")
         if not 0.0 < confidence < 1.0:
             raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
         self.confidence = float(confidence)
@@ -356,8 +370,9 @@ class ChanceInstance:
 
     @staticmethod
     def from_dict(d: dict) -> "ChanceInstance":
-        inst = ChanceInstance(*_members(d, "mu", "sigma", "alpha_c"))
-        if int(d.get("m", inst.item_count)) != inst.item_count:
+        mu, sigma, alpha_c, m = _members(d, ("mu", "sigma", "alpha_c"), optional=("m",), integers=("m",))
+        inst = ChanceInstance(mu, sigma, alpha_c)
+        if m is not None and m != inst.item_count:
             raise ValueError("declared item count m does not match mu length")
         return inst
 

@@ -150,6 +150,42 @@ class TestInstanceFileErrors:
         assert code == 1
         assert err.startswith("error:") and "'alpha_c'" in err
 
+    @pytest.mark.parametrize(
+        "change, said",
+        [
+            ({"weights1": [float("nan"), 1.0, 1.0, 1.0]}, "weights must be finite"),
+            ({"weights2": [1.0, 1.0, 1.0, float("inf")]}, "weights must be finite"),
+            ({"extra_key": 1, "B3": [1]}, "unknown key(s) ['B3', 'extra_key']"),
+            ({"n": 8.5}, "must be integers, got {'n': 8.5}"),
+        ],
+    )
+    def test_bad_instance_value_exits_1(self, tmp_path, capsys, argv, change, said):
+        # each of these used to run to "min ratio nan ... FAIL" or to "checks ok"
+        doc = {**driftlab.onemax(8).to_dict(), **change}
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        code, err = self._exit_and_error(argv, path, capsys)
+        assert code == 1
+        assert err.startswith("error:") and said in err
+
+    @pytest.mark.parametrize(
+        "change, said",
+        [
+            ({"mu": [float("nan"), 1.0]}, "mu and sigma must be finite"),
+            ({"sigma": [1.0, float("inf")]}, "mu and sigma must be finite"),
+            ({"extra_key": 1}, "unknown key(s) ['extra_key']"),
+            ({"m": 2.5}, "must be integers, got {'m': 2.5}"),
+        ],
+    )
+    def test_bad_chance_value_exits_1(self, tmp_path, capsys, change, said):
+        # NaN mu used to end in a TypeError traceback; m = 2.5 was truncated to 2
+        doc = {"m": 2, "mu": [1.0, 3.0], "sigma": [1.0, 1.0], "alpha_c": 0.9, **change}
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        code, err = self._exit_and_error(["chance", "--samples", "100", "--reps", "2"], path, capsys)
+        assert code == 1
+        assert err.startswith("error:") and said in err
+
 
 class TestEscapeCommand:
     def test_smoke(self, tmp_path):
@@ -279,6 +315,33 @@ class TestTopLevel:
         )
         assert result.returncode == 0
         assert "scale:" in result.stdout
+
+
+_SCIPY_PROBE = """
+import sys
+from driftlab.cli import cli_main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+for argv in [
+    ["tail", "--preset", "onemax", "--n", "8", "--reps", "20"],
+    ["scale", "--preset", "separable", "--n", "16", "--reps", "2"],
+    ["drift", "--n", "8", "--exhaustive"],
+    ["escape", "--n", "6", "--reps", "2"],
+    ["run", "--preset", "onemax", "--n", "16"],
+]:
+    assert cli_main(argv) == 0, argv
+    assert not scipy_modules(), (argv, scipy_modules())
+assert cli_main(["scale", "--preset", "chance", "--n", "16", "--reps", "2"]) == 0
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_only_the_chance_objectives_import_scipy():
+    # scipy.special (the normal quantile) costs more to import than the rest of driftlab
+    result = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import driftlab as dl
+from driftlab.objectives import EMBEDDING_SCHEMES, WEIGHT_SCHEMES
 from oracle_normal import normal_cdf, normal_quantile as quantile_oracle
 
 
@@ -48,6 +49,12 @@ class TestLinearFunction:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             dl.LinearFunction([1, -2])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        # NaN slips past a bare `w < 0`; an infinity makes every sum infinite
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            dl.LinearFunction([bad, 1.0])
 
 
 class TestLinearSums:
@@ -306,6 +313,14 @@ class TestChance:
         with pytest.raises(ValueError):
             dl.ChanceInstance([1], [-1], 0.9)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("part", ["mu", "sigma"])
+    def test_non_finite_mu_or_sigma_rejected(self, part, bad):
+        values = {"mu": [1.0, 2.0], "sigma": [1.0, 1.0]}
+        values[part][0] = bad
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            dl.ChanceInstance(values["mu"], values["sigma"], 0.9)
+
     def test_level_check_median(self):
         c = dl.ChanceInstance([1, 2, 3], [1, 1, 1], 0.5)
         samples = 10**5
@@ -415,6 +430,65 @@ class TestInstanceFiles:
         del doc[key]
         with pytest.raises(ValueError, match=rf"lacks key\(s\) \['{key}'\]"):
             dl.ChanceInstance.from_dict(doc)
+
+    @pytest.mark.parametrize("extra", ["extra_key", "B3", "m"])
+    def test_unknown_key_is_named(self, extra):
+        doc = dl.onemax(4).to_dict()
+        doc[extra] = 1
+        with pytest.raises(ValueError, match=rf"unknown key\(s\) \['{extra}'\]"):
+            dl.CompositeObjective.from_dict(doc)
+
+    @pytest.mark.parametrize("extra", ["extra_key", "n", "confidence"])
+    def test_chance_unknown_key_is_named(self, extra):
+        doc = dl.ChanceInstance([1, 2.5], [0.5, 1], 0.9).to_dict()
+        doc[extra] = 2
+        with pytest.raises(ValueError, match=rf"unknown key\(s\) \['{extra}'\]"):
+            dl.ChanceInstance.from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["n", "s", "alpha_num", "alpha_den"])
+    @pytest.mark.parametrize("value", [8.0, 8.5, "8", True, None])
+    def test_counts_must_be_integers(self, key, value):
+        doc = dl.onemax(8).to_dict()
+        doc[key] = value
+        with pytest.raises(ValueError, match=rf"must be integers, got \{{'{key}'"):
+            dl.CompositeObjective.from_dict(doc)
+
+    @pytest.mark.parametrize("value", [2.0, 2.5, "2", True, None])
+    def test_chance_m_must_be_an_integer(self, value):
+        # int(2.5) == 2 used to accept this file as a two-item instance
+        doc = dl.ChanceInstance([1, 2.5], [0.5, 1], 0.9).to_dict()
+        doc["m"] = value
+        with pytest.raises(ValueError, match="must be integers, got {'m'"):
+            dl.ChanceInstance.from_dict(doc)
+
+    def test_chance_m_is_optional_and_checked(self):
+        doc = dl.ChanceInstance([1, 2.5], [0.5, 1], 0.9).to_dict()
+        doc["m"] = 3
+        with pytest.raises(ValueError, match="item count m does not match"):
+            dl.ChanceInstance.from_dict(doc)
+        del doc["m"]
+        assert dl.ChanceInstance.from_dict(doc).item_count == 2
+
+    def test_every_saved_instance_loads(self, tmp_path):
+        # the strict reader takes back everything the writers produce
+        rng = dl.RandomSource(9)
+        instances = [
+            dl.onemax(8), dl.build_separable([1, 2], [3, 4]), dl.build_chance(dl.ChanceInstance([1, 2], [1, 3], 0.9))
+        ]
+        instances += [
+            dl.generate_instance(12, s, "1/2", weight_scheme=w, transforms=t, embedding_scheme=e, rng=rng)
+            for s in (0, 3)
+            for w in WEIGHT_SCHEMES
+            for t in (("square", "square_root"), ("identity", "scaled_square_root"))
+            for e in EMBEDDING_SCHEMES
+        ]
+        path = tmp_path / "inst.json"
+        for inst in instances:
+            dl.save_instance(inst, path)
+            assert dl.load_instance(path).to_dict() == inst.to_dict()
+        for c in (dl.ChanceInstance([1, 2.5], [0.5, 1], 0.9), dl.ChanceInstance(np.arange(1, 9.0), np.zeros(8), 0.1)):
+            dl.save_chance_instance(c, path)
+            assert dl.load_chance_instance(path).to_dict() == c.to_dict()
 
     def test_chance_round_trip(self, tmp_path):
         c = dl.ChanceInstance([1, 2.5], [0.5, 1], 0.9)
