@@ -36,11 +36,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Optional
 
 import numpy as np
 
-from .objectives import BitString, as_bits
+from .objectives import BitString
 from .rng import RandomSource
 
 
@@ -200,18 +201,24 @@ def run_ea(
     if initial is None:
         x = gen.integers(0, 2, m, dtype=np.uint8)
     else:
-        x = as_bits(initial).copy()
-        if x.size != m:
+        start = np.asarray(initial)
+        # as_bits's rule, checked in one pass over the values
+        if start.ndim != 1 or start.dtype.kind not in "biuf" or not set(start.tolist()) <= {0, 1}:
+            raise ValueError("bitstring must be a flat sequence of 0/1 values")
+        if start.size != m:
             raise ValueError(f"initial point must have {m} bits")
+        x = start.astype(np.uint8)  # a copy: the run never writes to the caller's array
     linear_values, combine, optimum = instance.linear_values, instance.combine, instance.optimum
     f_x = instance.value(x)
-    l1, l2 = linear_values(x)
     form = getattr(instance, "linear_form", None)
-    if form is not None:
-        # the parent as a bit list and exact Python-float sums, updated in O(K)
+    if form is None:
+        l1, l2 = linear_values(x)
+    else:
+        # the parent as a bit list and exact Python-float sums, updated in O(K);
+        # exact sums make the start pair the same bits in any order
         bits = x.tolist()
         w1, w2 = form.weights
-        l1, l2 = float(l1), float(l2)
+        l1, l2 = sum(compress(w1, bits), 0.0), sum(compress(w2, bits), 0.0)
 
     samples = []
     snapshot = None  # (f, phi, ones) of the current parent, once computed
@@ -222,9 +229,9 @@ def run_ea(
     def record(iteration: int):
         nonlocal snapshot
         if snapshot is None:
-            parent = state()
-            phi = float(potential(parent)) if potential is not None else None
-            snapshot = (f_x, phi, int(np.count_nonzero(parent)))
+            phi = float(potential(state())) if potential is not None else None
+            ones = int(np.count_nonzero(x)) if form is None else bits.count(1)
+            snapshot = (f_x, phi, ones)
         samples.append((iteration, *snapshot))
 
     record(0)

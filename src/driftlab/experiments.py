@@ -15,7 +15,6 @@ import csv
 import json
 import math
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -367,6 +366,8 @@ def _run_replicates(jobs: list, workers: int = 1) -> list[RunTrace]:
     workers = min(workers, len(jobs))  # a pool starts all its workers at once
     if workers <= 1:
         return [_replicate(job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor  # here, so serial runs never import it
+
     chunk = max(1, len(jobs) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_replicate, jobs, chunksize=chunk))
@@ -528,13 +529,15 @@ def tail_study(cfg: ExperimentConfig) -> ReportBundle:
 
     potential = build_combined_potential(instance)
     floor = 1.0  # every nonzero state carries a coefficient >= 1
+    # replicate j draws its start from (j+1,), then runs on the same stream;
+    # the starts are valued together, one row each
+    sources = [root.spawn(rep + 1) for rep in range(cfg.replicates)]
+    starts = np.array([source.generator.integers(0, 2, instance.domain_size, dtype=np.uint8) for source in sources])
     jobs, time_bounds = [], []
-    for rep in range(cfg.replicates):
-        # replicate j draws its start from (j+1,), then runs on the same stream
-        source = root.spawn(rep + 1)
-        x0 = source.generator.integers(0, 2, instance.domain_size, dtype=np.uint8)
-        start = potential.value(x0)
-        if instance.is_optimal(x0):
+    for source, x0, start, optimal in zip(
+        sources, starts, potential.value(starts).tolist(), instance.is_optimal(starts).tolist()
+    ):
+        if optimal:
             # T = 0 never exceeds a positive threshold; no threshold is defined
             # for a zero start potential.
             continue

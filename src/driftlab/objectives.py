@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -57,6 +58,17 @@ def _linear_pair(x, weights: np.ndarray):
     # The pair axis leads: (2, m) weights meet one state, (2, 1, m) a batch of rows.
     l1, l2 = linear_sums(x, weights if x.ndim == 1 else weights[:, None, :])
     return l1, l2
+
+
+def _at_optimum(instance, x):
+    """Whether the linear pair of x equals instance.optimum: a bool for one
+    state, a bool array for a batch of rows (each row's pair is its own sum)."""
+    x = np.asarray(x)
+    if x.shape[-1:] != (instance.domain_size,):
+        raise ValueError(f"expected {instance.domain_size} bits, got shape {x.shape}")
+    (l1, l2), (o1, o2) = instance.linear_values(x), instance.optimum
+    optimal = (l1 == o1) & (l2 == o2)
+    return bool(optimal) if x.ndim == 1 else optimal
 
 
 def as_bits(x: Sequence[int]) -> BitString:
@@ -140,17 +152,21 @@ def _linear_form(weights: np.ndarray) -> Optional[LinearForm]:
     return LinearForm(tuple(w.tolist() for w in weights))
 
 
-def _members(d: dict, keys: tuple, optional: tuple = (), integers: tuple = ()) -> list:
+def _members(d: dict, keys: tuple, optional: tuple = (), integers: tuple = (), integer_lists: tuple = ()) -> list:
     """d[key] for each key of an instance object, then d.get(key) for each
     optional key.  A missing or unknown key is a ValueError naming it, and so
     is a value under one of `integers` that is no integer (a bool, 8.5 or "8";
-    int() would truncate 8.5 to 8)."""
+    int() would truncate 8.5 to 8), or one under `integer_lists` that is not
+    a list of integers."""
     if missing := [key for key in keys if not isinstance(d, dict) or key not in d]:
         raise ValueError(f"instance object lacks key(s) {missing}")
     if unknown := sorted(set(d) - set(keys) - set(optional)):
         raise ValueError(f"instance object has unknown key(s) {unknown}; its keys are {sorted(keys + optional)}")
     if bad := {key: d[key] for key in integers if key in d and type(d[key]) is not int}:
         raise ValueError(f"instance key(s) must be integers, got {bad}")
+    if bad := {key: d[key] for key in integer_lists
+               if not (isinstance(d[key], list) and all(type(v) is int for v in d[key]))}:
+        raise ValueError(f"instance key(s) must be lists of integers, got {bad}")
     return [d[key] for key in keys] + [d.get(key) for key in optional]
 
 
@@ -263,15 +279,14 @@ class CompositeObjective:
         """The exact incremental form, or None if some weight sum can round."""
         return _linear_form(self._weights)
 
-    def is_optimal(self, x: BitString) -> bool:
+    def is_optimal(self, x: BitString):
         """True iff no position carrying positive weight in either part is set.
 
         This is the exact minimizer set (non-negative weights, monotone
         transforms), read off the linear pair without any value comparison.
+        One state gives a bool, a batch of rows a bool array.
         """
-        if len(x) != self.domain_size:
-            raise ValueError(f"expected {self.domain_size} bits, got {len(x)}")
-        return self.linear_values(x) == self.optimum
+        return _at_optimum(self, x)
 
     def to_dict(self) -> dict:
         f1, f2 = self.functions
@@ -295,7 +310,10 @@ class CompositeObjective:
             d,
             ("n", "s", "alpha_num", "alpha_den", "weights1", "weights2", "B1", "B2", "transform1", "transform2"),
             integers=("n", "s", "alpha_num", "alpha_den"),
+            integer_lists=("B1", "B2"),
         )
+        if den == 0:
+            raise ValueError("instance key alpha_den must not be 0")
         return CompositeObjective(
             n, s, Fraction(num, den),
             (LinearFunction(w1), LinearFunction(w2)),
@@ -304,17 +322,87 @@ class CompositeObjective:
         )
 
 
+# Cephes `ndtri`, the algorithm of scipy.special.ndtri: three rational
+# approximations with Cephes' coefficients, each evaluated in the order of its
+# polevl/p1evl (Horner, leading coefficient first; p1evl's leading 1 implied).
+_NDTRI_S2PI = 2.50662827463100050242e0  # sqrt(2 pi)
+_NDTRI_EXP_M2 = 0.13533528323661269189  # exp(-2)
+# levels in (exp(-2), 1 - exp(-2)), in y - 1/2
+_NDTRI_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_NDTRI_Q0 = (
+    1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+# the tails, in z = 1/x with x = sqrt(-2 ln y) and y = min(level, 1 - level):
+# x in [2, 8), y between exp(-32) and exp(-2)
+_NDTRI_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_NDTRI_Q1 = (
+    1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+# x >= 8: y below exp(-32)
+_NDTRI_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_NDTRI_Q2 = (
+    6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef: tuple) -> float:
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
 def normal_quantile(level: float) -> float:
     """Quantile of the standard normal distribution at `level` in (0, 1).
 
-    scipy is imported here, on first use, so that importing driftlab (or any
-    study but the chance ones) does not pay for it.
+    A pure-Python port of Cephes `ndtri`, the routine scipy.special.ndtri
+    runs: the same coefficients, branch points and operation order, so it
+    returns the same bits (tests/test_objectives.py compares them densely).
     """
-    from scipy.special import ndtri
-
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
-    return float(ndtri(level))
+    y = float(level)
+    upper = y > 1.0 - _NDTRI_EXP_M2
+    if upper:
+        y = 1.0 - y
+    if y > _NDTRI_EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0))
+        return x * _NDTRI_S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _NDTRI_P1) / _p1evl(z, _NDTRI_Q1)
+    else:
+        x1 = z * _polevl(z, _NDTRI_P2) / _p1evl(z, _NDTRI_Q2)
+    x = x0 - x1
+    return x if upper else -x
 
 
 @dataclass(eq=False)
@@ -339,8 +427,8 @@ class ChanceInstance:
             raise ValueError("mu and sigma must be non-empty sequences of equal length")
         if not all(np.all(np.isfinite(v) & (v >= 0)) for v in (self.mu, self.sigma)):
             raise ValueError("mu and sigma must be finite and non-negative")
-        if not 0.0 < confidence < 1.0:
-            raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+        if not (isinstance(confidence, numbers.Real) and 0.0 < confidence < 1.0):
+            raise ValueError(f"confidence must be a real number in (0, 1), got {confidence!r}")
         self.confidence = float(confidence)
 
     @property
@@ -541,10 +629,9 @@ class MultimodalInstance:
         x[position] = 1
         return x
 
-    def is_optimal(self, x: BitString) -> bool:
-        if len(x) != self.n:
-            raise ValueError(f"expected {self.n} bits, got {len(x)}")
-        return self.linear_values(x) == self.optimum
+    def is_optimal(self, x: BitString):
+        """Whether the pair is (1, 0): a bool for one state, a bool array for a batch of rows."""
+        return _at_optimum(self, x)
 
 
 def generate_instance(

@@ -66,12 +66,15 @@ class CombinedPotential:
 
     position_coefficients: np.ndarray
 
-    def value(self, x: BitString) -> float:
-        if len(x) != self.position_coefficients.size:
+    def value(self, x: BitString):
+        """phi(x): a float for one state, an array for a batch of rows (each row summed on its own)."""
+        x = np.asarray(x)
+        if x.shape[-1:] != self.position_coefficients.shape:
             raise ValueError(
-                f"expected {self.position_coefficients.size} bits, got {len(x)}"
+                f"expected {self.position_coefficients.size} bits, got shape {x.shape}"
             )
-        return float(linear_sums(np.asarray(x), self.position_coefficients))
+        values = linear_sums(x, self.position_coefficients)
+        return float(values) if x.ndim == 1 else values
 
 
 def build_combined_potential(instance: CompositeObjective) -> CombinedPotential:

@@ -157,10 +157,14 @@ class TestInstanceFileErrors:
             ({"weights2": [1.0, 1.0, 1.0, float("inf")]}, "weights must be finite"),
             ({"extra_key": 1, "B3": [1]}, "unknown key(s) ['B3', 'extra_key']"),
             ({"n": 8.5}, "must be integers, got {'n': 8.5}"),
+            ({"B1": [1.5, 2, 3, 4]}, "must be lists of integers, got {'B1': [1.5, 2, 3, 4]}"),
+            ({"B2": 5}, "must be lists of integers, got {'B2': 5}"),
+            ({"alpha_den": 0}, "alpha_den must not be 0"),
         ],
     )
     def test_bad_instance_value_exits_1(self, tmp_path, capsys, argv, change, said):
-        # each of these used to run to "min ratio nan ... FAIL" or to "checks ok"
+        # each of these used to run to "min ratio nan ... FAIL", to "checks ok"
+        # (B1 entries were truncated to integers) or to a ZeroDivisionError traceback
         doc = {**driftlab.onemax(8).to_dict(), **change}
         path = tmp_path / "inst.json"
         path.write_text(json.dumps(doc))
@@ -175,10 +179,11 @@ class TestInstanceFileErrors:
             ({"sigma": [1.0, float("inf")]}, "mu and sigma must be finite"),
             ({"extra_key": 1}, "unknown key(s) ['extra_key']"),
             ({"m": 2.5}, "must be integers, got {'m': 2.5}"),
+            ({"alpha_c": "0.9"}, "confidence must be a real number in (0, 1), got '0.9'"),
         ],
     )
     def test_bad_chance_value_exits_1(self, tmp_path, capsys, change, said):
-        # NaN mu used to end in a TypeError traceback; m = 2.5 was truncated to 2
+        # NaN mu and a string alpha_c used to end in a TypeError traceback; m = 2.5 was truncated to 2
         doc = {"m": 2, "mu": [1.0, 3.0], "sigma": [1.0, 1.0], "alpha_c": 0.9, **change}
         path = tmp_path / "c.json"
         path.write_text(json.dumps(doc))
@@ -324,22 +329,23 @@ from driftlab.cli import cli_main
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
+assert not scipy_modules(), scipy_modules()
 for argv in [
     ["tail", "--preset", "onemax", "--n", "8", "--reps", "20"],
     ["scale", "--preset", "separable", "--n", "16", "--reps", "2"],
     ["drift", "--n", "8", "--exhaustive"],
     ["escape", "--n", "6", "--reps", "2"],
     ["run", "--preset", "onemax", "--n", "16"],
+    ["scale", "--preset", "chance", "--n", "16", "--reps", "2"],
+    ["chance", "--m", "6", "--reps", "2", "--samples", "1000"],
 ]:
     assert cli_main(argv) == 0, argv
     assert not scipy_modules(), (argv, scipy_modules())
-assert cli_main(["scale", "--preset", "chance", "--n", "16", "--reps", "2"]) == 0
-assert "scipy.special" in sys.modules
 """
 
 
-def test_only_the_chance_objectives_import_scipy():
-    # scipy.special (the normal quantile) costs more to import than the rest of driftlab
+def test_no_subcommand_imports_scipy():
+    # normal_quantile is a port of Cephes ndtri, so scipy is a test dependency only
     result = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
 

@@ -336,6 +336,34 @@ class TestRunEA:
         assert doc["hitting_time"] is None
         assert doc["budget_exhausted"] is True
 
+    @pytest.mark.parametrize("linear_form", [True, False], ids=["linear_form", "full_sum"])
+    @pytest.mark.parametrize(
+        "initial",
+        [np.array([0, 2, 1, 0], dtype=np.uint8), [0, 0.5, 1, 0], [0, 1, -1, 0], [0, 1, float("nan"), 0],
+         np.zeros((2, 2), dtype=np.uint8), ["0", "1", "0", "1"]],
+        ids=["uint8_2", "half", "minus_1", "nan", "2d", "str"],
+    )
+    def test_rejects_a_start_that_is_not_bits(self, initial, linear_form):
+        inst = dl.onemax(4) if linear_form else dl.build_separable([0.5, 1.5], [2.5, 1.0])
+        assert (inst.linear_form is not None) == linear_form
+        with pytest.raises(ValueError, match="0/1 values"):
+            dl.run_ea(inst, dl.EAConfig(max_iterations=10), dl.RandomSource(1), initial=initial)
+
+    @pytest.mark.parametrize("linear_form", [True, False], ids=["linear_form", "full_sum"])
+    def test_start_is_copied_and_any_0_1_dtype_accepted(self, linear_form):
+        inst = dl.onemax(4) if linear_form else dl.build_separable([0.5, 1.5], [2.5, 1.0])
+        cfg = dl.EAConfig(max_iterations=50, trace_stride=5)
+        start = np.array([1, 0, 1, 1], dtype=np.uint8)
+        reference = dl.run_ea(inst, cfg, dl.RandomSource(4), initial=start)
+        assert start.tolist() == [1, 0, 1, 1]  # the run never writes to the caller's array
+        assert reference.samples[0][3] == 3 and reference.samples[0][1] == inst.value(start)
+        for same in ([1, 0, 1, 1], [True, False, True, True], [1.0, 0.0, 1.0, 1.0], start.astype(np.int64)):
+            trace = dl.run_ea(inst, cfg, dl.RandomSource(4), initial=same)
+            assert trace.samples == reference.samples
+            assert trace.final_state.dtype == np.uint8
+        with pytest.raises(ValueError, match="must have 4 bits"):
+            dl.run_ea(inst, cfg, dl.RandomSource(4), initial=[1, 0, 1])
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             dl.EAConfig(max_iterations=0)

@@ -1,6 +1,8 @@
+import concurrent.futures
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -88,7 +90,8 @@ class TestDispatch:
             def map(self, fn, jobs, chunksize=1):
                 return map(fn, jobs)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        # _run_replicates imports the pool class when it needs one, so patch it at its source
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         cfg = ExperimentConfig(kind="escape", n_values=(6, 8), replicates=2, seed=2)
         serial = experiments.run_experiment(cfg)
         assert pools == []
@@ -263,6 +266,58 @@ class TestTailStudy:
         path = tmp_path / "rows.csv"
         bundle.write_csv(path)
         assert path.read_text().splitlines()[0] == "r,threshold,exceed_freq,bound"
+
+
+def _float_weight_instance(path):
+    """n = 10, s = 2: non-integer weights, so run_ea re-sums without a LinearForm."""
+    inst = dl.CompositeObjective(
+        10, 2, Fraction(1, 2),
+        (dl.LinearFunction([0.5, 1.25, 2.75, 0.3, 4.1]), dl.LinearFunction([1.1, 0.7, 3.3, 2.2, 0.9])),
+        (dl.DomainEmbedding(range(5), 8), dl.DomainEmbedding(range(3, 8), 8)),
+        (dl.square(), dl.square_root()),
+    )
+    assert inst.linear_form is None
+    dl.save_instance(inst, path)
+    return str(path)
+
+
+# Rows (r, threshold, exceed_freq, bound, violation) and extras of three tail
+# studies, pinned bit for bit: start draws, start potentials, skipped optimal
+# starts (onemax n = 2) and both offspring evaluators.
+GOLDEN_TAIL = {
+    "onemax10": (
+        dict(n_values=(10,), preset="onemax", replicates=250, seed=7, delta=0.035, r_values=(0.0, 1.0, 3.0)),
+        [(0.0, 43.14061462674422, 0.504, 1.0, False),
+         (1.0, 71.71204319817298, 0.152, 0.36787944117144233, False),
+         (3.0, 128.85490034102963, 0.032, 0.049787068367863944, False)],
+        {"delta": 0.035, "replicates_counted": 250},
+    ),
+    "onemax2_skips_optimal_starts": (
+        dict(n_values=(2,), preset="onemax", replicates=40, seed=3, delta=0.2),
+        [(1.0, 6.155245300933243, 0.15, 0.36787944117144233, False),
+         (2.0, 11.155245300933245, 0.05, 0.1353352832366127, False),
+         (3.0, 16.15524530093324, 0.0, 0.049787068367863944, False)],
+        {"delta": 0.2, "replicates_counted": 30},
+    ),
+    "float_weight_file": (
+        dict(n_values=(10,), replicates=120, seed=11, delta=0.03, r_values=(0.5, 1.0, 2.0)),
+        [(0.5, 74.19613162562963, 0.1, 0.6065306597126334, False),
+         (1.0, 90.86279829229623, 0.05, 0.36787944117144233, False),
+         (2.0, 124.19613162562968, 0.016666666666666666, 0.1353352832366127, False)],
+        {"delta": 0.03, "replicates_counted": 120},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TAIL))
+def test_golden_tail(tmp_path, name):
+    """A change that keeps every stream must reproduce these reports exactly."""
+    options, rows, extras = GOLDEN_TAIL[name]
+    if name == "float_weight_file":
+        options = {**options, "instance_file": _float_weight_instance(tmp_path / "float10.json")}
+    bundle = dl.tail_study(ExperimentConfig(kind="tail", **options))
+    assert [tuple(vars(row).values()) for row in bundle.rows] == rows
+    assert bundle.extras == extras
 
 
 class TestChanceDemo:

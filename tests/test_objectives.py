@@ -223,6 +223,33 @@ class TestIsOptimal:
         )
         assert inst.value(free) == best
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_batch_equals_rows(self, seed):
+        # zero weights (weight_range from 0) leave some non-zero rows optimal
+        rng = dl.RandomSource(seed)
+        n = 2 * int(rng.generator.integers(2, 10))
+        inst = dl.generate_instance(
+            n, int(rng.generator.integers(0, n // 2 + 1)), Fraction(1, 2), weight_range=(0, 2),
+            embedding_scheme="random", rng=rng.spawn(0),
+        )
+        states = rng.generator.integers(0, 2, (300, inst.domain_size), dtype=np.uint8)
+        states[:5] = 0
+        batch = inst.is_optimal(states)
+        assert batch.dtype == bool and batch.shape == (300,)
+        assert batch.tolist() == [inst.is_optimal(x) for x in states]
+        assert batch[:5].all() and not batch.all()
+
+    def test_multimodal_batch_equals_rows(self):
+        inst = dl.MultimodalInstance(6)
+        states = np.array([[(u >> j) & 1 for j in range(6)] for u in range(64)], dtype=np.uint8)
+        batch = inst.is_optimal(states)
+        assert batch.tolist() == [inst.is_optimal(x) for x in states]
+        assert np.flatnonzero(batch).tolist() == [1]  # only (1, 0, ..., 0)
+
+    def test_wrong_width_rejected(self):
+        with pytest.raises(ValueError, match="expected 8 bits"):
+            dl.onemax(8).is_optimal(np.zeros((3, 7), dtype=np.uint8))
+
 
 class TestNormalQuantile:
     def test_median_is_zero(self):
@@ -252,6 +279,35 @@ class TestNormalQuantile:
             k = dl.normal_quantile(level)
             assert abs(float(normal_cdf(k)) - level) <= 1e-9
         assert dl.normal_quantile(0.975) == pytest.approx(float(quantile_oracle(0.975)), abs=1e-9)
+
+    def test_matches_scipy_ndtri_bit_for_bit(self):
+        # the port of Cephes ndtri against the routine it ports, over 10^5
+        # levels: the centre, both tails down to the smallest subnormal, and
+        # each side of the branch points exp(-2) and x = 8 (level exp(-32))
+        from scipy.special import ndtri  # a test dependency only
+
+        gen = np.random.default_rng(2024)
+        lower_tail = np.exp(-gen.uniform(0.0, 744.0, 35_000))
+        upper_tail = 1.0 - np.exp(-gen.uniform(0.0, 36.0, 10_000))  # 1 - 2^-53 is exp(-36.7)
+        edges = [  # 500 neighbouring levels on each side of each cut
+            cut + np.arange(-500, 500) * np.spacing(cut)
+            for cut in (math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0), 1.0 - math.exp(-32.0))
+        ]
+        levels = np.concatenate(
+            [gen.random(55_000), lower_tail, upper_tail, *edges,
+             [5e-324, 1e-300, 0.5, np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0)]]
+        )
+        levels = levels[(levels > 0.0) & (levels < 1.0)]
+        assert levels.size >= 100_000
+        ported = np.array([dl.normal_quantile(level) for level in levels.tolist()])
+        assert np.array_equal(ported.view(np.int64), ndtri(levels).view(np.int64))
+        # every branch was taken, each on both sides of its branch points
+        lower = levels < 0.5
+        assert np.count_nonzero((levels > math.exp(-2.0)) & (levels < 1.0 - math.exp(-2.0))) > 1_000
+        for cut in (math.exp(-2.0), math.exp(-32.0)):
+            assert np.count_nonzero(lower & (levels < cut)) > 400 and np.count_nonzero(lower & (levels > cut)) > 400
+            upper = 1.0 - levels
+            assert np.count_nonzero(~lower & (upper < cut)) > 400 and np.count_nonzero(~lower & (upper > cut)) > 400
 
 
 class TestChance:

@@ -155,6 +155,28 @@ class TestCombinedPotential:
             x = gen.integers(0, 2, inst.domain_size, dtype=np.uint8)
             assert (pot.value(x) == 0.0) == (x.sum() == 0)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_batch_equals_rows(self, seed):
+        gen = dl.RandomSource(seed).generator
+        n = 2 * int(gen.integers(2, 10))
+        inst = dl.generate_instance(
+            n, int(gen.integers(0, n // 2 + 1)), Fraction(1, 2), weight_range=(0, 9),
+            embedding_scheme="random", rng=dl.RandomSource(seed, (1,)),
+        )
+        pot = dl.build_combined_potential(inst)
+        states = gen.integers(0, 2, (300, inst.domain_size), dtype=np.uint8)
+        batch = pot.value(states)
+        assert batch.shape == (300,)
+        rows = [pot.value(x) for x in states]
+        assert all(type(v) is float for v in rows)
+        assert np.array_equal(batch.view(np.int64), np.array(rows).view(np.int64))
+
+    def test_wrong_width_rejected(self):
+        pot = dl.build_combined_potential(dl.onemax(8))
+        for x in (np.zeros(7, dtype=np.uint8), np.zeros((3, 9), dtype=np.uint8)):
+            with pytest.raises(ValueError, match="expected 8 bits"):
+                pot.value(x)
+
     def test_matches_independent_derivation(self):
         # route scrambled weights + embeddings through the oracle's own
         # sorted-order computation
