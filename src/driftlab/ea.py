@@ -9,22 +9,24 @@ mutation + selection, whether or not any bit flips.
 mutation: it draws each iteration's flip count K ~ Binomial(m, p) in blocks,
 passes over the iterations with K = 0 (they leave the parent as it is), and
 for K >= 1 draws K distinct uniform positions.  The parent carries its
-linear pair (l1, l2), so f = combine(l1, l2) and the parent is optimal iff the
-pair equals the instance's `optimum`.  Objectives with a `linear_form` (exact
-sums) update the pair in O(K) per offspring; any other objective re-sums it in
-full with `linear_values`.  Either way f is bit-identical to `value(x)`, which
-is computed by the same left-to-right sums.  The random stream is
-consumed in that sparse order, and the same (instance, config, stream) gives
-the same run.
+linear pair (l1, l2) as Python floats, so f = float_kernel(l1, l2) and the
+parent is optimal iff the pair equals the instance's `optimum`.  Objectives
+with a `linear_form` (exact sums) update the pair in O(K) per offspring; any
+other objective re-sums it in full with `linear_values`.  Either way f is
+bit-identical to `value(x)`: the pair comes from the same left-to-right sums,
+and the kernel equals float(combine(l1, l2)) bit for bit.  The random stream
+is consumed in that sparse order, and the same (instance, config, stream)
+gives the same run.
 
 The simulation is one fused loop over the non-empty iterations of each
-block.  K = 1 takes the next position of the `_Mutations` pool inline (what
-`_Mutations.positions(1)` would return); larger K call `positions`.  The pool,
-its cursor and its refill rule (`_Mutations.refill`) have that one owner.  The pair
-update, the selection and the optimality test are written out in the loop,
-with the full re-sum behind a per-iteration branch, so an offspring costs one
-`combine` call, plus `positions` for K >= 2 and `linear_values` without a
-linear form.
+block.  K = 1 takes the next position of the `_Mutations` pool inline, as an
+int (what `_Mutations.positions(1)` would return), and updates the pair from
+it directly; larger K call `positions`.  The pool, its cursor and its refill
+rule (`_Mutations.refill`) have that one owner.  The pair update, the
+selection and the optimality test are written out in the loop, with the full
+re-sum behind a per-iteration branch, so an offspring costs one
+`float_kernel` call, plus `positions` for K >= 2 and `linear_values` without
+a linear form.
 
 `standard_bit_mutation` (the dense one-step draw, one uniform per bit) and
 its `MutationEvent` are kept only because the benchmark tracer wraps that
@@ -187,7 +189,9 @@ def run_ea(
 
     The start point is uniform over the domain unless `initial` is given.
     `instance` must expose domain_size, mutation_probability, value(x),
-    linear_values(x), combine(l1, l2) and optimum; with a `linear_form` (see
+    linear_values(x), optimum and float_kernel(l1, l2), the objective value
+    of a linear pair of Python floats as a float (equal to
+    float(combine(l1, l2)) bit for bit); with a `linear_form` (see
     objectives.LinearForm) offspring are evaluated in O(flipped bits).  The
     start point is valued once, and its linear pair decides its optimality and
     seeds the parent.  `potential`, when given, fills the phi column of the trace.
@@ -208,7 +212,7 @@ def run_ea(
         if start.size != m:
             raise ValueError(f"initial point must have {m} bits")
         x = start.astype(np.uint8)  # a copy: the run never writes to the caller's array
-    linear_values, combine, optimum = instance.linear_values, instance.combine, instance.optimum
+    linear_values, kernel, optimum = instance.linear_values, instance.float_kernel, instance.optimum
     f_x = instance.value(x)
     form = getattr(instance, "linear_form", None)
     if form is None:
@@ -255,17 +259,26 @@ def run_ea(
                 while next_mark < t:
                     record(next_mark)
                     next_mark += stride
-                if k == 1 and m > 1:  # positions(1) without the call: the pool's next entry
-                    pool, at = mutations.pool, mutations.at
-                    if at == len(pool):
-                        pool, at = mutations.refill(1), 0
-                    flips = [pool[at]]
-                    mutations.at = at + 1
+                if k == 1:  # what positions(1) gives, inline and as an int: the pool's next entry
+                    if m == 1:
+                        flips = 0
+                    else:
+                        pool, at = mutations.pool, mutations.at
+                        if at == len(pool):
+                            pool, at = mutations.refill(1), 0
+                        flips = pool[at]
+                        mutations.at = at + 1
                 else:
                     flips = mutations.positions(k)
                 if form is None:
                     x[flips] ^= 1
                     y1, y2 = linear_values(x)
+                    y1, y2 = float(y1), float(y2)
+                elif k == 1:
+                    if bits[flips]:
+                        y1, y2 = l1 - w1[flips], l2 - w2[flips]
+                    else:
+                        y1, y2 = l1 + w1[flips], l2 + w2[flips]
                 else:
                     y1, y2 = l1, l2
                     for j in flips:
@@ -275,11 +288,14 @@ def run_ea(
                         else:
                             y1 += w1[j]
                             y2 += w2[j]
-                f_y = float(combine(y1, y2))
+                f_y = kernel(y1, y2)
                 if f_y <= f_x:
                     if form is not None:
-                        for j in flips:
-                            bits[j] ^= 1
+                        if k == 1:
+                            bits[flips] ^= 1
+                        else:
+                            for j in flips:
+                                bits[j] ^= 1
                     l1, l2, f_x = y1, y2, f_y
                     accepted_steps += 1
                     snapshot = None

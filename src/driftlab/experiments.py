@@ -257,6 +257,21 @@ class FitResult:
     power_rms_log_residual: float
 
 
+def _json_value(obj):
+    """obj as plain JSON data: an object with a to_json_dict method as that
+    dict, and a NaN or infinite float (a mean over no runs, say) as None,
+    which JSON writes as null; NaN and Infinity are not JSON."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _json_value(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_value(value) for value in obj]
+    if hasattr(obj, "to_json_dict"):
+        return _json_value(obj.to_json_dict())
+    return obj
+
+
 @dataclass
 class ReportBundle:
     """Everything one study produced, sufficient to reproduce it."""
@@ -295,7 +310,7 @@ class ReportBundle:
     def write_json(self, path) -> None:
         document = self.to_json_dict() if self.json_document is None else self.json_document
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=2, sort_keys=True, default=lambda obj: obj.to_json_dict())
+            json.dump(_json_value(document), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
 
     def write_csv(self, path) -> None:

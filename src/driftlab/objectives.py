@@ -30,7 +30,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .rng import RandomSource
-from .transforms import MonotoneTransform, compose, from_name, identity, scale, square, square_root
+from .transforms import (
+    FLOAT_FUNCTIONS, MonotoneTransform, compile_function, compose, from_name, identity, scale, square, square_root,
+)
 
 BitString = np.ndarray
 
@@ -185,6 +187,17 @@ def _check_shape(n: int, s: int, alpha: Fraction) -> None:
         raise ValueError(f"overlap s = {s} exceeds (1-alpha)*n = {(1 - alpha) * n}")
 
 
+# CompositeObjective.float_kernel, around h1(l1) + h2(l2) written out as one
+# expression.  math.sqrt raises ValueError on a negative value (a compose can
+# feed a square root one), where numpy's evaluators give nan.
+_FLOAT_KERNEL = """def f(l1, l2):
+    try:
+        return {}
+    except ValueError:
+        return float(h1(l1) + h2(l2))
+"""
+
+
 @dataclass(eq=False)
 class CompositeObjective:
     """h1(l1*(x)) + h2(l2*(x)) on m = n - s bits.
@@ -265,6 +278,17 @@ class CompositeObjective:
     def combine(self, l1, l2):
         """h1(l1) + h2(l2) for linear-part values (scalars or arrays)."""
         return self._h1(l1) + self._h2(l2)
+
+    @functools.cached_property
+    def float_kernel(self):
+        """float(combine(l1, l2)) for Python floats, bit for bit: one function
+        compiled on first use from both transforms' expressions, so a call
+        makes no numpy scalar and no call per transform level."""
+        h1, h2 = self.transforms
+        return compile_function(
+            _FLOAT_KERNEL, lambda bind: f"({h1.expression('l1', bind)}) + ({h2.expression('l2', bind)})",
+            {**FLOAT_FUNCTIONS, "h1": self._h1, "h2": self._h2},
+        )
 
     def __reduce__(self):  # the compiled transforms do not pickle; build again from the parts
         return CompositeObjective, (self.n, self.s, self.alpha, self.functions, self.embeddings, self.transforms)
@@ -589,6 +613,7 @@ class MultimodalInstance:
                 f"zeros term (n/(n-0.5))^exponent overflows float64 at n={self.n}, "
                 f"exponent={self.exponent}"
             ) from None
+        self._zeros = self._zeros_term.tolist()
 
     @property
     def domain_size(self) -> int:
@@ -605,6 +630,10 @@ class MultimodalInstance:
     def combine(self, l1, l2):
         """The ones term l1/2 + l2 plus the large power of the zeros count."""
         return 0.5 * l1 + l2 + self._zeros_term[np.intp(l1 + l2)]
+
+    def float_kernel(self, l1: float, l2: float) -> float:
+        """float(combine(l1, l2)) for Python floats, read from the same table as a list."""
+        return 0.5 * l1 + l2 + self._zeros[int(l1 + l2)]
 
     def value(self, x: BitString) -> float:
         if len(x) != self.n:

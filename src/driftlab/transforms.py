@@ -3,13 +3,18 @@
 The catalog covers identity, square, square root, power(k > 0), scale(R >= 0),
 affine(a >= 0, b) and compositions, each monotone non-decreasing on [0, inf),
 the only domain the objectives produce.  One table, ``_KINDS``, gives each kind
-its parameter checks and evaluator factory; a transform compiles its evaluator
-once, when built (a closure; ``compose`` nests its parts').  Numbers are finite
-reals.  JSON carries exactly the kind's keys, e.g. ``{"kind": "power", "k": 2}``.
+its parameter checks and its Python expression over a value ``v``; ``compose``
+substitutes its inner expression into its outer one.  :func:`compile_function`
+turns such expressions into functions: a transform compiles its numpy
+evaluator once, when built, and an objective compiles its float kernel from the
+same expressions.  Numbers are finite reals.  JSON carries exactly the kind's
+keys, e.g. ``{"kind": "power", "k": 2}``.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import sys
 from dataclasses import dataclass, field, fields
 from numbers import Real
@@ -33,17 +38,50 @@ def _part(kind: str, name: str, v) -> "MonotoneTransform":
     return v
 
 
-# kind -> ({parameter: check}, evaluator factory over the checked parameters in that order).
-# Each evaluator runs its kind's numpy operation, so a Python float gets an array element's bits.
+# kind -> ({parameter: check}, expression over the value v and the checked
+# parameters in that order: a number as the name it is bound to, a transform as
+# a function from a value to its expression).  A value that is not a name
+# arrives in parentheses.
 _KINDS = {
-    "identity": ({}, lambda: lambda v: v),
-    "square": ({}, lambda: lambda v: v * v),
-    "square_root": ({}, lambda: np.sqrt),
-    "power": ({"k": _real(" > 0", lambda v: v > 0)}, lambda k: lambda v: np.power(v, k)),
-    "scale": ({"R": _real(" >= 0", lambda v: v >= 0)}, lambda R: lambda v: R * v),
-    "affine": ({"a": _real(" >= 0", lambda v: v >= 0), "b": _real()}, lambda a, b: lambda v: a * v + b),
-    "compose": ({"outer": _part, "inner": _part}, lambda o, i: lambda v, f=o.evaluator, g=i.evaluator: f(g(v))),
+    "identity": ({}, lambda v: v),
+    "square": ({}, lambda v: f"{v} * {v}"),
+    "square_root": ({}, lambda v: f"sqrt({v})"),
+    "power": ({"k": _real(" > 0", lambda v: v > 0)}, lambda v, k: f"power({v}, {k})"),
+    "scale": ({"R": _real(" >= 0", lambda v: v >= 0)}, lambda v, R: f"{R} * {v}"),
+    "affine": ({"a": _real(" >= 0", lambda v: v >= 0), "b": _real()}, lambda v, a, b: f"{a} * {v} + {b}"),
+    "compose": ({"outer": _part, "inner": _part}, lambda v, outer, inner: outer(f"({inner(v)})")),
 }
+
+# What the expressions call.  On arrays it is numpy, and a scalar gets an array
+# element's bits.  On Python floats sqrt is math.sqrt, correctly rounded like
+# np.sqrt, so the bits agree; power stays np.power, because math.pow's libm
+# differs from it in the last bit for some values.  math.sqrt raises ValueError
+# on a negative value, where np.sqrt gives nan.
+ARRAY_FUNCTIONS = {"sqrt": np.sqrt, "power": np.power}
+FLOAT_FUNCTIONS = {"sqrt": math.sqrt, "power": lambda v, k: float(np.power(v, k))}
+
+
+@functools.lru_cache(maxsize=256)
+def _code(source: str):
+    return compile(source, "<driftlab.transforms>", "exec")
+
+
+def compile_function(template: str, build: Callable, namespace: dict) -> Callable:
+    """The function ``f`` that `template` defines once its "{}" is build(bind).
+
+    `build` writes each number as the name bind(number) returns, and the number
+    is bound to that name in a copy of `namespace`; numbers never enter the
+    source, so each source is compiled once per process.
+    """
+    namespace = dict(namespace)
+
+    def bind(number) -> str:
+        name = f"_p{len(namespace)}"
+        namespace[name] = number
+        return name
+
+    exec(_code(template.format(build(bind))), namespace)
+    return namespace["f"]
 
 
 @dataclass(frozen=True)
@@ -60,13 +98,14 @@ class MonotoneTransform:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise ValueError(f"unknown transform kind {self.kind!r}; choose from {sorted(_KINDS)}")
-        checks, factory = _KINDS[self.kind]
+        checks = _KINDS[self.kind][0]
         for name in (f.name for f in fields(self)[1:-1]):  # the parameters, between kind and evaluator
             if name in checks:
                 object.__setattr__(self, name, checks[name](self.kind, name, getattr(self, name)))
             elif getattr(self, name) is not None:
                 raise ValueError(f"{self.kind} transform takes no parameter {name}")
-        object.__setattr__(self, "evaluator", factory(*(getattr(self, name) for name in checks)))
+        evaluator = compile_function("f = lambda v: {}", functools.partial(self.expression, "v"), ARRAY_FUNCTIONS)
+        object.__setattr__(self, "evaluator", evaluator)
 
     def __reduce__(self):  # the compiled evaluator does not pickle; rebuild from the JSON form
         return MonotoneTransform.from_dict, (self.to_dict(),)
@@ -74,6 +113,14 @@ class MonotoneTransform:
     def apply(self, v):
         """Evaluate on a scalar or numpy array of non-negative values."""
         return self.evaluator(v)
+
+    def expression(self, v: str, bind: Callable) -> str:
+        """This transform as a Python expression over the expression `v`, each
+        number written as the name bind(number) returns."""
+        checks, expression = _KINDS[self.kind]
+        params = (getattr(self, name) for name in checks)
+        return expression(v, *(functools.partial(p.expression, bind=bind) if isinstance(p, MonotoneTransform)
+                               else bind(p) for p in params))
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind}

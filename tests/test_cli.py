@@ -617,6 +617,29 @@ class TestUncertifiedAndMootOptions:
         assert doc["min_ratio"] is None and doc["pass"] is False
         assert "uncertified" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, row_nulls", [
+        # every run censored: no mean, spread, median or ratio
+        (["scale", "--preset", "onemax", "--n", "64", "--reps", "2", "--budget", "1"],
+         {"mean_T", "sd_T", "median_T", "ratio_nlogn"}),
+        # seed 3 starts its one replicate at the optimum, so no start is counted
+        (["tail", "--preset", "onemax", "--n", "2", "--reps", "1", "--delta", "0.2", "--seed", "3"],
+         {"threshold"}),
+    ])
+    def test_undefined_statistics_are_json_null(self, tmp_path, argv, row_nulls):
+        out = tmp_path / "r.json"
+        assert cli_main(argv + ["--json", str(out)]) == 0
+        doc = json.loads(out.read_text(), parse_constant=lambda name: pytest.fail(f"{name} is not JSON"))
+        for row in doc["rows"]:
+            assert {key for key, value in row.items() if value is None} == row_nulls
+
+    def test_finite_json_report_keeps_its_bytes(self, tmp_path):
+        bundle = experiments.run_experiment(experiments.resolve_config(
+            "scale", {"preset": "onemax", "n_values": 16, "replicates": 3, "seed": 2}))
+        out = tmp_path / "r.json"
+        bundle.write_json(out)
+        plain = json.dumps(bundle.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        assert out.read_text(encoding="utf-8") == plain
+
     @pytest.mark.parametrize("preset", ["onemax", "chance"])
     def test_fresh_instances_moot_with_fixed_preset(self, tmp_path, preset):
         base = ["scale", "--preset", preset, "--n", "8", "--reps", "2"]

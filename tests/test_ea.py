@@ -191,7 +191,7 @@ class TestElitistStep:
     def evaluators(inst):
         full = SimpleNamespace(
             domain_size=inst.domain_size, mutation_probability=inst.mutation_probability,
-            value=inst.value, linear_values=inst.linear_values, combine=inst.combine,
+            value=inst.value, linear_values=inst.linear_values, float_kernel=inst.float_kernel,
             optimum=inst.optimum,
         )
         return inst, full
@@ -215,7 +215,7 @@ class TestElitistStep:
     def test_constant_objective_accepts_ties(self):
         constant = SimpleNamespace(
             domain_size=4, mutation_probability=0.5, value=lambda _: 0.0,
-            linear_values=lambda _: (0.0, 0.0), combine=lambda l1, l2: 0.0, optimum=None,
+            linear_values=lambda _: (0.0, 0.0), float_kernel=lambda l1, l2: 0.0, optimum=None,
         )
         zero_form = SimpleNamespace(weights=([0.0] * 4, [0.0] * 4))
         cfg = dl.EAConfig(max_iterations=50, trace_stride=1)
@@ -294,7 +294,7 @@ class TestRunEA:
         # valuing the start point works; valuing the first offspring raises
         failing = SimpleNamespace(
             domain_size=4, mutation_probability=0.25, value=inst.value,
-            linear_values=inst.linear_values, combine=broken, optimum=inst.optimum,
+            linear_values=inst.linear_values, float_kernel=broken, optimum=inst.optimum,
         )
         cfg = dl.EAConfig(max_iterations=10, mutation_probability=1.0)
         with pytest.raises(RuntimeError, match="boom"):

@@ -151,8 +151,10 @@ class TestScalingStudy:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_workers_do_not_change_results(self, tmp_path):
+        # the pool pickles each instance, so a worker compiles its own float kernel
         inputs = [
             make_cfg(replicates=4),
+            make_cfg(preset="chance", replicates=4),
             make_cfg(preset=None, n_values=(12,), s=2, weight_high=9, replicates=4, fresh_instances=True),
             ExperimentConfig(kind="escape", n_values=(6, 8), replicates=4, seed=2),
         ]

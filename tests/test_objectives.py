@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -552,3 +553,15 @@ class TestInstanceFiles:
         dl.save_chance_instance(c, path)
         again = dl.load_chance_instance(path)
         assert again.to_dict() == c.to_dict()
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 11])
+def test_multimodal_float_kernel_is_float_combine_on_every_pair(n):
+    inst = dl.MultimodalInstance(n)
+    again = pickle.loads(pickle.dumps(inst))
+    for l1 in (0.0, 1.0):
+        for l2 in map(float, range(n)):
+            expected = float(inst.combine(l1, l2))
+            for kernel in (inst.float_kernel, again.float_kernel):
+                got = kernel(l1, l2)
+                assert type(got) is float and got.hex() == expected.hex()

@@ -7,6 +7,7 @@ import pytest
 import driftlab as dl
 from driftlab import transforms
 from driftlab.transforms import MonotoneTransform, from_name
+from oracle_drift import transform_value
 
 CATALOG = [
     dl.identity(),
@@ -36,6 +37,14 @@ def test_scalar_gets_the_bits_of_an_array_element(transform):
     values = dl.RandomSource(32).generator.uniform(0, 1e3, size=2000)
     batch = transform.apply(values)
     assert all(transform.apply(v) == b for v, b in zip(values.tolist(), batch))
+
+
+@pytest.mark.parametrize("transform", CATALOG, ids=lambda t: t.kind)
+def test_evaluator_matches_the_independent_oracle(transform):
+    # compiled from the kind table's expressions; the oracle spells each kind out in plain Python
+    values = dl.RandomSource(36).generator.uniform(0, 1e3, size=500).tolist()
+    got = transform.apply(np.array(values)).tolist()
+    assert got == pytest.approx([transform_value(transform.to_dict(), v) for v in values], rel=1e-12)
 
 
 def test_known_values():
@@ -156,3 +165,80 @@ def test_named_lookup():
     assert from_name("scaled_square_root").kind == "compose"
     with pytest.raises(ValueError):
         from_name("cube")
+
+
+# Transform pairs for the float kernel: every kind, and compose chains of depth
+# 2 and 3 with scale(0), affine with a negative b, and a square root of a
+# negative value (numpy's nan, which math.sqrt rejects).
+KERNEL_PAIRS = [
+    (dl.identity(), dl.identity()),
+    (dl.square(), dl.square_root()),
+    (dl.power(3), dl.power(0.7)),
+    (dl.power(1.5), dl.scale(1.96)),
+    (dl.scale(0.0), dl.affine(2.5, -4.0)),
+    (dl.square_root(), dl.affine(0.3, -0.1)),
+    (dl.compose(dl.scale(1.96), dl.square_root()), dl.compose(dl.square(), dl.affine(0.5, 1.0))),
+    (dl.compose(dl.compose(dl.scale(3.0), dl.square_root()), dl.power(2)), dl.compose(dl.scale(0.0), dl.square())),
+    (dl.compose(dl.affine(1.0, -7.5), dl.compose(dl.square_root(), dl.power(1.5))),
+     dl.compose(dl.power(2.5), dl.compose(dl.affine(3.0, 2.0), dl.scale(0.5)))),
+    (dl.compose(dl.square_root(), dl.affine(1.0, -5.0)), dl.compose(dl.square(), dl.affine(2.0, -9.0))),
+]
+
+
+def _kernel_values() -> list:
+    """Integers 0..20000, random reals, and integers up to 2**52."""
+    gen = dl.RandomSource(34).generator
+    return (
+        [float(v) for v in range(20001)]
+        + gen.uniform(0, 1e6, size=2000).tolist()
+        + gen.integers(0, 2**52, size=2000, endpoint=True).astype(float).tolist()
+    )
+
+
+def test_kernel_pairs_cover_every_kind():
+    def kinds(t):
+        return {t.kind} | (kinds(t.outer) | kinds(t.inner) if t.kind == "compose" else set())
+    assert set().union(*(kinds(t) for pair in KERNEL_PAIRS for t in pair)) == set(transforms._KINDS)
+
+
+@pytest.mark.parametrize("h1, h2", KERNEL_PAIRS, ids=lambda t: t.kind)
+def test_float_kernel_is_float_combine_bit_for_bit(h1, h2):
+    inst = dl.generate_instance(8, 0, "1/2", weight_scheme="all-ones", transforms=(h1, h2))
+    kernel = inst.float_kernel
+    values = _kernel_values()
+    others = values[7:] + values[:7]
+    with np.errstate(invalid="ignore"):
+        for a, b in zip(values, others):
+            got = kernel(a, b)
+            assert type(got) is float
+            assert _bits(got) == _bits(float(inst.combine(a, b))), (a, b)
+
+
+def test_float_kernel_keeps_np_power(monkeypatch):
+    """power(1.5) on 0..20000: math.pow differs from np.power for some of
+    these values on some platforms, and the kernel must follow np.power."""
+    values = [float(v) for v in range(20001)]
+    reference = dl.power(1.5).apply(np.array(values)).tolist()
+
+    def kernel_mismatches():
+        inst = dl.generate_instance(8, 0, "1/2", weight_scheme="all-ones", transforms=(dl.power(1.5), dl.identity()))
+        return sum(_bits(inst.float_kernel(v, 0.0)) != _bits(r) for v, r in zip(values, reference))
+
+    assert kernel_mismatches() == 0
+    if all(math.pow(v, 1.5) == r for v, r in zip(values, reference)):
+        pytest.skip("math.pow equals np.power on these values on this platform")
+    monkeypatch.setitem(transforms.FLOAT_FUNCTIONS, "power", math.pow)
+    assert kernel_mismatches() > 0
+
+
+@pytest.mark.parametrize("inst", [
+    dl.build_chance(dl.ChanceInstance(np.arange(1, 9.0), np.arange(1, 9.0) / 2, 0.9)),
+    dl.generate_instance(12, 2, "7/12", rng=dl.RandomSource(35),
+                         transforms=(dl.compose(dl.power(1.5), dl.affine(2.0, 1.0)), "scaled_square_root")),
+], ids=["chance", "compose"])
+def test_compiled_kernel_survives_a_pickle_round_trip(inst):
+    values = _kernel_values()[::50]
+    expected = [inst.float_kernel(a, b) for a, b in zip(values, values[::-1])]  # compiled before pickling
+    again = pickle.loads(pickle.dumps(inst))
+    assert [again.float_kernel(a, b) for a, b in zip(values, values[::-1])] == expected
+    assert again.to_dict() == inst.to_dict()
