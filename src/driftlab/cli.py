@@ -13,8 +13,10 @@ failure, 3 a --check verification failed.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
 import sys
 from typing import Optional
 
@@ -128,6 +130,18 @@ def _merge_options(args: argparse.Namespace, kind: str) -> ExperimentConfig:
     return resolve_config(kind, options)
 
 
+def _check_report_path(path: str) -> None:
+    """Raise OSError unless a report can be placed at path: its parent is an
+    existing directory and the path itself is not one.  Checked before the
+    study runs, so that a mistyped --out/--json does not cost its compute."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        raise OSError(code, os.strerror(code), parent)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
 def cli_main(argv: Optional[list] = None) -> int:
     parser = _build_parser()
     try:
@@ -137,6 +151,9 @@ def cli_main(argv: Optional[list] = None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         cfg = _merge_options(args, args.command)
+        for path in (cfg.out_csv, cfg.out_json):
+            if path:
+                _check_report_path(path)
         bundle = run_experiment(cfg)
         if cfg.out_csv:
             bundle.write_csv(cfg.out_csv)

@@ -12,6 +12,7 @@ carry no timestamps.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import statistics
@@ -32,6 +33,7 @@ from .objectives import (
     generate_instance,
     load_chance_instance,
     load_instance,
+    write_in_place,
 )
 from .potential import build_combined_potential, zero_weight_positions
 from .rng import RandomSource
@@ -309,17 +311,17 @@ class ReportBundle:
 
     def write_json(self, path) -> None:
         document = self.to_json_dict() if self.json_document is None else self.json_document
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(_json_value(document), fh, indent=2, sort_keys=True, allow_nan=False)
-            fh.write("\n")
+        text = json.dumps(_json_value(document), indent=2, sort_keys=True, allow_nan=False)
+        write_in_place(path, text + "\n")
 
     def write_csv(self, path) -> None:
         columns = STUDIES[self.kind].columns
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            for row in self.rows:
-                writer.writerow([getattr(row, c) for c in columns])
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(columns)
+        for row in self.rows:
+            writer.writerow([getattr(row, c) for c in columns])
+        write_in_place(path, buffer.getvalue())
 
 
 def _chance_preset(m: int, confidence: float) -> ChanceInstance:

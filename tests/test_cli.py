@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import driftlab
+import driftlab.cli
 from driftlab import experiments
 from driftlab.cli import cli_main
 
@@ -36,12 +37,24 @@ class TestScaleCommand:
         assert code == 1
         assert "usage" in capsys.readouterr().err
 
-    def test_io_error_exit_code(self, tmp_path):
-        missing_dir = tmp_path / "no" / "such" / "dir" / "r.csv"
-        code = cli_main(
-            ["scale", "--preset", "onemax", "--n", "16", "--reps", "2", "--out", str(missing_dir)]
-        )
-        assert code == 2
+    def test_io_error_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a report that cannot be placed fails before the study runs; cli_main
+        # calls the name bound in driftlab.cli
+        def no_study(cfg):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(experiments, "run_experiment", no_study)
+        monkeypatch.setattr(driftlab.cli, "run_experiment", no_study)
+        a_file = tmp_path / "a-file"
+        a_file.write_text("")
+        bad_paths = [tmp_path / "no" / "such" / "dir" / "r", a_file / "r", tmp_path]
+        for flag in ("--out", "--json"):
+            for path in bad_paths:
+                code = cli_main(
+                    ["scale", "--preset", "onemax", "--n", "16", "--reps", "2", flag, str(path)]
+                )
+                assert code == 2, (flag, path)
+                assert capsys.readouterr().err.startswith("I/O error: ")
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -320,6 +333,20 @@ class TestTopLevel:
         )
         assert result.returncode == 0
         assert "scale:" in result.stdout
+
+    def test_reports_to_a_pipe_and_to_dev_null(self):
+        # a pipe cannot be truncated: writing a report to one must not try
+        tail = [sys.executable, "-m", "driftlab.cli", "tail", "--preset", "onemax", "--n", "8",
+                "--reps", "5"]
+        piped = subprocess.run(tail + ["--out", "/dev/stdout", "--json", "/dev/stdout"],
+                               stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert piped.returncode == 0, piped.stderr
+        assert piped.stdout.startswith("r,threshold,exceed_freq,bound\n")
+        assert '\n  "kind": "tail",\n' in piped.stdout
+        assert "tail: 3 rows, checks ok" in piped.stdout
+        nulled = subprocess.run(tail + ["--out", "/dev/null", "--json", "/dev/null"],
+                                capture_output=True, text=True)
+        assert nulled.returncode == 0, nulled.stderr
 
 
 _SCIPY_PROBE = """

@@ -1,6 +1,9 @@
 import concurrent.futures
+import functools
 import json
 import math
+import os
+import stat
 from dataclasses import replace
 from fractions import Fraction
 
@@ -196,6 +199,52 @@ class TestScalingStudy:
         bundle.write_csv(path)
         header = path.read_text().splitlines()[0]
         assert header == "n,s,alpha,reps,censored,mean_T,sd_T,median_T,ratio_nlogn"
+
+
+@pytest.fixture(scope="module")
+def file_writers():
+    """Each way driftlab writes a file, as a function of the path alone."""
+    bundle = dl.scaling_study(make_cfg(n_values=(16,), replicates=2))
+    chance = dl.ChanceInstance([2.0, 4.0, 1.0], [1.0, 0.5, 1.5], 0.8)
+    return {
+        "write_csv": bundle.write_csv,
+        "write_json": bundle.write_json,
+        "save_instance": functools.partial(dl.save_instance, dl.onemax(8)),
+        "save_chance_instance": functools.partial(dl.save_chance_instance, chance),
+    }
+
+
+@pytest.mark.parametrize("writer", ["write_csv", "write_json", "save_instance", "save_chance_instance"])
+class TestFileWriting:
+    """Files are rewritten in place, with the bytes and effects of a fresh write."""
+
+    def test_overwrite_of_a_longer_file_leaves_the_fresh_bytes(self, tmp_path, file_writers, writer):
+        write = file_writers[writer]
+        fresh, over = tmp_path / "fresh", tmp_path / "over"
+        write(fresh)
+        over.write_bytes(b"x" * 10_000)
+        write(over)
+        assert 0 < fresh.stat().st_size < 10_000
+        assert over.read_bytes() == fresh.read_bytes()
+
+    def test_symlink_is_written_through(self, tmp_path, file_writers, writer):
+        write = file_writers[writer]
+        target, link, fresh = tmp_path / "target", tmp_path / "link", tmp_path / "fresh"
+        target.write_bytes(b"x" * 10_000)
+        link.symlink_to(target)
+        write(link)
+        write(fresh)
+        assert link.is_symlink()
+        assert target.read_bytes() == fresh.read_bytes()
+
+    def test_new_file_mode_follows_umask(self, tmp_path, file_writers, writer):
+        path = tmp_path / "new"
+        umask = os.umask(0o002)
+        try:
+            file_writers[writer](path)
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~0o002
 
 
 class TestEscapeStudy:
