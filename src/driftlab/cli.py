@@ -21,7 +21,7 @@ import sys
 from typing import Optional
 
 from .experiments import PRESETS, STUDIES, ExperimentConfig, resolve_config, run_experiment
-from .objectives import EMBEDDING_SCHEMES, WEIGHT_SCHEMES
+from .objectives import EMBEDDING_SCHEMES, WEIGHT_SCHEMES, write_in_place
 from .version import __version__
 
 # The flag of each ExperimentConfig field and its argparse keywords.
@@ -142,6 +142,22 @@ def _check_report_path(path: str) -> None:
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
+def _write_report(path: str, text: str) -> None:
+    """Write a report to path in place, or through sys.stdout when path is
+    standard output's file (``/dev/stdout``, say).  Opened afresh, a
+    redirected stdout's file starts at offset 0: a second report would
+    overwrite the first, and the summary printed after them both."""
+    try:
+        to_stdout = os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (AttributeError, OSError, ValueError):  # no such file yet, or a stdout without a descriptor
+        to_stdout = False
+    if to_stdout:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    else:
+        write_in_place(path, text)
+
+
 def cli_main(argv: Optional[list] = None) -> int:
     parser = _build_parser()
     try:
@@ -156,9 +172,9 @@ def cli_main(argv: Optional[list] = None) -> int:
                 _check_report_path(path)
         bundle = run_experiment(cfg)
         if cfg.out_csv:
-            bundle.write_csv(cfg.out_csv)
+            _write_report(cfg.out_csv, bundle.csv_text())
         if cfg.out_json:
-            bundle.write_json(cfg.out_json)
+            _write_report(cfg.out_json, bundle.json_text())
         checks = "ok" if bundle.passed else "FAILED"
         print(f"{bundle.kind}: {len(bundle.rows)} rows, checks {checks}")
         for note in bundle.notes:

@@ -19,14 +19,20 @@ is consumed in that sparse order, and the same (instance, config, stream)
 gives the same run.
 
 The simulation is one fused loop over the non-empty iterations of each
-block.  K = 1 takes the next position of the `_Mutations` pool inline, as an
-int (what `_Mutations.positions(1)` would return), and updates the pair from
-it directly; larger K call `positions`.  The pool, its cursor and its refill
-rule (`_Mutations.refill`) have that one owner.  The pair update, the
-selection and the optimality test are written out in the loop, with the full
-re-sum behind a per-iteration branch, so an offspring costs one
-`float_kernel` call, plus `positions` for K >= 2 and `linear_values` without
-a linear form.
+block.  K = 1, and K = 2 when K*K <= m, take their positions from the
+`_Mutations` pool inline, as ints, with the draws `_Mutations.positions`
+would make (K = 2 redraws both on a repeat); every other K calls
+`positions`.  The pool, its refill rule (`_Mutations.refill`) and the
+exact subset draw have that one owner; the loop keeps the pool's cursor in
+a local and stores it back before each `positions` call.  With a linear
+form the loop carries, per position, what a flip adds to the pair (+w while
+the bit is 0, -w while it is 1), so an offspring's pair is l1 + d1[j]
+(+ d1[i]) with no branch on the bit, and an accepted flip negates the
+entries; the sums stay exact under `LinearForm`'s rule.  The selection and
+the optimality test are written out in the loop, with the full re-sum
+behind a per-iteration branch, so an offspring costs one `float_kernel`
+call, plus `positions` for the other K and `linear_values` without a
+linear form.
 
 `standard_bit_mutation` (the dense one-step draw, one uniform per bit) and
 its `MutationEvent` are kept only because the benchmark tracer wraps that
@@ -223,6 +229,9 @@ def run_ea(
         bits = x.tolist()
         w1, w2 = form.weights
         l1, l2 = sum(compress(w1, bits), 0.0), sum(compress(w2, bits), 0.0)
+        # what flipping position j adds to the pair: +w while bit j is 0, -w while it is 1
+        d1 = [-w if b else w for w, b in zip(w1, bits)]
+        d2 = [-w if b else w for w, b in zip(w2, bits)]
 
     samples = []
     snapshot = None  # (f, phi, ones) of the current parent, once computed
@@ -248,6 +257,10 @@ def run_ea(
         stride = config.trace_stride
         next_mark = stride or budget + 1  # next stride record still to write (none without a stride)
         mutations = _Mutations(gen, m, p)
+        pool, at = mutations.pool, 0  # the pool's cursor, stored back before each positions() call
+        # the largest K drawn inline: K*K <= m, and positions(1) draws nothing when m = 1
+        inline = 0 if m == 1 else 1 if m < 4 else 2
+        linear = form is not None
         done = 0  # iterations simulated so far
         while hitting_time is None and done < budget:
             offsets, counts, size = mutations.block()
@@ -259,50 +272,60 @@ def run_ea(
                 while next_mark < t:
                     record(next_mark)
                     next_mark += stride
-                if k == 1:  # what positions(1) gives, inline and as an int: the pool's next entry
-                    if m == 1:
-                        flips = 0
-                    else:
-                        pool, at = mutations.pool, mutations.at
-                        if at == len(pool):
-                            pool, at = mutations.refill(1), 0
-                        flips = pool[at]
-                        mutations.at = at + 1
-                else:
+                if k > inline:
+                    mutations.at = at
                     flips = mutations.positions(k)
-                if form is None:
+                    pool, at = mutations.pool, mutations.at
+                    if linear:
+                        y1, y2 = l1, l2
+                        for j in flips:
+                            y1 += d1[j]
+                            y2 += d2[j]
+                elif k == 1:
+                    if at == len(pool):
+                        pool, at = mutations.refill(1), 0
+                    j = pool[at]
+                    at += 1
+                    if linear:
+                        y1, y2 = l1 + d1[j], l2 + d2[j]
+                    else:
+                        flips = j
+                else:
+                    while True:  # a repeated position redraws both
+                        if at + 2 > len(pool):
+                            pool, at = mutations.refill(2), 0
+                        j, i = pool[at], pool[at + 1]
+                        at += 2
+                        if j != i:
+                            break
+                    if linear:
+                        y1, y2 = l1 + d1[j] + d1[i], l2 + d2[j] + d2[i]
+                    else:
+                        flips = [j, i]
+                if not linear:
                     x[flips] ^= 1
                     y1, y2 = linear_values(x)
                     y1, y2 = float(y1), float(y2)
-                elif k == 1:
-                    if bits[flips]:
-                        y1, y2 = l1 - w1[flips], l2 - w2[flips]
-                    else:
-                        y1, y2 = l1 + w1[flips], l2 + w2[flips]
-                else:
-                    y1, y2 = l1, l2
-                    for j in flips:
-                        if bits[j]:
-                            y1 -= w1[j]
-                            y2 -= w2[j]
-                        else:
-                            y1 += w1[j]
-                            y2 += w2[j]
                 f_y = kernel(y1, y2)
                 if f_y <= f_x:
-                    if form is not None:
-                        if k == 1:
-                            bits[flips] ^= 1
-                        else:
+                    if linear:
+                        if k > inline:
                             for j in flips:
                                 bits[j] ^= 1
+                                d1[j], d2[j] = -d1[j], -d2[j]
+                        else:
+                            bits[j] ^= 1
+                            d1[j], d2[j] = -d1[j], -d2[j]
+                            if k == 2:
+                                bits[i] ^= 1
+                                d1[i], d2[i] = -d1[i], -d2[i]
                     l1, l2, f_x = y1, y2, f_y
                     accepted_steps += 1
                     snapshot = None
                     if (l1, l2) == optimum:
                         hitting_time = t
                         break
-                elif form is None:
+                elif not linear:
                     x[flips] ^= 1
             done += size
         final_t = budget if hitting_time is None else hitting_time

@@ -16,7 +16,7 @@ import io
 import json
 import math
 import statistics
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -110,6 +110,12 @@ def _items(value) -> tuple:
         return (value,)
 
 
+def _fields_dict(obj) -> dict:
+    """A dataclass's fields as a new dict of the same values.  Unlike asdict
+    it copies no value: the configs and rows here hold only immutable ones."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 @dataclass
 class ExperimentConfig:
     """Complete description of one experiment; round-trips through to_dict."""
@@ -186,7 +192,7 @@ class ExperimentConfig:
             raise ValueError("mutation probability must lie in (0, 1]")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        d = _fields_dict(self)
         d["alpha"] = f"{self.alpha.numerator}/{self.alpha.denominator}"
         d["n_values"] = list(self.n_values)
         d["transforms"] = list(self.transforms)
@@ -301,7 +307,7 @@ class ReportBundle:
         return {
             "kind": self.kind,
             "config": self.cfg.to_dict(),
-            "rows": [asdict(r) for r in self.rows],
+            "rows": [_fields_dict(r) for r in self.rows],
             "fits": self.fits,
             "environment": {"artifact": "driftlab", "version": __version__, "seed": self.cfg.seed},
             "checks": self.checks,
@@ -309,19 +315,26 @@ class ReportBundle:
             "extras": self.extras,
         }
 
-    def write_json(self, path) -> None:
+    def json_text(self) -> str:
+        """The JSON report: the bundle, or json_document when the kind has one."""
         document = self.to_json_dict() if self.json_document is None else self.json_document
-        text = json.dumps(_json_value(document), indent=2, sort_keys=True, allow_nan=False)
-        write_in_place(path, text + "\n")
+        return json.dumps(_json_value(document), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
-    def write_csv(self, path) -> None:
+    def csv_text(self) -> str:
+        """The CSV report: the study's columns, one line per row."""
         columns = STUDIES[self.kind].columns
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(columns)
         for row in self.rows:
             writer.writerow([getattr(row, c) for c in columns])
-        write_in_place(path, buffer.getvalue())
+        return buffer.getvalue()
+
+    def write_json(self, path) -> None:
+        write_in_place(path, self.json_text())
+
+    def write_csv(self, path) -> None:
+        write_in_place(path, self.csv_text())
 
 
 def _chance_preset(m: int, confidence: float) -> ChanceInstance:
@@ -432,7 +445,7 @@ def fit_nlogn(rows: Sequence) -> FitResult:
 
 def _fit_dict(rows) -> Optional[dict]:
     try:
-        return asdict(fit_nlogn(rows))
+        return _fields_dict(fit_nlogn(rows))
     except ValueError:
         return None
 

@@ -691,7 +691,7 @@ def generate_instance(
     needs_rng = weight_scheme == "uniform-int" or embedding_scheme == "random"
     if needs_rng and rng is None:
         raise ValueError(f"weight scheme {weight_scheme!r}/embedding {embedding_scheme!r} needs a RandomSource")
-    gen = rng.generator if rng is not None else None
+    gen = rng.generator if needs_rng else None  # a source that draws nothing builds no generator
 
     m = n - s
     k1 = int(alpha * n)

@@ -348,6 +348,18 @@ class TestTopLevel:
                                 capture_output=True, text=True)
         assert nulled.returncode == 0, nulled.stderr
 
+    def test_reports_to_stdout_redirected_to_a_file(self, tmp_path):
+        # both reports and the summary follow one another in the file, as in a pipe
+        tail = [sys.executable, "-m", "driftlab.cli", "tail", "--preset", "onemax", "--n", "8",
+                "--reps", "5", "--out", "/dev/stdout", "--json", "/dev/stdout"]
+        piped = subprocess.run(tail, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert piped.returncode == 0, piped.stderr
+        path = tmp_path / "out.txt"
+        with open(path, "wb") as fh:
+            filed = subprocess.run(tail, stdout=fh, stderr=subprocess.PIPE)
+        assert filed.returncode == 0, filed.stderr
+        assert path.read_bytes() == piped.stdout
+
 
 _SCIPY_PROBE = """
 import sys

@@ -47,6 +47,41 @@ class TestRandomSource:
         with pytest.raises(ValueError):
             dl.RandomSource(-1)
 
+    def test_generator_is_built_on_first_draw(self, monkeypatch):
+        built = []
+        philox = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", lambda seq: built.append(seq) or philox(seq))
+        source = dl.RandomSource(9, spawn_key=(4,))
+        child = source.spawn(2)
+        repr(child)
+        assert built == []  # construction, spawn and repr build no stream
+        gen = child.generator
+        assert child.generator is gen and len(built) == 1
+        expected = np.random.Generator(philox(np.random.SeedSequence(9, spawn_key=(4, 2))))
+        assert np.array_equal(gen.random(20), expected.random(20))
+
+    def test_instances_that_draw_nothing_build_no_stream(self, monkeypatch):
+        built = []
+        philox = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", lambda seq: built.append(seq) or philox(seq))
+        dl.generate_instance(8, 0, "1/2", weight_scheme="all-ones", rng=dl.RandomSource(1))
+        assert built == []
+        dl.generate_instance(8, 0, "1/2", weight_scheme="uniform-int", rng=dl.RandomSource(1))
+        assert len(built) == 1
+
+    def test_fresh_and_used_sources_survive_pickling(self):
+        import pickle
+
+        fresh = dl.RandomSource(3, spawn_key=(1, 2))
+        copy = pickle.loads(pickle.dumps(fresh))
+        assert (copy.seed, copy.spawn_key) == (fresh.seed, fresh.spawn_key)
+        assert np.array_equal(copy.generator.random(10), dl.RandomSource(3, (1, 2)).generator.random(10))
+        used = dl.RandomSource(3, spawn_key=(1, 2))
+        used.generator.random(7)
+        copy = pickle.loads(pickle.dumps(used))
+        # the copy continues where the original stands, not from the start
+        assert np.array_equal(copy.generator.random(10), used.generator.random(10))
+
 
 class TestStandardBitMutation:
     def test_no_flips_returns_parent(self):
@@ -481,6 +516,104 @@ class TestSparseEngine:
         short = dl.run_ea(inst, dl.EAConfig(max_iterations=40, trace_stride=1), dl.RandomSource(6), initial)
         long = dl.run_ea(inst, dl.EAConfig(max_iterations=400, trace_stride=1), dl.RandomSource(6), initial)
         assert long.samples[:41] == short.samples
+
+
+def reference_run(instance, config, rng, initial=None, potential=None):
+    """run_ea written plainly: one pass per iteration, every non-empty one
+    drawn by `_Mutations.positions(k)` and valued bit by bit with `if x[j]`
+    (or re-summed in full without a linear form).  Its (hitting time,
+    accepted steps, samples, final state) must be run_ea's."""
+    m = instance.domain_size
+    p = config.mutation_probability or instance.mutation_probability
+    gen = rng.generator
+    x = gen.integers(0, 2, m, dtype=np.uint8) if initial is None else np.array(initial, dtype=np.uint8)
+    form = getattr(instance, "linear_form", None)
+    f_x = instance.value(x)
+    l1, l2 = (float(v) for v in instance.linear_values(x))
+
+    def sample(t):
+        phi = None if potential is None else float(potential(x.copy()))
+        return (t, f_x, phi, int(np.count_nonzero(x)))
+
+    samples = [sample(0)]
+    hitting_time, accepted, t = None, 0, 0
+    budget, stride = config.max_iterations, config.trace_stride
+    if (l1, l2) == instance.optimum:
+        hitting_time = 0
+    mutations = _Mutations(gen, m, p)
+    while hitting_time is None and t < budget:
+        offsets, counts, size = mutations.block()
+        flip_counts = dict(zip(offsets, counts))
+        for offset in range(size):
+            t += 1
+            k = flip_counts.get(offset, 0)
+            if k:
+                flips = mutations.positions(k)
+                y = x.copy()
+                y[flips] ^= 1
+                if form is None:
+                    y1, y2 = (float(v) for v in instance.linear_values(y))
+                else:
+                    y1, y2 = l1, l2
+                    for j in flips:
+                        if x[j]:
+                            y1, y2 = y1 - form.weights[0][j], y2 - form.weights[1][j]
+                        else:
+                            y1, y2 = y1 + form.weights[0][j], y2 + form.weights[1][j]
+                f_y = instance.float_kernel(y1, y2)
+                if f_y <= f_x:
+                    x, l1, l2, f_x = y, y1, y2, f_y
+                    accepted += 1
+                    if (l1, l2) == instance.optimum:
+                        hitting_time = t
+                        break
+            if t == budget:
+                break
+            if stride and t % stride == 0:
+                samples.append(sample(t))
+    if hitting_time != 0:
+        samples.append(sample(budget if hitting_time is None else hitting_time))
+    return hitting_time, accepted, samples, x
+
+
+def composite(m, weight_scheme, s=1):
+    """A generated instance on m positions: n = m + s nominal bits, alpha = 1/2."""
+    return dl.generate_instance(m + s, s, "1/2", weight_scheme=weight_scheme, rng=dl.RandomSource(m))
+
+
+def reference_cases():
+    """name -> (instance, EAConfig, initial or None, potential or None)."""
+    cases = {"m1": (single_bit_instance(), dl.EAConfig(50, mutation_probability=0.5), bits(1), None)}
+    for m in (2, 3, 4, 5, 10, 64):
+        for scheme in ("all-ones", "uniform-int"):
+            inst = composite(m, scheme, s=m % 2)  # n = m + s even, so alpha*n is an integer
+            # p = 1/n makes K = 1 and 2 most of the flips; p = 2/m makes K*K > m common
+            for label, p in (("", None), ("-p2", min(1.0, 2.0 / m))):
+                cases[f"m{m}-{scheme}{label}"] = (inst, dl.EAConfig(3000, mutation_probability=p), None, None)
+    doubling = dl.generate_instance(128, 0, "1/2", weight_scheme="doubling")
+    assert doubling.linear_form is None
+    cases["doubling128"] = (doubling, dl.EAConfig(dl.default_budget(128)), None, None)
+    multimodal = dl.MultimodalInstance(8)
+    cases["multimodal8"] = (multimodal, dl.EAConfig(3000), multimodal.local_optimum(3), None)
+    onemax16 = dl.onemax(16)
+    cases["stride3"] = (onemax16, dl.EAConfig(400, trace_stride=3), None, onemax16.value)
+    # budgets that end inside the first block (32) and the second (32 + 64)
+    for budget in (31, 33, 50, 95):
+        cases[f"budget{budget}"] = (dl.onemax(64), dl.EAConfig(budget, trace_stride=4), None, None)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(reference_cases()))
+def test_run_ea_matches_reference_loop(name):
+    instance, config, initial, potential = reference_cases()[name]
+    for seed in range(6):
+        trace = dl.run_ea(instance, config, dl.RandomSource(seed), initial=initial, potential=potential)
+        hitting_time, accepted, samples, final_state = reference_run(
+            instance, config, dl.RandomSource(seed), initial=initial, potential=potential)
+        assert trace.hitting_time == hitting_time, seed
+        assert trace.accepted_steps == accepted, seed
+        assert trace.samples == samples, seed
+        assert np.array_equal(trace.final_state, final_state), seed
 
 
 def golden_cases():
