@@ -24,9 +24,20 @@ from .experiments import PRESETS, STUDIES, ExperimentConfig, resolve_config, run
 from .objectives import EMBEDDING_SCHEMES, WEIGHT_SCHEMES, write_in_place
 from .version import __version__
 
+
+def _sizes(text: str) -> tuple:
+    """The sizes of --n (or --m), comma-separated, each read by int(), which
+    never truncates text."""
+    try:
+        return tuple(int(size) for size in text.split(",") if size != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"sizes must be comma-separated integers, got {text!r}") from None
+
+
 # The flag of each ExperimentConfig field and its argparse keywords.
 _FLAGS = {
-    "n_values": ("--n", {"help": "problem size n (scale, escape: comma-separated sizes, e.g. 64,128)"}),
+    "n_values": ("--n", {"type": _sizes,
+                         "help": "problem size n (scale, escape: comma-separated sizes, e.g. 64,128)"}),
     "preset": ("--preset", {"choices": PRESETS}),
     "s": ("--s", {"type": int, "help": "overlap between the two parts (default 0)"}),
     "alpha": ("--alpha", {"help": "balance fraction, e.g. 1/2"}),
@@ -57,7 +68,7 @@ _FLAGS = {
     "out_csv": ("--out", {"help": "CSV report path"}),
     "out_json": ("--json", {"help": "JSON report path"}),
 }
-_KIND_FLAGS = {("chance", "n_values"): ("--m", {"help": "item count m"})}
+_KIND_FLAGS = {("chance", "n_values"): ("--m", {"type": _sizes, "help": "item count m"})}
 
 # Config-file keys are field names or flag names; "m" and "n" both set the size.
 _ALIASES = {flag.lstrip("-").replace("-", "_"): name for name, (flag, _) in _FLAGS.items()}

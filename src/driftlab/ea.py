@@ -18,21 +18,30 @@ and the kernel equals float(combine(l1, l2)) bit for bit.  The random stream
 is consumed in that sparse order, and the same (instance, config, stream)
 gives the same run.
 
-The simulation is one fused loop over the non-empty iterations of each
-block.  K = 1, and K = 2 when K*K <= m, take their positions from the
-`_Mutations` pool inline, as ints, with the draws `_Mutations.positions`
-would make (K = 2 redraws both on a repeat); every other K calls
-`positions`.  The pool, its refill rule (`_Mutations.refill`) and the
-exact subset draw have that one owner; the loop keeps the pool's cursor in
-a local and stores it back before each `positions` call.  With a linear
-form the loop carries, per position, what a flip adds to the pair (+w while
-the bit is 0, -w while it is 1), so an offspring's pair is l1 + d1[j]
-(+ d1[i]) with no branch on the bit, and an accepted flip negates the
-entries; the sums stay exact under `LinearForm`'s rule.  The selection and
-the optimality test are written out in the loop, with the full re-sum
-behind a per-iteration branch, so an offspring costs one `float_kernel`
-call, plus `positions` for the other K and `linear_values` without a
-linear form.
+The kind of objective is decided once per run, from its `linear_form`, and
+each block's non-empty iterations go to that kind's loop, which never tests
+the kind again.  With a linear form the loop never re-sums: it carries, per
+position, what a flip adds to the pair (+w while the bit is 0, -w while it
+is 1; both lists and the start pair are built in numpy), so an offspring's
+pair is l1 + d1[j] (+ d1[i]) with no branch on the bit, an accepted flip
+negates the entries, and the sums stay exact under `LinearForm`'s rule.
+K = 1 (tested first), and K = 2 when K*K <= m, take their positions from
+the `_Mutations` pool inline, as ints, with the draws
+`_Mutations.positions` would make (K = 2 redraws both on a repeat); every
+other K calls `positions`.  The pool, its refill rule (`_Mutations.refill`)
+and the exact subset draw have that one owner; the loop keeps the pool, its
+cursor and its end in locals and stores the cursor back before each
+`positions` call.  Any other objective (float weights, or sums that may
+round) takes a plain loop: `positions(k)` for every K, the flips applied to
+the parent array, and the pair re-summed by `linear_values`.
+
+Both loops share the rest.  Each block's offsets are cut to the budget once,
+with `bisect`, when the budget ends inside it, so no offspring tests the
+budget.  The iteration number t is computed only when an offspring is
+accepted: stride records are written when the parent is about to change
+(every mark before t saw the old parent) and when the run ends, which gives
+the samples a per-iteration check would.  A rejected offspring thus costs
+its position draw, its pair, one `float_kernel` call and one comparison.
 
 `standard_bit_mutation` (the dense one-step draw, one uniform per bit) and
 its `MutationEvent` are kept only because the benchmark tracer wraps that
@@ -43,8 +52,8 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,6 +71,10 @@ class EAConfig:
     trace_stride: int = 0  # 0 records endpoints only
 
     def __post_init__(self):
+        # the rule of objectives.non_integers, inline: `tail` builds one config per replicate
+        if type(self.max_iterations) is not int or type(self.trace_stride) is not int:
+            raise ValueError(f"max_iterations and trace_stride must be integers, got "
+                             f"{self.max_iterations!r} and {self.trace_stride!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if self.mutation_probability is not None and not 0.0 < self.mutation_probability <= 1.0:
@@ -220,119 +233,132 @@ def run_ea(
         x = start.astype(np.uint8)  # a copy: the run never writes to the caller's array
     linear_values, kernel, optimum = instance.linear_values, instance.float_kernel, instance.optimum
     f_x = instance.value(x)
+    mutations = _Mutations(gen, m, p)
     form = getattr(instance, "linear_form", None)
-    if form is None:
-        l1, l2 = linear_values(x)
-    else:
-        # the parent as a bit list and exact Python-float sums, updated in O(K);
-        # exact sums make the start pair the same bits in any order
-        bits = x.tolist()
-        w1, w2 = form.weights
-        l1, l2 = sum(compress(w1, bits), 0.0), sum(compress(w2, bits), 0.0)
+    linear = form is not None
+    if linear:
+        # exact sums: the start pair has the same bits in any order
+        weights = np.asarray(form.weights, dtype=float)
+        l1, l2 = weights.dot(x).tolist()
         # what flipping position j adds to the pair: +w while bit j is 0, -w while it is 1
-        d1 = [-w if b else w for w, b in zip(w1, bits)]
-        d2 = [-w if b else w for w, b in zip(w2, bits)]
+        d1, d2 = np.where(x, -weights, weights).tolist()
+        bits = x.tolist()  # the parent, toggled on acceptance
+        pool, at, end = mutations.pool, 0, 0  # the pool, its cursor and its length
+        # K = 1, and K = 2 when K*K <= m, are drawn inline, as positions() would
+        # draw them; where positions() draws otherwise these are 0, which no K is
+        one = 1 if m > 1 else 0
+        two = 2 if m >= 4 else 0
+    else:
+        l1, l2 = linear_values(x)
 
+    budget = config.max_iterations
+    stride = config.trace_stride or budget + 1  # without a stride no mark after 0 is reached
     samples = []
-    snapshot = None  # (f, phi, ones) of the current parent, once computed
+    next_mark = 0  # the first stride mark not yet recorded
 
-    def state() -> BitString:
-        return x if form is None else np.array(bits, dtype=np.uint8)
+    def record(stop: int, f: float, parent: list, final: bool = False) -> None:
+        """Sample the parent (a bit list), of value f, at each mark still due
+        before iteration `stop`, and at `stop` itself when the run ends there."""
+        nonlocal next_mark
+        phi = float(potential(np.array(parent, dtype=np.uint8))) if potential is not None else None
+        ones = parent.count(1)
+        while next_mark < stop:
+            samples.append((next_mark, f, phi, ones))
+            next_mark += stride
+        if final:
+            samples.append((stop, f, phi, ones))
 
-    def record(iteration: int):
-        nonlocal snapshot
-        if snapshot is None:
-            phi = float(potential(state())) if potential is not None else None
-            ones = int(np.count_nonzero(x)) if form is None else bits.count(1)
-            snapshot = (f_x, phi, ones)
-        samples.append((iteration, *snapshot))
-
-    record(0)
+    # Each block goes to the loop of the objective's kind.  An accepted
+    # offspring at iteration t first records the marks before t, which the
+    # parent it replaces held; a rejected one costs its draw, its pair, one
+    # kernel call and one comparison.
     hitting_time: Optional[int] = None
     accepted_steps = 0
     if (l1, l2) == optimum:
         hitting_time = 0
-    else:
-        budget = config.max_iterations
-        stride = config.trace_stride
-        next_mark = stride or budget + 1  # next stride record still to write (none without a stride)
-        mutations = _Mutations(gen, m, p)
-        pool, at = mutations.pool, 0  # the pool's cursor, stored back before each positions() call
-        # the largest K drawn inline: K*K <= m, and positions(1) draws nothing when m = 1
-        inline = 0 if m == 1 else 1 if m < 4 else 2
-        linear = form is not None
-        done = 0  # iterations simulated so far
-        while hitting_time is None and done < budget:
-            offsets, counts, size = mutations.block()
+    done = 0  # iterations simulated so far
+    while hitting_time is None and done < budget:
+        offsets, counts, size = mutations.block()
+        if done + size > budget:  # the budget ends in this block: cut it once
+            cut = bisect_left(offsets, budget - done)  # offset o is iteration done + o + 1
+            offsets, counts = offsets[:cut], counts[:cut]
+        if linear:
             for offset, k in zip(offsets, counts):
-                t = done + offset + 1
-                if t > budget:
-                    break
-                # the iterations since the last non-empty one left the parent as it is
-                while next_mark < t:
-                    record(next_mark)
-                    next_mark += stride
-                if k > inline:
-                    mutations.at = at
-                    flips = mutations.positions(k)
-                    pool, at = mutations.pool, mutations.at
-                    if linear:
-                        y1, y2 = l1, l2
-                        for j in flips:
-                            y1 += d1[j]
-                            y2 += d2[j]
-                elif k == 1:
-                    if at == len(pool):
+                if k == one:
+                    if at == end:
                         pool, at = mutations.refill(1), 0
+                        end = len(pool)
                     j = pool[at]
                     at += 1
-                    if linear:
-                        y1, y2 = l1 + d1[j], l2 + d2[j]
-                    else:
-                        flips = j
-                else:
+                    f_y = kernel(l1 + d1[j], l2 + d2[j])
+                    if not f_y <= f_x:
+                        continue
+                    flips = (j,)
+                elif k == two:
                     while True:  # a repeated position redraws both
-                        if at + 2 > len(pool):
+                        if at + 2 > end:
                             pool, at = mutations.refill(2), 0
+                            end = len(pool)
                         j, i = pool[at], pool[at + 1]
                         at += 2
                         if j != i:
                             break
-                    if linear:
-                        y1, y2 = l1 + d1[j] + d1[i], l2 + d2[j] + d2[i]
-                    else:
-                        flips = [j, i]
-                if not linear:
-                    x[flips] ^= 1
-                    y1, y2 = linear_values(x)
-                    y1, y2 = float(y1), float(y2)
+                    f_y = kernel(l1 + d1[j] + d1[i], l2 + d2[j] + d2[i])
+                    if not f_y <= f_x:
+                        continue
+                    flips = (j, i)
+                else:
+                    mutations.at = at  # positions() reads and moves the cursor
+                    flips = mutations.positions(k)
+                    pool, at = mutations.pool, mutations.at
+                    end = len(pool)
+                    y1, y2 = l1, l2
+                    for j in flips:
+                        y1 += d1[j]
+                        y2 += d2[j]
+                    f_y = kernel(y1, y2)
+                    if not f_y <= f_x:
+                        continue
+                t = done + offset + 1
+                if next_mark < t:
+                    record(t, f_x, bits)
+                for j in flips:  # the offspring's pair again, in the same order
+                    l1 += d1[j]
+                    l2 += d2[j]
+                    bits[j] ^= 1
+                    d1[j], d2[j] = -d1[j], -d2[j]
+                f_x = f_y
+                accepted_steps += 1
+                if (l1, l2) == optimum:
+                    hitting_time = t
+                    break
+        else:
+            for offset, k in zip(offsets, counts):
+                flips = mutations.positions(k)
+                for j in flips:  # x becomes the offspring (one bit at a time: no index array)
+                    x[j] ^= 1
+                y1, y2 = linear_values(x)
+                y1, y2 = float(y1), float(y2)
                 f_y = kernel(y1, y2)
-                if f_y <= f_x:
-                    if linear:
-                        if k > inline:
-                            for j in flips:
-                                bits[j] ^= 1
-                                d1[j], d2[j] = -d1[j], -d2[j]
-                        else:
-                            bits[j] ^= 1
-                            d1[j], d2[j] = -d1[j], -d2[j]
-                            if k == 2:
-                                bits[i] ^= 1
-                                d1[i], d2[i] = -d1[i], -d2[i]
-                    l1, l2, f_x = y1, y2, f_y
-                    accepted_steps += 1
-                    snapshot = None
-                    if (l1, l2) == optimum:
-                        hitting_time = t
-                        break
-                elif not linear:
-                    x[flips] ^= 1
-            done += size
-        final_t = budget if hitting_time is None else hitting_time
-        while next_mark < final_t:
-            record(next_mark)
-            next_mark += stride
-        record(final_t)
+                if not f_y <= f_x:
+                    for j in flips:  # and the parent again
+                        x[j] ^= 1
+                    continue
+                t = done + offset + 1
+                if next_mark < t:
+                    parent = x.tolist()
+                    for j in flips:
+                        parent[j] ^= 1
+                    record(t, f_x, parent)
+                f_x = f_y
+                accepted_steps += 1
+                if (y1, y2) == optimum:
+                    hitting_time = t
+                    break
+        done += size
+    if not linear:
+        bits = x.tolist()
+    record(budget if hitting_time is None else hitting_time, f_x, bits, final=True)
 
     return RunTrace(
         seed=rng.seed,
@@ -341,7 +367,7 @@ def run_ea(
         budget_exhausted=hitting_time is None,
         accepted_steps=accepted_steps,
         samples=samples,
-        final_state=state(),
+        final_state=np.array(bits, dtype=np.uint8) if linear else x,
     )
 
 

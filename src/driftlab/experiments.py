@@ -33,6 +33,7 @@ from .objectives import (
     generate_instance,
     load_chance_instance,
     load_instance,
+    non_integers,
     write_in_place,
 )
 from .potential import build_combined_potential, zero_weight_positions
@@ -116,6 +117,13 @@ def _fields_dict(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
+# The integer fields of ExperimentConfig besides n_values; the optional ones
+# may also be None.
+_INTEGER_FIELDS = ("s", "weight_low", "weight_high", "replicates", "budget", "seed", "workers", "states",
+                   "level_samples", "probes", "exponent", "trace_stride")
+_OPTIONAL_INTEGERS = ("budget", "states", "exponent")
+
+
 @dataclass
 class ExperimentConfig:
     """Complete description of one experiment; round-trips through to_dict."""
@@ -152,7 +160,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in STUDIES:
             raise ValueError(f"unknown experiment kind {self.kind!r}; choose from {tuple(STUDIES)}")
-        self.n_values = tuple(int(n) for n in _items(self.n_values))
+        # a size or integer option is an int, nothing int() would convert
+        self.n_values = _items(self.n_values)
+        bad = non_integers({name: getattr(self, name) for name in _INTEGER_FIELDS
+                            if getattr(self, name) is not None or name not in _OPTIONAL_INTEGERS})
+        if non_integers(dict(enumerate(self.n_values))):
+            bad["n_values"] = list(self.n_values)
+        if bad:
+            raise ValueError(f"option(s) must be integers, got {bad}")
         if not self.n_values:
             raise ValueError("at least one problem size n is required")
         if any(n < 1 for n in self.n_values):

@@ -134,18 +134,18 @@ class DomainEmbedding:
         return int(self.positions.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearForm:
     """An objective as combine(l1, l2) with linear sums that float64 keeps exact.
 
-    Every subset sum of either per-position weight list is an integer below
+    Every subset sum of either per-position weight row is an integer below
     2**53, so adding or removing one position's weight never rounds, and every
     summation order gives the same bits: a pair (l1, l2) updated one flipped
     bit at a time equals linear_values(x), and so does combine(l1, l2) and
     value(x).
     """
 
-    weights: tuple  # (w1, w2): lists of Python floats, one entry per position
+    weights: np.ndarray  # (2, m) float64, read-only: one row per part, one column per position
 
 
 def _linear_form(weights: np.ndarray) -> Optional[LinearForm]:
@@ -153,20 +153,28 @@ def _linear_form(weights: np.ndarray) -> Optional[LinearForm]:
     weight sum can round (a non-integer weight, or a part total of 2**53 or more)."""
     if not all(np.all(w == np.floor(w)) and math.fsum(w) < 2.0**53 for w in weights):
         return None
-    return LinearForm(tuple(w.tolist() for w in weights))
+    weights = weights.copy()
+    weights.flags.writeable = False
+    return LinearForm(weights)
+
+
+def non_integers(values: dict) -> dict:
+    """The entries of `values` that are no integer.  Only an int is one: a bool,
+    a float (8.0 included) or a string is not, so no int() truncates 8.5 to 8.
+    Instance files, configs and EAConfig share this rule."""
+    return {key: value for key, value in values.items() if type(value) is not int}
 
 
 def _members(d: dict, keys: tuple, optional: tuple = (), integers: tuple = (), integer_lists: tuple = ()) -> list:
     """d[key] for each key of an instance object, then d.get(key) for each
     optional key.  A missing or unknown key is a ValueError naming it, and so
-    is a value under one of `integers` that is no integer (a bool, 8.5 or "8";
-    int() would truncate 8.5 to 8), or one under `integer_lists` that is not
-    a list of integers."""
+    is a value under one of `integers` that is no integer (`non_integers`),
+    or one under `integer_lists` that is not a list of integers."""
     if missing := [key for key in keys if not isinstance(d, dict) or key not in d]:
         raise ValueError(f"instance object lacks key(s) {missing}")
     if unknown := sorted(set(d) - set(keys) - set(optional)):
         raise ValueError(f"instance object has unknown key(s) {unknown}; its keys are {sorted(keys + optional)}")
-    if bad := {key: d[key] for key in integers if key in d and type(d[key]) is not int}:
+    if bad := non_integers({key: d[key] for key in integers if key in d}):
         raise ValueError(f"instance key(s) must be integers, got {bad}")
     if bad := {key: d[key] for key in integer_lists
                if not (isinstance(d[key], list) and all(type(v) is int for v in d[key]))}:

@@ -638,6 +638,41 @@ def test_config_file_setting_a_field_twice_exits_1(tmp_path, capsys, doc):
     assert "twice" in capsys.readouterr().err
 
 
+# A config file each subcommand runs, without the integer option set next to it.
+_INTEGER_BASE = {
+    "scale": {"n": 8, "reps": 2},
+    "drift": {"n": 8},
+    "escape": {"n": 6, "reps": 2},
+    "chance": {"m": 3, "samples": 1000, "reps": 1, "probes": 0},
+    "run": {"preset": "onemax", "n": 8},
+}
+_INTEGER_OPTIONS = [
+    ("scale", "n"), ("chance", "m"), ("scale", "s"), ("scale", "wlo"), ("scale", "whi"), ("scale", "reps"),
+    ("scale", "budget"), ("scale", "seed"), ("scale", "workers"), ("drift", "states"), ("chance", "samples"),
+    ("chance", "probes"), ("escape", "exponent"), ("run", "stride"),
+]
+# null stands for no value only where the option is optional
+_NOT_INTEGERS = [
+    (kind, key, value)
+    for kind, key in _INTEGER_OPTIONS
+    for value in (2.5, 2.0, True, "2", [8, 2.0], None)
+    if not (value is None and key in ("budget", "states", "exponent"))
+    and not (isinstance(value, list) and key not in ("n", "m"))
+]
+
+
+@pytest.mark.parametrize("kind,key,value", _NOT_INTEGERS,
+                         ids=[f"{kind}-{key}-{json.dumps(value)}" for kind, key, value in _NOT_INTEGERS])
+def test_config_file_integer_options_must_be_integers(tmp_path, capsys, kind, key, value):
+    # int() would truncate 2.5 (a stride of 1.5 sampled iterations 1.5, 3.0, ...)
+    # and read true and "2"; a replicate count of 2.0 crashed with a traceback
+    doc = {**_INTEGER_BASE[kind], key: value}
+    assert cli_main([kind, "--config", write_config(tmp_path / "f.json", doc)]) == 1
+    assert "must be integers" in capsys.readouterr().err
+    doc[key] = {"n": 8, "m": 3, "s": 1, "workers": 1}.get(key, 2)  # the same file with an int runs
+    assert cli_main([kind, "--config", write_config(tmp_path / "f.json", doc)]) == 0
+
+
 def test_config_file_writing_a_key_twice_exits_1(tmp_path, capsys):
     # json.load alone keeps the last value and would run 7 replicates
     path = tmp_path / "f.json"

@@ -408,6 +408,13 @@ class TestRunEA:
             dl.EAConfig(max_iterations=10, mutation_probability=1.5)
         with pytest.raises(ValueError):
             dl.EAConfig(max_iterations=10, trace_stride=-1)
+        # integers only, as in config files: the budget is cut per block with
+        # bisect, and a stride of 1.5 would sample iterations 1.5, 3.0, ...
+        for bad in (2.5, 2.0, True, "10", None):
+            with pytest.raises(ValueError, match="must be integers"):
+                dl.EAConfig(max_iterations=bad)
+            with pytest.raises(ValueError, match="must be integers"):
+                dl.EAConfig(max_iterations=10, trace_stride=bad)
 
 
 def exact_mean_hitting_time(instance, p):
@@ -597,9 +604,30 @@ def reference_cases():
     cases["multimodal8"] = (multimodal, dl.EAConfig(3000), multimodal.local_optimum(3), None)
     onemax16 = dl.onemax(16)
     cases["stride3"] = (onemax16, dl.EAConfig(400, trace_stride=3), None, onemax16.value)
+    # a record at every iteration, so before and after every acceptance
+    cases["stride1"] = (onemax16, dl.EAConfig(400, trace_stride=1), None, onemax16.value)
     # budgets that end inside the first block (32) and the second (32 + 64)
     for budget in (31, 33, 50, 95):
         cases[f"budget{budget}"] = (dl.onemax(64), dl.EAConfig(budget, trace_stride=4), None, None)
+    # even marks, over a quarter of them on accepting iterations, and a budget
+    # that ends inside the second block before the optimum
+    onemax32 = dl.onemax(32)
+    cases["stride2-budget45"] = (onemax32, dl.EAConfig(45, trace_stride=2), None, onemax32.value)
+    # the same integer weights through the O(K) loop and, with the linear form
+    # hidden, through the full re-sum
+    uniform = composite(24, "uniform-int", s=0)
+    hidden = SimpleNamespace(
+        domain_size=uniform.domain_size, mutation_probability=uniform.mutation_probability,
+        value=uniform.value, linear_values=uniform.linear_values, float_kernel=uniform.float_kernel,
+        optimum=uniform.optimum,
+    )
+    for name, inst in (("int24", uniform), ("int24-hidden-form", hidden)):
+        cases[name] = (inst, dl.EAConfig(600, trace_stride=5), None, uniform.value)
+    floats = dl.RandomSource(12).generator.uniform(0, 3, 32)
+    separable = dl.build_separable(floats[:16], floats[16:])
+    assert separable.linear_form is None
+    cases["float32-stride7"] = (
+        separable, dl.EAConfig(400, trace_stride=7), None, dl.build_combined_potential(separable).value)
     return cases
 
 
