@@ -25,13 +25,18 @@ from .objectives import EMBEDDING_SCHEMES, WEIGHT_SCHEMES, write_in_place
 from .version import __version__
 
 
-def _sizes(text: str) -> tuple:
-    """The sizes of --n (or --m), comma-separated, each read by int(), which
-    never truncates text."""
-    try:
-        return tuple(int(size) for size in text.split(",") if size != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"sizes must be comma-separated integers, got {text!r}") from None
+def _comma_list(read, what: str):
+    """The type of a flag of comma-separated items, each read by `read`: int()
+    for sizes, which never truncates text, or float() for tail parameters."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(read(item) for item in text.split(",") if item != "")
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{what}, got {text!r}") from None
+    return parse
+
+
+_sizes = _comma_list(int, "sizes must be comma-separated integers")
 
 
 # The flag of each ExperimentConfig field and its argparse keywords.
@@ -56,7 +61,8 @@ _FLAGS = {
     "budget_multiplier": ("--budget-mult", {"type": float, "help": "budget multiplier (default 20)"}),
     "workers": ("--workers", {"type": int, "help": "parallel worker processes (default 1)"}),
     "exponent": ("--exponent", {"type": int, "help": "large-power exponent (default n^2)"}),
-    "r_values": ("--r", {"help": "comma-separated tail parameters (default 1,2,3)"}),
+    "r_values": ("--r", {"type": _comma_list(float, "tail parameters r must be comma-separated numbers"),
+                         "help": "comma-separated tail parameters (default 1,2,3)"}),
     "delta": ("--delta", {"type": float, "help": "use this drift rate instead of certifying one"}),
     "confidence": ("--alpha-c", {"type": float, "help": "guarantee level in (0,1)"}),
     "level_samples": ("--samples", {"type": int, "help": "Monte-Carlo samples per probe (default 1e6)"}),

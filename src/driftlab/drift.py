@@ -1,12 +1,15 @@
-"""Exact and Monte-Carlo drift of the combined potential, plus time/tail bounds.
+"""Exact drift of the combined potential, plus time/tail bounds.
 
 The drift of potential phi at state u is
 drift(u) = sum_y K(u ^ y) [f(y) <= f(u)] (phi(u) - phi(y)), where
 K(d) = p^|d| (1-p)^(m-|d|) is the probability of mutation mask d and ties are
-accepted as in the EA.  Exact drift at one state enumerates all 2^m masks
-(m capped at 20).  `exact_drift` also conditions the drift on how many of the
-second part's one-bits a mask flips: at least two (`drift_given_multi_flip`)
-or exactly one (`drift_given_single_flip`).
+accepted as in the EA.  Drift is only ever computed exactly: at one state
+(`_drift_at`) by enumerating all 2^m masks (m capped at 20).
+`exhaustive_drift_check` is the one certification entry, over given states
+or every state; `exact_drift` is the one-state view of `_drift_at` and also
+conditions the drift on how many of the second part's one-bits a mask flips:
+at least two (`drift_given_multi_flip`) or exactly one
+(`drift_given_single_flip`).
 
 `exhaustive_drift_check` over every state (m capped at 16) does not sweep 4^m
 pairs.  Mutation is diagonal in the Walsh basis: the Walsh-Hadamard transform
@@ -39,7 +42,6 @@ import numpy as np
 
 from .objectives import BitString, CompositeObjective, as_bits, linear_sums
 from .potential import PotentialLike, build_combined_potential, position_coefficients
-from .rng import RandomSource
 
 SINGLE_STATE_CAP = 20
 ALL_STATES_CAP = 16
@@ -113,7 +115,7 @@ class DriftSample:
     """Drift of the potential at one state, overall and per mutation class.
 
     Conditional entries are None when the conditioning event has zero
-    probability; standard_error is None for exact enumeration.
+    probability.
     """
 
     state: np.ndarray
@@ -122,9 +124,7 @@ class DriftSample:
     drift_given_accepted: Optional[float]
     drift_given_multi_flip: Optional[float]
     drift_given_single_flip: Optional[float]
-    one_bits: np.ndarray
-    acceptance_probability: Optional[float] = None
-    standard_error: Optional[float] = None
+    acceptance_probability: float
 
 
 def _drift_at(space: StateSpace, u: int, probs: np.ndarray):
@@ -188,61 +188,7 @@ def exact_drift(
         drift_given_accepted=_conditional(probs, dphi, accepted & moved),
         drift_given_multi_flip=_conditional(probs, dphi, ones_flipped_b2 >= 2),
         drift_given_single_flip=_conditional(probs, dphi, ones_flipped_b2 == 1),
-        one_bits=np.flatnonzero(x),
         acceptance_probability=float(probs[accepted & moved].sum()),
-    )
-
-
-def monte_carlo_drift(
-    instance: CompositeObjective,
-    potential: PotentialLike,
-    x: BitString,
-    p: Optional[float] = None,
-    trials: int = 10_000,
-    rng: Optional[RandomSource] = None,
-) -> DriftSample:
-    """Unbiased estimate of the one-step potential decrease, with standard error."""
-    if trials < 1_000:
-        raise ValueError("need at least 1000 trials for a meaningful estimate")
-    if rng is None:
-        raise ValueError("monte_carlo_drift needs a RandomSource")
-    x = as_bits(x)
-    coeffs = position_coefficients(potential)
-    if p is None:
-        p = instance.mutation_probability
-    m = instance.domain_size
-    f_x = instance.value(x)
-    phi_x = float(linear_sums(x, coeffs))
-
-    gen = rng.generator
-    total = 0.0
-    total_sq = 0.0
-    moves = 0
-    done = 0
-    chunk = max(1, min(trials, 1_000_000 // max(1, m)))
-    while done < trials:
-        take = min(chunk, trials - done)
-        masks = gen.random((take, m)) < p
-        ys = x ^ masks
-        f_y = instance.combine(*instance.linear_values(ys))
-        accepted = f_y <= f_x
-        dphi = (phi_x - linear_sums(ys, coeffs)) * accepted
-        total += float(dphi.sum())
-        total_sq += float(dphi @ dphi)
-        moves += int(np.count_nonzero(accepted & masks.any(axis=1)))
-        done += take
-    mean = total / trials
-    variance = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
-    return DriftSample(
-        state=x,
-        potential=phi_x,
-        drift=mean,
-        drift_given_accepted=None,
-        drift_given_multi_flip=None,
-        drift_given_single_flip=None,
-        one_bits=np.flatnonzero(x),
-        acceptance_probability=moves / trials,
-        standard_error=math.sqrt(variance / trials),
     )
 
 

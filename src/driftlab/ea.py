@@ -71,7 +71,7 @@ class EAConfig:
     trace_stride: int = 0  # 0 records endpoints only
 
     def __post_init__(self):
-        # the rule of objectives.non_integers, inline: `tail` builds one config per replicate
+        # only an int is an integer, as in instance files and ExperimentConfig
         if type(self.max_iterations) is not int or type(self.trace_stride) is not int:
             raise ValueError(f"max_iterations and trace_stride must be integers, got "
                              f"{self.max_iterations!r} and {self.trace_stride!r}")

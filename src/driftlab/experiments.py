@@ -18,7 +18,7 @@ import math
 import statistics
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .objectives import (
     generate_instance,
     load_chance_instance,
     load_instance,
-    non_integers,
     write_in_place,
 )
 from .potential import build_combined_potential, zero_weight_positions
@@ -102,13 +101,11 @@ STUDIES = {
 
 
 def _items(value) -> tuple:
-    """A comma-separated string or a single value as a tuple of items."""
+    """A comma-separated string, a list or a tuple as a tuple of items, and any
+    other value as a tuple of one: a dict's keys are not its items."""
     if isinstance(value, str):
         return tuple(v for v in value.split(",") if v != "")
-    try:
-        return tuple(value)
-    except TypeError:
-        return (value,)
+    return tuple(value) if isinstance(value, (list, tuple)) else (value,)
 
 
 def _fields_dict(obj) -> dict:
@@ -117,26 +114,19 @@ def _fields_dict(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
-# The integer fields of ExperimentConfig besides n_values; the optional ones
-# may also be None.
-_INTEGER_FIELDS = ("s", "weight_low", "weight_high", "replicates", "budget", "seed", "workers", "states",
-                   "level_samples", "probes", "exponent", "trace_stride")
-_OPTIONAL_INTEGERS = ("budget", "states", "exponent")
-
-
 @dataclass
 class ExperimentConfig:
     """Complete description of one experiment; round-trips through to_dict."""
 
     kind: str
-    n_values: tuple = ()
+    n_values: tuple[int, ...] = ()
     s: int = 0
     alpha: Fraction = Fraction(1, 2)
     preset: Optional[str] = None
     weight_scheme: str = "uniform-int"
     weight_low: int = 1
     weight_high: int = 100
-    transforms: tuple = ("square", "square_root")
+    transforms: tuple[str, ...] = ("square", "square_root")
     embedding: str = "canonical"
     replicates: int = 200
     seed: int = 1
@@ -144,7 +134,7 @@ class ExperimentConfig:
     budget: Optional[int] = None
     workers: int = 1
     fresh_instances: bool = False
-    r_values: tuple = (1.0, 2.0, 3.0)
+    r_values: tuple[float, ...] = (1.0, 2.0, 3.0)
     delta: Optional[float] = None
     states: Optional[int] = None  # drift: sampled states; None sweeps every state
     mutation_probability: Optional[float] = None  # drift: overrides the instance's 1/n
@@ -160,14 +150,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in STUDIES:
             raise ValueError(f"unknown experiment kind {self.kind!r}; choose from {tuple(STUDIES)}")
-        # a size or integer option is an int, nothing int() would convert
         self.n_values = _items(self.n_values)
-        bad = non_integers({name: getattr(self, name) for name in _INTEGER_FIELDS
-                            if getattr(self, name) is not None or name not in _OPTIONAL_INTEGERS})
-        if non_integers(dict(enumerate(self.n_values))):
-            bad["n_values"] = list(self.n_values)
+        self.transforms = _items(self.transforms)
+        self.r_values = _items(self.r_values)
+        bad: dict = {}  # the fields of each type whose value is not one; none is converted
+        for name, (label, accepts) in _FIELD_TYPES.items():
+            if not accepts(value := getattr(self, name)):
+                bad.setdefault(label, {})[name] = list(value) if type(value) is tuple else value
         if bad:
-            raise ValueError(f"option(s) must be integers, got {bad}")
+            raise ValueError("; ".join(f"option(s) must be {label}, got {values}" for label, values in bad.items()))
         if not self.n_values:
             raise ValueError("at least one problem size n is required")
         if any(n < 1 for n in self.n_values):
@@ -177,8 +168,11 @@ class ExperimentConfig:
         if len(self.n_values) > 1 and self.instance_file:
             raise ValueError(f"an instance file fixes one size, got {list(self.n_values)}")
         self.alpha = Fraction(self.alpha)
-        self.transforms = _items(self.transforms)
-        self.r_values = tuple(float(r) for r in _items(self.r_values))
+        if len(self.transforms) != 2:
+            raise ValueError(f"transforms must be two names, got {list(self.transforms)}")
+        if not self.r_values:
+            raise ValueError("tail parameters r need at least one value")
+        self.r_values = tuple(float(r) for r in self.r_values)
         if not all(math.isfinite(r) and r >= 0.0 for r in self.r_values):
             raise ValueError(
                 f"tail parameters r must be finite and non-negative, got {list(self.r_values)}"
@@ -216,10 +210,37 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        kwargs = dict(d)
-        if "alpha" in kwargs:
-            kwargs["alpha"] = Fraction(kwargs["alpha"])
-        return ExperimentConfig(**kwargs)
+        return ExperimentConfig(**d)
+
+
+# What a value of each annotated type is.  An int is only an int, as in
+# instance files: not a bool, 2.0 or "2", so no int() truncates 2.5.  A real
+# number is an int or a float but not a bool.  A flag is a bool and a name a
+# string, not whatever truthiness or float() would accept.
+_TYPES = {
+    int: ("integers", lambda v: type(v) is int),
+    float: ("numbers", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    bool: ("true or false", lambda v: type(v) is bool),
+    str: ("strings", lambda v: type(v) is str),
+    Fraction: ("fractions", lambda v: isinstance(v, (Fraction, int, float, str)) and not isinstance(v, bool)),
+}
+
+
+def _type_rule(hint) -> tuple:
+    """The label and test of one annotation: tuple[X, ...] holds X items, and
+    Optional[X] takes X or None."""
+    args = get_args(hint)
+    label, accepts = _TYPES[args[0] if args else hint]
+    if get_origin(hint) is tuple:
+        return label, lambda v: all(map(accepts, v))
+    if type(None) in args:
+        return label, lambda v: v is None or accepts(v)
+    return label, accepts
+
+
+# The type rule of each field but kind, read once from the annotations.
+_FIELD_TYPES = {name: _type_rule(hint) for name, hint in get_type_hints(ExperimentConfig).items()
+                if name != "kind"}
 
 
 @dataclass

@@ -158,23 +158,18 @@ def _linear_form(weights: np.ndarray) -> Optional[LinearForm]:
     return LinearForm(weights)
 
 
-def non_integers(values: dict) -> dict:
-    """The entries of `values` that are no integer.  Only an int is one: a bool,
-    a float (8.0 included) or a string is not, so no int() truncates 8.5 to 8.
-    Instance files, configs and EAConfig share this rule."""
-    return {key: value for key, value in values.items() if type(value) is not int}
-
-
 def _members(d: dict, keys: tuple, optional: tuple = (), integers: tuple = (), integer_lists: tuple = ()) -> list:
     """d[key] for each key of an instance object, then d.get(key) for each
     optional key.  A missing or unknown key is a ValueError naming it, and so
-    is a value under one of `integers` that is no integer (`non_integers`),
-    or one under `integer_lists` that is not a list of integers."""
+    is a value under one of `integers` that is no integer, or one under
+    `integer_lists` that is not a list of integers.  Only an int is an integer:
+    a bool, a float (8.0 included) or a string is not, so no int() truncates
+    8.5 to 8."""
     if missing := [key for key in keys if not isinstance(d, dict) or key not in d]:
         raise ValueError(f"instance object lacks key(s) {missing}")
     if unknown := sorted(set(d) - set(keys) - set(optional)):
         raise ValueError(f"instance object has unknown key(s) {unknown}; its keys are {sorted(keys + optional)}")
-    if bad := non_integers({key: d[key] for key in integers if key in d}):
+    if bad := {key: d[key] for key in integers if key in d and type(d[key]) is not int}:
         raise ValueError(f"instance key(s) must be integers, got {bad}")
     if bad := {key: d[key] for key in integer_lists
                if not (isinstance(d[key], list) and all(type(v) is int for v in d[key]))}:

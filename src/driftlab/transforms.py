@@ -174,6 +174,6 @@ NAMED_TRANSFORMS = {
 
 
 def from_name(name: str) -> MonotoneTransform:
-    if name not in NAMED_TRANSFORMS:
+    if not isinstance(name, str) or name not in NAMED_TRANSFORMS:
         raise ValueError(f"unknown transform name {name!r}; choose from {sorted(NAMED_TRANSFORMS)}")
     return NAMED_TRANSFORMS[name]()

@@ -673,6 +673,45 @@ def test_config_file_integer_options_must_be_integers(tmp_path, capsys, kind, ke
     assert cli_main([kind, "--config", write_config(tmp_path / "f.json", doc)]) == 0
 
 
+# (kind, key, a value of the wrong type or shape, a value that runs, the error's words)
+_MISTYPED = [
+    ("scale", "fresh_instances", "no", False, "must be true or false"),
+    ("scale", "fresh_instances", "false", False, "must be true or false"),
+    ("scale", "fresh_instances", 1, True, "must be true or false"),
+    ("drift", "p", True, 0.5, "must be numbers"),
+    ("scale", "budget_mult", True, 5, "must be numbers"),
+    ("tail", "delta", "0.1", 0.1, "must be numbers"),
+    ("tail", "r", [1, True], [1, 2], "must be numbers"),
+    ("tail", "r", "1,2", [1, 2], "must be numbers"),
+    ("chance", "alpha_c", "0.8", 0.8, "must be numbers"),
+    ("scale", "alpha", True, "1/2", "must be fractions"),
+    ("scale", "instance", 0, None, "must be strings"),
+    ("scale", "out", 1, None, "must be strings"),
+    ("scale", "json", True, None, "must be strings"),
+    ("scale", "preset", 1, "onemax", "must be strings"),
+    ("scale", "weights", 1, "all-ones", "must be strings"),
+    ("scale", "transforms", [{"kind": "square"}, "square_root"], ["square", "square_root"], "must be strings"),
+    ("scale", "transforms", {"square": 1, "square_root": 2}, ["square", "square_root"], "must be strings"),
+    ("scale", "transforms", ["square"], ["identity", "square"], "transforms must be two names"),
+    ("scale", "transforms", "square", "square,square_root", "transforms must be two names"),
+    ("tail", "r", [], [1], "tail parameters r need at least one value"),
+]
+
+
+@pytest.mark.parametrize("kind,key,value,valid,words", _MISTYPED,
+                         ids=[f"{kind}-{key}-{json.dumps(value)}" for kind, key, value, _, _ in _MISTYPED])
+def test_config_file_options_must_have_their_type(tmp_path, capsys, kind, key, value, valid, words):
+    # "no" and "false" are truthy and turned fresh instances on; p = true ran
+    # at p = 1; an instance of 0 was ignored; out = 1 crashed with a TypeError;
+    # one transform or no r failed inside the study with an unrelated message
+    base = {**_INTEGER_BASE, "tail": {"preset": "onemax", "n": 6, "reps": 5}}[kind]
+    doc = {**base, key: value}
+    assert cli_main([kind, "--config", write_config(tmp_path / "f.json", doc)]) == 1
+    assert words in capsys.readouterr().err
+    doc[key] = valid  # the same file with a value of the right type runs
+    assert cli_main([kind, "--config", write_config(tmp_path / "f.json", doc)]) == 0
+
+
 def test_config_file_writing_a_key_twice_exits_1(tmp_path, capsys):
     # json.load alone keeps the last value and would run 7 replicates
     path = tmp_path / "f.json"

@@ -140,45 +140,6 @@ class TestExactDrift:
                 assert inst.value(y) <= fx
 
 
-class TestMonteCarloDrift:
-    def test_optimal_state(self):
-        inst = dl.onemax(8)
-        pot = dl.build_combined_potential(inst)
-        sample = dl.monte_carlo_drift(
-            inst, pot, np.zeros(8, dtype=np.uint8), trials=2000, rng=dl.RandomSource(1)
-        )
-        assert sample.drift == 0.0
-        assert sample.standard_error == 0.0
-
-    def test_matches_exact_within_four_sigma(self):
-        gen = dl.RandomSource(52).generator
-        for k in range(10):
-            inst = random_instance(k, n_choices=(10, 12), s_max=2)
-            pot = dl.build_combined_potential(inst)
-            x = gen.integers(0, 2, inst.domain_size, dtype=np.uint8)
-            exact = dl.exact_drift(inst, pot, x)
-            estimate = dl.monte_carlo_drift(inst, pot, x, trials=20_000, rng=dl.RandomSource(60 + k))
-            if exact.drift == 0.0:
-                assert estimate.drift == 0.0
-            else:
-                assert abs(estimate.drift - exact.drift) <= 4 * max(estimate.standard_error, 1e-12)
-
-    def test_error_shrinks_with_sqrt_trials(self):
-        inst = random_instance(3, n_choices=(12,))
-        pot = dl.build_combined_potential(inst)
-        x = np.ones(inst.domain_size, dtype=np.uint8)
-        small = dl.monte_carlo_drift(inst, pot, x, trials=20_000, rng=dl.RandomSource(70))
-        big = dl.monte_carlo_drift(inst, pot, x, trials=40_000, rng=dl.RandomSource(71))
-        ratio = big.standard_error / small.standard_error
-        assert abs(ratio - 1 / math.sqrt(2)) <= 0.2 / math.sqrt(2)
-
-    def test_trials_floor(self):
-        inst = dl.onemax(4)
-        pot = dl.build_combined_potential(inst)
-        with pytest.raises(ValueError):
-            dl.monte_carlo_drift(inst, pot, np.zeros(4, dtype=np.uint8), trials=10, rng=dl.RandomSource(1))
-
-
 class TestExhaustiveDriftCheck:
     def test_onemax_certifies_reference_rate(self):
         inst = dl.onemax(8)
@@ -295,7 +256,7 @@ class TestConvolutionSweep:
 
 
 class TestOneEvaluationPath:
-    """value, is_optimal, StateSpace, exact and Monte-Carlo drift share one sum."""
+    """value, is_optimal, StateSpace and exact drift share one sum."""
 
     def test_value_statespace_and_oracle_agree_on_every_state(self):
         inst = float_weight_instance(("square", "square_root"))
@@ -328,22 +289,6 @@ class TestOneEvaluationPath:
         assert np.array_equal(space.f, [inst.value(x) for x in states])
         assert np.array_equal(space.optimal, [inst.is_optimal(x) for x in states])
         assert np.flatnonzero(space.optimal).tolist() == [1]
-
-    def test_monte_carlo_batch_values_match_value(self):
-        # Replays the estimator's one batch of masks with per-state value():
-        # any row valued differently changes an acceptance and the estimate.
-        inst = float_weight_instance(("identity", "identity"), n=40)
-        pot = dl.build_combined_potential(inst)
-        x = dl.RandomSource(3).generator.integers(0, 2, 36, dtype=np.uint8)
-        p, trials = 0.25, 4000
-        sample = dl.monte_carlo_drift(inst, pot, x, p=p, trials=trials, rng=dl.RandomSource(8))
-        masks = dl.RandomSource(8).generator.random((trials, 36)) < p
-        ys = x ^ masks
-        accepted = np.array([inst.value(y) for y in ys]) <= inst.value(x)
-        dphi = (pot.value(x) - np.array([pot.value(y) for y in ys])) * accepted
-        assert 0 < sample.acceptance_probability < 1
-        assert sample.acceptance_probability == np.count_nonzero(accepted & masks.any(axis=1)) / trials
-        assert sample.drift == float(dphi.sum()) / trials
 
 
 class TestDriftTimeBounds:

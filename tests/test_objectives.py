@@ -8,6 +8,7 @@ import pytest
 import driftlab as dl
 from driftlab.objectives import EMBEDDING_SCHEMES, WEIGHT_SCHEMES
 from oracle_normal import normal_cdf, normal_quantile as quantile_oracle
+from test_drift import float_weight_instance
 
 
 def bits(*values):
@@ -71,12 +72,16 @@ class TestLinearSums:
             assert dl.linear_sums(x, w) == row_sum == total
 
     def test_pair_of_one_state_equals_the_batch_pair(self):
+        # Float weights, separable and overlapping (m = 36 of n = 40).  The
+        # inputs share one test id: a parametrized test would rename it.
         gen = dl.RandomSource(22).generator
-        inst = dl.build_separable(gen.uniform(0, 3, 20), gen.uniform(0, 3, 20))
-        states = gen.integers(0, 2, (500, 40), dtype=np.uint8)
-        l1, l2 = inst.linear_values(states)
-        assert [inst.linear_values(x) for x in states] == list(zip(l1, l2))
-        assert np.array_equal(inst.combine(l1, l2), [inst.value(x) for x in states])
+        separable = dl.build_separable(gen.uniform(0, 3, 20), gen.uniform(0, 3, 20))
+        overlapping = float_weight_instance(("identity", "identity"), n=40)
+        for inst in (separable, overlapping):
+            states = gen.integers(0, 2, (500, inst.domain_size), dtype=np.uint8)
+            l1, l2 = inst.linear_values(states)
+            assert [inst.linear_values(x) for x in states] == list(zip(l1, l2))
+            assert np.array_equal(inst.combine(l1, l2), [inst.value(x) for x in states])
 
 
 class TestDomainEmbedding:
