@@ -25,15 +25,16 @@ position, what a flip adds to the pair (+w while the bit is 0, -w while it
 is 1; both lists and the start pair are built in numpy), so an offspring's
 pair is l1 + d1[j] (+ d1[i]) with no branch on the bit, an accepted flip
 negates the entries, and the sums stay exact under `LinearForm`'s rule.
-K = 1 (tested first), and K = 2 when K*K <= m, take their positions from
-the `_Mutations` pool inline, as ints, with the draws
-`_Mutations.positions` would make (K = 2 redraws both on a repeat); every
-other K calls `positions`.  The pool, its refill rule (`_Mutations.refill`)
-and the exact subset draw have that one owner; the loop keeps the pool, its
-cursor and its end in locals and stores the cursor back before each
-`positions` call.  Any other objective (float weights, or sums that may
-round) takes a plain loop: `positions(k)` for every K, the flips applied to
-the parent array, and the pair re-summed by `linear_values`.
+Every K with K*K <= m takes its positions from the `_Mutations` pool
+inline, as ints, with the draws `_Mutations.positions` would make (a
+repeated position redraws all K): K = 1 (tested first), 2 and 3 are written
+out, each larger K takes one slice of the pool.  Only K*K > m, the exact
+subset draw, calls `positions`.  The pool, its refill rule
+(`_Mutations.refill`) and the subset draw have that one owner; the loop
+keeps the pool, its cursor and its end in locals and stores the cursor back
+before each `positions` call.  Any other objective (float weights, or sums
+that may round) takes a plain loop: `positions(k)` for every K, the flips
+applied to the parent array, and the pair re-summed by `linear_values`.
 
 Both loops share the rest.  Each block's offsets are cut to the budget once,
 with `bisect`, when the budget ends inside it, so no offspring tests the
@@ -244,10 +245,14 @@ def run_ea(
         d1, d2 = np.where(x, -weights, weights).tolist()
         bits = x.tolist()  # the parent, toggled on acceptance
         pool, at, end = mutations.pool, 0, 0  # the pool, its cursor and its length
-        # K = 1, and K = 2 when K*K <= m, are drawn inline, as positions() would
-        # draw them; where positions() draws otherwise these are 0, which no K is
+        # every K with K*K <= m is drawn from the pool inline, as positions()
+        # would draw it: K = 1, 2 and 3 written out, larger K by one slice.
+        # Where positions() draws otherwise these are 0, which no K is (m = 1
+        # draws nothing: its one K is the whole domain)
         one = 1 if m > 1 else 0
         two = 2 if m >= 4 else 0
+        three = 3 if m >= 9 else 0
+        most = math.isqrt(m) if m > 1 else 0  # the largest K drawn inline
     else:
         l1, l2 = linear_values(x)
 
@@ -307,11 +312,34 @@ def run_ea(
                     if not f_y <= f_x:
                         continue
                     flips = (j, i)
+                elif k == three:
+                    while True:  # a repeated position redraws all three
+                        if at + 3 > end:
+                            pool, at = mutations.refill(3), 0
+                            end = len(pool)
+                        j, i, h = pool[at], pool[at + 1], pool[at + 2]
+                        at += 3
+                        if j != i and j != h and i != h:
+                            break
+                    f_y = kernel(l1 + d1[j] + d1[i] + d1[h], l2 + d2[j] + d2[i] + d2[h])
+                    if not f_y <= f_x:
+                        continue
+                    flips = (j, i, h)
                 else:
-                    mutations.at = at  # positions() reads and moves the cursor
-                    flips = mutations.positions(k)
-                    pool, at = mutations.pool, mutations.at
-                    end = len(pool)
+                    if k <= most:
+                        while True:  # a repeated position redraws all k
+                            if at + k > end:
+                                pool, at = mutations.refill(k), 0
+                                end = len(pool)
+                            flips = pool[at : at + k]
+                            at += k
+                            if len(set(flips)) == k:
+                                break
+                    else:
+                        mutations.at = at  # positions() reads and moves the cursor
+                        flips = mutations.positions(k)
+                        pool, at = mutations.pool, mutations.at
+                        end = len(pool)
                     y1, y2 = l1, l2
                     for j in flips:
                         y1 += d1[j]

@@ -167,7 +167,9 @@ class ExperimentConfig:
             raise ValueError(f"{self.kind} runs one size, got {list(self.n_values)}")
         if len(self.n_values) > 1 and self.instance_file:
             raise ValueError(f"an instance file fixes one size, got {list(self.n_values)}")
-        self.alpha = Fraction(self.alpha)
+        # a float (a JSON number) means its shortest decimal, as the flag's
+        # string does: 0.6 is 3/5, not the binary double nearest it
+        self.alpha = Fraction(repr(self.alpha) if type(self.alpha) is float else self.alpha)
         if len(self.transforms) != 2:
             raise ValueError(f"transforms must be two names, got {list(self.transforms)}")
         if not self.r_values:

@@ -151,7 +151,7 @@ class LinearForm:
 def _linear_form(weights: np.ndarray) -> Optional[LinearForm]:
     """The exact incremental form of a (2, m) weight matrix, or None if some
     weight sum can round (a non-integer weight, or a part total of 2**53 or more)."""
-    if not all(np.all(w == np.floor(w)) and math.fsum(w) < 2.0**53 for w in weights):
+    if not all(np.all(w == np.floor(w)) and math.fsum(w.tolist()) < 2.0**53 for w in weights):
         return None
     weights = weights.copy()
     weights.flags.writeable = False
@@ -184,11 +184,13 @@ def _check_shape(n: int, s: int, alpha: Fraction) -> None:
         raise ValueError("nominal dimension n must be positive")
     if s < 0:
         raise ValueError("overlap s must be non-negative")
-    if (alpha * n).denominator != 1:
+    # in integers on alpha = num/den (den > 0); num / den is float(alpha)
+    num, den = alpha.numerator, alpha.denominator
+    if n % den:
         raise ValueError(f"alpha*n = {alpha}*{n} is not an integer")
-    if not (Fraction(1, 2) <= alpha and float(alpha) < math.log(2)):
+    if not (2 * num >= den and num / den < math.log(2)):
         raise ValueError(f"alpha = {alpha} outside [1/2, ln 2)")
-    if s > (1 - alpha) * n:
+    if s * den > (den - num) * n:
         raise ValueError(f"overlap s = {s} exceeds (1-alpha)*n = {(1 - alpha) * n}")
 
 
@@ -252,11 +254,12 @@ class CompositeObjective:
             raise ValueError(f"second part must have arity (1-alpha)*n = {k2}")
         if e1.domain_size != m or e2.domain_size != m:
             raise ValueError(f"embeddings must target the {m}-bit domain")
-        b1 = set(e1.positions.tolist())
-        b2 = set(e2.positions.tolist())
-        if len(b1 & b2) != self.s:
-            raise ValueError(f"|B1 & B2| = {len(b1 & b2)} but s = {self.s}")
-        if b1 | b2 != set(range(m)):
+        # how many of B1, B2 hold each position
+        cover = np.bincount(np.concatenate((e1.positions, e2.positions)), minlength=m)
+        shared = int(np.count_nonzero(cover == 2))
+        if shared != self.s:
+            raise ValueError(f"|B1 & B2| = {shared} but s = {self.s}")
+        if not cover.all():
             raise ValueError("B1 | B2 must cover the whole domain")
 
     @property

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -718,6 +719,21 @@ def test_config_file_writing_a_key_twice_exits_1(tmp_path, capsys):
     path.write_text('{"preset": "onemax", "n": 8, "reps": 3, "reps": 7}', encoding="utf-8")
     assert cli_main(["scale", "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: config file writes key 'reps' twice")
+
+
+def test_config_file_alpha_number_means_its_decimal(tmp_path):
+    # a JSON 0.6 was read at its binary value, 5404319552844595/9007199254740992,
+    # so alpha*n was no integer; it now means 3/5, as the flag's "0.6" does
+    echoes = []
+    for argv in (["--config", write_config(tmp_path / "f.json", {"alpha": 0.6, "n": 10, "reps": 2})],
+                 ["--alpha", "0.6", "--n", "10", "--reps", "2"]):
+        out = tmp_path / "r.json"
+        assert cli_main(["scale", *argv, "--json", str(out)]) == 0
+        echoes.append(json.loads(out.read_text())["config"])
+    assert echoes[0]["alpha"] == "3/5"
+    assert echoes[0] == echoes[1]
+    # a dyadic float keeps its value
+    assert experiments.ExperimentConfig("scale", (10,), alpha=0.5).alpha == Fraction(1, 2)
 
 
 class TestUncertifiedAndMootOptions:

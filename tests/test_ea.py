@@ -591,11 +591,17 @@ def composite(m, weight_scheme, s=1):
 def reference_cases():
     """name -> (instance, EAConfig, initial or None, potential or None)."""
     cases = {"m1": (single_bit_instance(), dl.EAConfig(50, mutation_probability=0.5), bits(1), None)}
-    for m in (2, 3, 4, 5, 10, 64):
+    # m at each inline boundary: K = 3 by subset draw (8) and inline at 3*3 = m
+    # (9), K = 4 inline at 4*4 = m (16) and past it (17), K = 5 and 6 inline (36)
+    for m in (2, 3, 4, 5, 8, 9, 10, 16, 17, 36, 64):
         for scheme in ("all-ones", "uniform-int"):
             inst = composite(m, scheme, s=m % 2)  # n = m + s even, so alpha*n is an integer
-            # p = 1/n makes K = 1 and 2 most of the flips; p = 2/m makes K*K > m common
-            for label, p in (("", None), ("-p2", min(1.0, 2.0 / m))):
+            # p = 1/n makes K = 1 and 2 most of the flips; p = 2/m makes K*K > m
+            # common, and p = 4/m K from 3 to 6
+            rates = (("", None), ("-p2", min(1.0, 2.0 / m)))
+            if m in (8, 9, 16, 17, 36):
+                rates += (("-p4", min(1.0, 4.0 / m)),)
+            for label, p in rates:
                 cases[f"m{m}-{scheme}{label}"] = (inst, dl.EAConfig(3000, mutation_probability=p), None, None)
     doubling = dl.generate_instance(128, 0, "1/2", weight_scheme="doubling")
     assert doubling.linear_form is None

@@ -1,3 +1,4 @@
+import itertools
 import math
 import pickle
 from fractions import Fraction
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import driftlab as dl
-from driftlab.objectives import EMBEDDING_SCHEMES, WEIGHT_SCHEMES
+from driftlab.objectives import EMBEDDING_SCHEMES, WEIGHT_SCHEMES, _check_shape
 from oracle_normal import normal_cdf, normal_quantile as quantile_oracle
 from test_drift import float_weight_instance
 
@@ -191,6 +192,66 @@ class TestGenerateInstance:
         inst = dl.generate_instance(16, 2, Fraction(5, 8), weight_scheme="all-ones")
         assert inst.embeddings[0].arity == 10
         assert inst.embeddings[1].arity == 6
+
+    def test_shape_check_matches_fraction_formulas(self):
+        # the check runs in integers on alpha's numerator and denominator; the
+        # grid holds alpha = 1/2, s = (1-alpha)*n, alpha*n not an integer, and
+        # 9/13 (below ln 2) and 7/10 (above it)
+        def reference(n, s, alpha):
+            if (alpha * n).denominator != 1:
+                return f"alpha*n = {alpha}*{n} is not an integer"
+            if not (Fraction(1, 2) <= alpha and float(alpha) < math.log(2)):
+                return f"alpha = {alpha} outside [1/2, ln 2)"
+            if s > (1 - alpha) * n:
+                return f"overlap s = {s} exceeds (1-alpha)*n = {(1 - alpha) * n}"
+            return None
+
+        alphas = {Fraction(a, b) for b in range(1, 13) for a in range(b + 1)} | {Fraction(9, 13)}
+        outcomes = set()
+        for n in range(1, 41):
+            for s in range(n + 1):
+                for alpha in alphas:
+                    try:
+                        _check_shape(n, s, alpha)
+                        message = None
+                    except ValueError as err:
+                        message = str(err)
+                    assert message == reference(n, s, alpha), (n, s, alpha)
+                    outcomes.add(message.split(" ")[0] if message else None)
+        assert outcomes == {None, "alpha*n", "alpha", "overlap"}
+
+    def test_coverage_check_matches_set_formulas(self):
+        # every pair of position sets of the right sizes on m = n - s bits:
+        # the overlap must be s and the union the whole domain
+        def reference(b1, b2, s, m):
+            if len(b1 & b2) != s:
+                return f"|B1 & B2| = {len(b1 & b2)} but s = {s}"
+            if b1 | b2 != set(range(m)):
+                return "B1 | B2 must cover the whole domain"
+            return None
+
+        outcomes = set()
+        for n in (2, 4, 5, 6):
+            k1 = n // 2 + n % 2  # alpha = k1/n in [1/2, ln 2)
+            k2 = n - k1
+            for s in range(k2 + 1):
+                m = n - s
+                for b1 in itertools.combinations(range(m), k1):
+                    for b2 in itertools.combinations(range(m), k2):
+                        try:
+                            dl.CompositeObjective(
+                                n, s, Fraction(k1, n), (dl.LinearFunction([1] * k1), dl.LinearFunction([1] * k2)),
+                                (dl.DomainEmbedding(b1, m), dl.DomainEmbedding(b2, m)),
+                                (dl.identity(), dl.identity()))
+                            message = None
+                        except ValueError as err:
+                            message = str(err)
+                        assert message == reference(set(b1), set(b2), s, m), (n, s, b1, b2)
+                        outcomes.add(message)
+        # with |B1| + |B2| = n, an overlap of s leaves m = n - s positions
+        # covered, so only the overlap message can be reached here
+        assert None in outcomes
+        assert any(message and message.startswith("|B1 & B2|") for message in outcomes)
 
     def test_doubling_weights(self):
         inst = dl.generate_instance(
