@@ -123,6 +123,7 @@ def _unique_keys(pairs: list) -> dict:
 
 def _merge_options(args: argparse.Namespace, kind: str) -> ExperimentConfig:
     options: dict = {}
+    spellings: dict = {}  # field name -> the config file's key for it
     config_path = getattr(args, "config", None)
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
@@ -131,7 +132,6 @@ def _merge_options(args: argparse.Namespace, kind: str) -> ExperimentConfig:
             raise ValueError("config file must hold a JSON object")
         if file_cfg.pop("kind", kind) != kind:
             raise ValueError(f"config file is not for {kind}")
-        spellings = {}
         for key, value in file_cfg.items():
             name = _ALIASES.get(key, key)
             if name in spellings:
@@ -144,7 +144,13 @@ def _merge_options(args: argparse.Namespace, kind: str) -> ExperimentConfig:
     )
     if flags.get("exhaustive"):
         options["states"] = None
-    return resolve_config(kind, options)
+    try:
+        return resolve_config(kind, options)
+    except ValueError as exc:  # name each option from the file as the file wrote it
+        message = str(exc)
+        for name, key in spellings.items():
+            message = message.replace(repr(name), repr(key))
+        raise ValueError(message) from None
 
 
 def _check_report_path(path: str) -> None:

@@ -6,10 +6,10 @@ K(d) = p^|d| (1-p)^(m-|d|) is the probability of mutation mask d and ties are
 accepted as in the EA.  Drift is only ever computed exactly: at one state
 (`_drift_at`) by enumerating all 2^m masks (m capped at 20).
 `exhaustive_drift_check` is the one certification entry, over given states
-or every state; `exact_drift` is the one-state view of `_drift_at` and also
-conditions the drift on how many of the second part's one-bits a mask flips:
-at least two (`drift_given_multi_flip`) or exactly one
-(`drift_given_single_flip`).
+or every state, enumerating the instance once; `exact_drift` is the one-state
+view of `_drift_at` and also conditions the drift on how many of the second
+part's one-bits a mask flips: at least two (`drift_given_multi_flip`) or
+exactly one (`drift_given_single_flip`).
 
 `exhaustive_drift_check` over every state (m capped at 16) does not sweep 4^m
 pairs.  Mutation is diagonal in the Walsh basis: the Walsh-Hadamard transform
@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .objectives import BitString, CompositeObjective, as_bits, linear_sums
-from .potential import PotentialLike, build_combined_potential, position_coefficients
+from .potential import CombinedPotential, build_combined_potential
 
 SINGLE_STATE_CAP = 20
 ALL_STATES_CAP = 16
@@ -77,7 +77,6 @@ class StateSpace:
         self.f = np.empty(codes.size)
         self.optimal = np.empty(codes.size, dtype=bool)
         coeffs = None if phi_coefficients is None else np.asarray(phi_coefficients, dtype=np.float64)
-        self.coefficients = coeffs  # the potential's, or None
         self.phi = None if coeffs is None else np.empty(codes.size)
         shifts = np.arange(m, dtype=np.uint32)
         o1, o2 = instance.optimum
@@ -149,30 +148,20 @@ def _conditional(probs: np.ndarray, dphi: np.ndarray, mask: np.ndarray) -> Optio
 
 def exact_drift(
     instance: CompositeObjective,
-    potential: PotentialLike,
+    potential: CombinedPotential,
     x: BitString,
     p: Optional[float] = None,
-    space: Optional[StateSpace] = None,
 ) -> DriftSample:
     """Exact one-step expected potential decrease at state x.
 
-    `potential` is a CombinedPotential or a raw per-position coefficient
-    vector.  A StateSpace of this instance, built with these coefficients,
-    can be passed to amortize enumeration across states; any other space is
-    rejected.
+    Each call enumerates all 2^m states of the instance; for the drift at
+    many states of one instance use exhaustive_drift_check(states=...), which
+    enumerates it once.
     """
     x = as_bits(x)
-    coeffs = position_coefficients(potential)
     if p is None:
         p = instance.mutation_probability
-    if space is None:
-        space = StateSpace(instance, coeffs)
-    if space.instance is not instance:
-        raise ValueError("state space was built for another instance")
-    if space.phi is None:
-        raise ValueError("state space was built without potential values")
-    if not np.array_equal(space.coefficients, coeffs):
-        raise ValueError("state space was built with other potential coefficients")
+    space = StateSpace(instance, potential.position_coefficients)
     u = space.encode(x)
     probs = space.mask_probabilities(p)
     accepted, dphi, drift = _drift_at(space, u, probs)
@@ -361,10 +350,8 @@ def exhaustive_drift_check(
     """
     if p is None:
         p = instance.mutation_probability
-    combined = build_combined_potential(instance)
-    coeffs = combined.position_coefficients
     cap = SINGLE_STATE_CAP if states is not None else ALL_STATES_CAP
-    space = StateSpace(instance, coeffs, cap=cap)
+    space = StateSpace(instance, build_combined_potential(instance).position_coefficients, cap=cap)
 
     if states is None:
         codes = np.flatnonzero(~space.optimal)

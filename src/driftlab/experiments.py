@@ -453,14 +453,8 @@ def _time_stats(traces: list) -> tuple[int, float, float, float]:
 
 
 def fit_nlogn(rows: Sequence) -> FitResult:
-    """Fit mean runtimes to c*n*ln(n), and to c*n^q in log space."""
-    points = []
-    for row in rows:
-        if hasattr(row, "n"):
-            points.append((float(row.n), float(row.mean_T)))
-        else:
-            n, t = row
-            points.append((float(n), float(t)))
+    """Fit the mean runtimes of rows with `n` and `mean_T` to c*n*ln(n), and to c*n^q in log space."""
+    points = [(float(row.n), float(row.mean_T)) for row in rows]
     if len({n for n, _ in points}) < 3:
         raise ValueError("need at least 3 distinct sizes to fit")
     if any(not t > 0 or math.isnan(t) for _, t in points):
@@ -810,7 +804,7 @@ def resolve_config(kind: str, options: dict) -> ExperimentConfig:
         cfg = ExperimentConfig(kind=kind, **options)
     except TypeError as exc:
         raise ValueError(str(exc)) from exc
-    moot = [f"{name} ({why})" for name, why in _unread(cfg).items() if name in options]
+    moot = [f"{name!r} ({why})" for name, why in _unread(cfg).items() if name in options]
     if moot:
         raise ValueError(f"{kind} would not read option(s): {'; '.join(moot)}")
     return cfg

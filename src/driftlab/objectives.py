@@ -33,7 +33,8 @@ import numpy as np
 
 from .rng import RandomSource
 from .transforms import (
-    FLOAT_FUNCTIONS, MonotoneTransform, compile_function, compose, from_name, identity, scale, square, square_root,
+    ARRAY_FUNCTIONS, FLOAT_FUNCTIONS, MonotoneTransform, compile_function, compose, from_name, identity, scale,
+    square, square_root,
 )
 
 BitString = np.ndarray
@@ -196,12 +197,12 @@ def _check_shape(n: int, s: int, alpha: Fraction) -> None:
 
 # CompositeObjective.float_kernel, around h1(l1) + h2(l2) written out as one
 # expression.  math.sqrt raises ValueError on a negative value (a compose can
-# feed a square root one), where numpy's evaluators give nan.
+# feed a square root one), where combine's np.sqrt gives nan.
 _FLOAT_KERNEL = """def f(l1, l2):
     try:
         return {}
     except ValueError:
-        return float(h1(l1) + h2(l2))
+        return float(combine(l1, l2))
 """
 
 
@@ -236,7 +237,6 @@ class CompositeObjective:
         self.embeddings = tuple(embeddings)
         self.transforms = tuple(transforms)
         self._validate()
-        self._h1, self._h2 = (t.evaluator for t in self.transforms)
         self._weights = np.zeros((2, self.domain_size))
         for w, lf, emb in zip(self._weights, self.functions, self.embeddings):
             w[emb.positions] = lf.weights
@@ -254,13 +254,12 @@ class CompositeObjective:
             raise ValueError(f"second part must have arity (1-alpha)*n = {k2}")
         if e1.domain_size != m or e2.domain_size != m:
             raise ValueError(f"embeddings must target the {m}-bit domain")
-        # how many of B1, B2 hold each position
+        # how many of B1, B2 hold each position; with |B1| + |B2| = n, an
+        # overlap of s leaves n - s = m positions covered, the whole domain
         cover = np.bincount(np.concatenate((e1.positions, e2.positions)), minlength=m)
         shared = int(np.count_nonzero(cover == 2))
         if shared != self.s:
             raise ValueError(f"|B1 & B2| = {shared} but s = {self.s}")
-        if not cover.all():
-            raise ValueError("B1 | B2 must cover the whole domain")
 
     @property
     def domain_size(self) -> int:
@@ -283,22 +282,26 @@ class CompositeObjective:
         """(w1 . x, w2 . x) through linear_sums, for one state or a batch of rows."""
         return _linear_pair(x, self._weights)
 
-    def combine(self, l1, l2):
-        """h1(l1) + h2(l2) for linear-part values (scalars or arrays)."""
-        return self._h1(l1) + self._h2(l2)
+    def _compile(self, template: str, functions: dict):
+        h1, h2 = self.transforms
+        return compile_function(
+            template, lambda bind: f"({h1.expression('l1', bind)}) + ({h2.expression('l2', bind)})", functions
+        )
+
+    @functools.cached_property
+    def combine(self):
+        """h1(l1) + h2(l2) for linear-part values (scalars or arrays): one
+        function compiled on first use from both transforms' expressions."""
+        return self._compile("f = lambda l1, l2: {}", ARRAY_FUNCTIONS)
 
     @functools.cached_property
     def float_kernel(self):
-        """float(combine(l1, l2)) for Python floats, bit for bit: one function
-        compiled on first use from both transforms' expressions, so a call
-        makes no numpy scalar and no call per transform level."""
-        h1, h2 = self.transforms
-        return compile_function(
-            _FLOAT_KERNEL, lambda bind: f"({h1.expression('l1', bind)}) + ({h2.expression('l2', bind)})",
-            {**FLOAT_FUNCTIONS, "h1": self._h1, "h2": self._h2},
-        )
+        """float(combine(l1, l2)) for Python floats, bit for bit: the same
+        expression compiled with Python floats' functions, so a call makes no
+        numpy scalar."""
+        return self._compile(_FLOAT_KERNEL, {**FLOAT_FUNCTIONS, "combine": self.combine})
 
-    def __reduce__(self):  # the compiled transforms do not pickle; build again from the parts
+    def __reduce__(self):  # the compiled functions do not pickle; build again from the parts
         return CompositeObjective, (self.n, self.s, self.alpha, self.functions, self.embeddings, self.transforms)
 
     def value(self, x: BitString) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -96,16 +96,3 @@ def zero_weight_positions(instance: CompositeObjective) -> list:
     for lf, emb in zip(instance.functions, instance.embeddings):
         zero.update(emb.positions[lf.weights == 0].tolist())
     return sorted(zero)
-
-
-PotentialLike = Union[CombinedPotential, np.ndarray, Sequence[float]]
-
-
-def position_coefficients(potential: PotentialLike) -> np.ndarray:
-    """Normalize a combined potential or a raw coefficient vector."""
-    if isinstance(potential, CombinedPotential):
-        return potential.position_coefficients
-    arr = np.asarray(potential, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("potential coefficients must form a flat vector")
-    return arr

@@ -4,11 +4,11 @@ The catalog covers identity, square, square root, power(k > 0), scale(R >= 0),
 affine(a >= 0, b) and compositions, each monotone non-decreasing on [0, inf),
 the only domain the objectives produce.  One table, ``_KINDS``, gives each kind
 its parameter checks and its Python expression over a value ``v``; ``compose``
-substitutes its inner expression into its outer one.  :func:`compile_function`
-turns such expressions into functions: a transform compiles its numpy
-evaluator once, when built, and an objective compiles its float kernel from the
-same expressions.  Numbers are finite reals.  JSON carries exactly the kind's
-keys, e.g. ``{"kind": "power", "k": 2}``.
+substitutes its inner expression into its outer one.  A transform is a plain
+value, pickled by its fields.  :func:`compile_function` turns expressions into
+functions: an objective compiles its combine step and float kernel from both
+transforms' expressions, and ``apply`` compiles one at each call.  Numbers are
+finite reals.  JSON carries exactly the kind's keys, e.g. ``{"kind": "power", "k": 2}``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from numbers import Real
 from typing import Callable, Optional
 
@@ -93,26 +93,21 @@ class MonotoneTransform:
     b: Optional[float] = None
     outer: Optional["MonotoneTransform"] = None
     inner: Optional["MonotoneTransform"] = None
-    evaluator: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in _KINDS:
             raise ValueError(f"unknown transform kind {self.kind!r}; choose from {sorted(_KINDS)}")
         checks = _KINDS[self.kind][0]
-        for name in (f.name for f in fields(self)[1:-1]):  # the parameters, between kind and evaluator
+        for name in (f.name for f in fields(self)[1:]):  # the parameters, after kind
             if name in checks:
                 object.__setattr__(self, name, checks[name](self.kind, name, getattr(self, name)))
             elif getattr(self, name) is not None:
                 raise ValueError(f"{self.kind} transform takes no parameter {name}")
-        evaluator = compile_function("f = lambda v: {}", functools.partial(self.expression, "v"), ARRAY_FUNCTIONS)
-        object.__setattr__(self, "evaluator", evaluator)
-
-    def __reduce__(self):  # the compiled evaluator does not pickle; rebuild from the JSON form
-        return MonotoneTransform.from_dict, (self.to_dict(),)
 
     def apply(self, v):
-        """Evaluate on a scalar or numpy array of non-negative values."""
-        return self.evaluator(v)
+        """Evaluate on a scalar or numpy array of non-negative values, compiling
+        the expression with numpy's functions at each call."""
+        return compile_function("f = lambda v: {}", functools.partial(self.expression, "v"), ARRAY_FUNCTIONS)(v)
 
     def expression(self, v: str, bind: Callable) -> str:
         """This transform as a Python expression over the expression `v`, each
@@ -131,7 +126,7 @@ class MonotoneTransform:
 
     @staticmethod
     def from_dict(d: dict) -> "MonotoneTransform":
-        if not isinstance(d, dict) or "kind" not in d or not set(d) <= {f.name for f in fields(MonotoneTransform)[:-1]}:
+        if not isinstance(d, dict) or "kind" not in d or not set(d) <= {f.name for f in fields(MonotoneTransform)}:
             raise ValueError(f"a transform object has a \"kind\" and only transform parameters, got {d!r}")
         return MonotoneTransform(**{key: MonotoneTransform.from_dict(v) if isinstance(v, dict) else v for key, v in d.items()})
 

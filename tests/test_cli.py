@@ -721,6 +721,21 @@ def test_config_file_writing_a_key_twice_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: config file writes key 'reps' twice")
 
 
+@pytest.mark.parametrize("doc, said", [
+    ({"reps": 2.5}, "got {'reps': 2.5}"),
+    ({"out": 1}, "got {'out': 1}"),
+    ({"budget_mult": "x"}, "got {'budget_mult': 'x'}"),
+    ({"n": [8, 2.5]}, "got {'n': [8, 2.5]}"),
+    ({"replicates": 2.5}, "got {'replicates': 2.5}"),
+    ({"budget_mult": 5, "budget": 10}, "'budget_mult' (an absolute budget is set)"),
+], ids=["reps", "out", "budget_mult", "n", "replicates", "moot"])
+def test_config_file_error_names_the_key_written(tmp_path, capsys, doc, said):
+    # the error named the field a key maps to: {'replicates': 2.5} for "reps"
+    cfg = write_config(tmp_path / "f.json", {"preset": "onemax", "n": 8, **doc})
+    assert cli_main(["scale", "--config", cfg]) == 1
+    assert capsys.readouterr().err.endswith(f"{said}\n")
+
+
 def test_config_file_alpha_number_means_its_decimal(tmp_path):
     # a JSON 0.6 was read at its binary value, 5404319552844595/9007199254740992,
     # so alpha*n was no integer; it now means 3/5, as the flag's "0.6" does

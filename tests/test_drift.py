@@ -61,7 +61,7 @@ class TestExactDrift:
         # potential; with a unit coefficient the drift is 1/2, with the
         # combined potential (both parts overlap) it doubles
         inst = dl.build_chance(dl.ChanceInstance([1.0], [1.0], 0.5))
-        single = dl.exact_drift(inst, np.array([1.0]), bits(1), p=0.5)
+        single = dl.exact_drift(inst, dl.CombinedPotential(np.array([1.0])), bits(1), p=0.5)
         assert single.drift == pytest.approx(0.5, abs=1e-15)
         combined = dl.exact_drift(inst, dl.build_combined_potential(inst), bits(1), p=0.5)
         assert combined.drift == pytest.approx(1.0, abs=1e-15)
@@ -80,32 +80,10 @@ class TestExactDrift:
             inst = random_instance(k)
             data = inst.to_dict()
             pot = dl.build_combined_potential(inst)
-            space = dl.StateSpace(inst, pot.position_coefficients)
             x = gen.integers(0, 2, inst.domain_size, dtype=np.uint8)
-            mine = dl.exact_drift(inst, pot, x, space=space)
+            mine = dl.exact_drift(inst, pot, x)
             reference = oracle_exact_drift(data, x.tolist(), inst.mutation_probability)
             assert mine.drift == pytest.approx(reference, rel=1e-12, abs=1e-15)
-
-    def test_space_of_other_coefficients_rejected(self):
-        inst = random_instance(0)
-        assert inst.domain_size == 6
-        space = dl.StateSpace(inst, dl.build_combined_potential(inst).position_coefficients)
-        x = bits(1, 0, 1, 1, 0, 1)
-        with pytest.raises(ValueError, match="other potential coefficients"):
-            dl.exact_drift(inst, np.ones(6), x, space=space)
-        with pytest.raises(ValueError, match="without potential values"):
-            dl.exact_drift(inst, np.ones(6), x, space=dl.StateSpace(inst))
-
-    def test_space_of_other_instance_rejected(self):
-        inst, other = random_instance(3), random_instance(5)
-        assert inst.domain_size == other.domain_size
-        pot = dl.build_combined_potential(inst)
-        space = dl.StateSpace(other, pot.position_coefficients)
-        x = np.ones(inst.domain_size, dtype=np.uint8)
-        with pytest.raises(ValueError, match="another instance"):
-            dl.exact_drift(inst, pot, x, space=space)
-        own = dl.StateSpace(inst, pot.position_coefficients)
-        assert dl.exact_drift(inst, pot, x, space=own).drift == dl.exact_drift(inst, pot, x).drift
 
     def test_drift_equals_conditional_times_probability(self):
         inst = random_instance(11)
@@ -271,13 +249,13 @@ class TestOneEvaluationPath:
     def test_exact_drift_accepts_exactly_when_value_does(self):
         inst = float_weight_instance(("identity", "identity"))
         pot = dl.build_combined_potential(inst)
-        space = dl.StateSpace(inst, pot.position_coefficients)
+        space = dl.StateSpace(inst)
         states = all_states(16)
         values = np.array([inst.value(x) for x in states])
         probs = space.mask_probabilities(inst.mutation_probability)
         moved = space.codes != 0
         for u in (12345, 28086, 54321, 61680):
-            sample = dl.exact_drift(inst, pot, states[u], space=space)
+            sample = dl.exact_drift(inst, pot, states[u])
             accepted = values[space.codes ^ u] <= values[u]
             assert sample.acceptance_probability == float(probs[accepted & moved].sum())
 

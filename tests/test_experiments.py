@@ -6,6 +6,7 @@ import os
 import stat
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -107,26 +108,26 @@ class TestDispatch:
 
 class TestFitting:
     def test_exact_nlogn_recovery(self):
-        rows = [(n, 5.0 * n * math.log(n)) for n in (50, 100, 200, 400)]
+        rows = [SimpleNamespace(n=n, mean_T=5.0 * n * math.log(n)) for n in (50, 100, 200, 400)]
         fit = dl.fit_nlogn(rows)
         assert fit.nlogn_coefficient == pytest.approx(5.0, rel=1e-12)
         assert fit.nlogn_rms_residual == pytest.approx(0.0, abs=1e-9)
 
     def test_exact_power_recovery(self):
-        rows = [(n, float(n) ** 2) for n in (10, 20, 40, 80)]
+        rows = [SimpleNamespace(n=n, mean_T=float(n) ** 2) for n in (10, 20, 40, 80)]
         fit = dl.fit_nlogn(rows)
         assert fit.power_exponent == pytest.approx(2.0, abs=1e-6)
         assert fit.power_coefficient == pytest.approx(1.0, rel=1e-6)
 
     def test_refit_is_deterministic(self):
-        rows = [(n, 3.3 * n * math.log(n) + (n % 7)) for n in (50, 100, 200, 400)]
+        rows = [SimpleNamespace(n=n, mean_T=3.3 * n * math.log(n) + (n % 7)) for n in (50, 100, 200, 400)]
         a = dl.fit_nlogn(rows)
         b = dl.fit_nlogn(rows)
         assert a == b
 
     def test_needs_three_sizes(self):
         with pytest.raises(ValueError):
-            dl.fit_nlogn([(10, 100.0), (20, 250.0)])
+            dl.fit_nlogn([SimpleNamespace(n=10, mean_T=100.0), SimpleNamespace(n=20, mean_T=250.0)])
 
 
 class TestScalingStudy:

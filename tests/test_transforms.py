@@ -58,10 +58,15 @@ def test_known_values():
 
 def test_json_round_trip():
     assert {t.kind for t in CATALOG} == set(transforms._KINDS), "every kind needs a CATALOG entry"
+    values = dl.RandomSource(37).generator.uniform(0, 1e3, size=200)
     for transform in CATALOG:
         again = MonotoneTransform.from_dict(transform.to_dict())
         assert again == transform
-        assert pickle.loads(pickle.dumps(transform)) == transform
+        # a plain value: it pickles by its fields and evaluates the same after
+        unpickled = pickle.loads(pickle.dumps(transform))
+        assert unpickled == transform
+        assert _bits(unpickled.apply(values)) == _bits(transform.apply(values))
+        assert _bits(unpickled.apply(values[0].item())) == _bits(transform.apply(values[0].item()))
 
 
 def _bits(x) -> bytes:
