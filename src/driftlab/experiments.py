@@ -23,7 +23,7 @@ from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .version import __version__
-from .drift import ALL_STATES_CAP, drift_time_bounds, exhaustive_drift_check
+from .drift import ALL_STATES_CAP, exhaustive_drift_check
 from .ea import EAConfig, RunTrace, default_budget, run_ea
 from .objectives import (
     ChanceInstance,
@@ -492,13 +492,16 @@ def scaling_study(cfg: ExperimentConfig) -> ReportBundle:
         source = root.spawn(idx)
         budget = default_budget(n, cfg.budget_multiplier) if cfg.budget is None else cfg.budget
         config = EAConfig(max_iterations=budget)
+        reps = source.children(1, cfg.replicates)
         if cfg.fresh_instances:
             # replicate j: its instance from (i, j+1, 0), its run from (i, j+1, 1)
-            reps = [source.spawn(rep + 1) for rep in range(cfg.replicates)]
-            jobs = [(build_objective(cfg, n, r.spawn(0)), config, r.spawn(1), None, None) for r in reps]
+            jobs = []
+            for r in reps:
+                instance_source, run_source = r.children(0, 2)
+                jobs.append((build_objective(cfg, n, instance_source), config, run_source, None, None))
         else:
             instance = build_objective(cfg, n, source.spawn(0))
-            jobs = [(instance, config, source.spawn(rep + 1), None, None) for rep in range(cfg.replicates)]
+            jobs = [(instance, config, r, None, None) for r in reps]
         censored, mean, sd, median = _time_stats(_run_replicates(jobs, cfg.workers))
         ratio = mean / (n * math.log(n)) if n > 1 else math.nan
         # every instance of one size has the s and alpha of the first
@@ -542,7 +545,7 @@ def escape_study(cfg: ExperimentConfig) -> ReportBundle:
         config = EAConfig(max_iterations=budget)
         source = root.spawn(idx)
         start = instance.local_optimum(1)
-        jobs = [(instance, config, source.spawn(rep + 1), start, None) for rep in range(cfg.replicates)]
+        jobs = [(instance, config, r, start, None) for r in source.children(1, cfg.replicates)]
         censored, mean, sd, _ = _time_stats(_run_replicates(jobs, cfg.workers))
         rows.append(EscapeRow(n=n, reps=cfg.replicates, censored=censored, mean_T=mean, sd_T=sd))
     checks = {"censoring_at_most_1pct": all(r.censored <= 0.01 * r.reps for r in rows)}
@@ -593,9 +596,9 @@ def tail_study(cfg: ExperimentConfig) -> ReportBundle:
     floor = 1.0  # every nonzero state carries a coefficient >= 1
     # replicate j draws its start from (j+1,), then runs on the same stream;
     # the starts are valued together, one row each
-    sources = [root.spawn(rep + 1) for rep in range(cfg.replicates)]
+    sources = root.children(1, cfg.replicates)
     starts = np.array([source.generator.integers(0, 2, instance.domain_size, dtype=np.uint8) for source in sources])
-    jobs, time_bounds = [], []
+    jobs, thresholds = [], []
     for source, x0, start, optimal in zip(
         sources, starts, potential.value(starts).tolist(), instance.is_optimal(starts).tolist()
     ):
@@ -603,18 +606,21 @@ def tail_study(cfg: ExperimentConfig) -> ReportBundle:
             # T = 0 never exceeds a positive threshold; no threshold is defined
             # for a zero start potential.
             continue
-        time_bound = drift_time_bounds(start, floor, delta, cfg.r_values)
-        budget = max(1, math.ceil(max(point.threshold for point in time_bound.tail)))
-        jobs.append((instance, EAConfig(max_iterations=budget), source, x0, None))
-        time_bounds.append(time_bound)
+        # the tail thresholds of drift_time_bounds(start, floor, delta, r_values),
+        # by its expressions; the largest one is the run's budget
+        log_term = math.log(start / floor)
+        run_thresholds = [(log_term + r) / delta for r in cfg.r_values]
+        jobs.append((instance, EAConfig(max_iterations=max(1, math.ceil(max(run_thresholds)))), source, x0, None))
+        thresholds.append(run_thresholds)
     traces = _run_replicates(jobs)
     counted = len(jobs)
     exceed = [0] * len(cfg.r_values)
     threshold_sums = [0.0] * len(cfg.r_values)
-    for trace, time_bound in zip(traces, time_bounds):
-        for i, point in enumerate(time_bound.tail):
-            threshold_sums[i] += point.threshold
-            if trace.hitting_time is None or trace.hitting_time > point.threshold:
+    for trace, run_thresholds in zip(traces, thresholds):
+        hitting_time = trace.hitting_time
+        for i, threshold in enumerate(run_thresholds):
+            threshold_sums[i] += threshold
+            if hitting_time is None or hitting_time > threshold:
                 exceed[i] += 1
     rows = []
     for i, r in enumerate(cfg.r_values):
@@ -654,7 +660,7 @@ def chance_demo(cfg: ExperimentConfig) -> ReportBundle:
     root = RandomSource(cfg.seed)
     budget = default_budget(composite.n, cfg.budget_multiplier) if cfg.budget is None else cfg.budget
     config = EAConfig(max_iterations=budget)
-    jobs = [(composite, config, root.spawn(rep + 1), None, None) for rep in range(cfg.replicates)]
+    jobs = [(composite, config, r, None, None) for r in root.children(1, cfg.replicates)]
     best_state = None
     best_value = math.inf
     for trace in _run_replicates(jobs):
@@ -708,7 +714,7 @@ def run_study(cfg: ExperimentConfig) -> ReportBundle:
     budget = default_budget(n, cfg.budget_multiplier) if cfg.budget is None else cfg.budget
     config = EAConfig(max_iterations=budget, trace_stride=cfg.trace_stride)
     potential = build_combined_potential(instance).value
-    jobs = [(instance, config, root.spawn(rep + 1), None, potential) for rep in range(cfg.replicates)]
+    jobs = [(instance, config, r, None, potential) for r in root.children(1, cfg.replicates)]
     traces = _run_replicates(jobs)
     rows = [
         RunRow(

@@ -4,28 +4,123 @@ A :class:`RandomSource` wraps a counter-based bit generator (Philox) keyed by a
 64-bit master seed plus a spawn-key tuple.  Identical (seed, spawn_key) pairs
 replay the identical draw sequence; `spawn(i)` derives a statistically
 independent child stream, so parallel replicates never share randomness.
+The seed and every spawn-key entry must be non-negative integers (numpy
+integers are accepted, bools and floats are not).
 
 The generator is built on the first access to `.generator`, not on
 construction: a source that only spawns children, or hands an instance
 generator nothing to draw, costs no SeedSequence or Philox.  Building it
 later changes no draw, since the stream depends only on (seed, spawn_key).
+
+A stream's Philox key is numpy's
+`SeedSequence(seed, spawn_key=spawn_key).generate_state(2, uint64)`, and
+Philox is built from that key alone, so `generator.bit_generator.seed_seq` is
+a holder of the key, not a SeedSequence.  Numpy mixes the entropy into the
+SeedSequence pool; the two output words per key are hashed out of the pool
+here, in Python ints.
+
+`children(first, count)` returns `spawn(first), ..., spawn(first + count - 1)`
+with their keys derived in one pass.  A child's entropy is its parent's plus
+one word, its index.  So the parent's pool comes from numpy's own
+SeedSequence, and only that last word's mixing and `generate_state` are redone
+here, for all indices at once in uint32 array arithmetic.  The keys equal
+numpy's bit for bit (the tests compare them), so a batched child draws
+exactly what `RandomSource(seed, spawn_key)` draws.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_MASK = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # hashmix
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715  # mix
+# generate_state's hash constant before each of its four output words and
+# after the last: 0x8B51F9DD times 0x58F38DED^k (mod 2^32) for k = 0..4
+_OUT = (0x8B51F9DD, 0x464A0A99, 0x819D14A5, 0xD369FDC1, 0x501638AD)
+# below this many children, numpy's fixed cost (about 20 us) exceeds what a
+# batch saves (about 8 us a child), so smaller batches are plain spawns
+_BATCH_MIN = 3
+
+
+def _word(value, name: str) -> int:
+    """`value` as a non-negative Python int; bools and non-integers are refused."""
+    if type(value) is not int:  # numpy integers are converted; bools are not
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError(f"{name} must be an integer, not a bool")
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    return value
+
+
+def _generate_state(pool: list) -> list:
+    """numpy's `generate_state(2, uint64)` of a four-word pool: [low key, high key]."""
+    a, b, c, d = [(p ^ x) * y & _MASK for p, x, y in zip(pool, _OUT, _OUT[1:])]
+    return [(a ^ a >> 16) | (b ^ b >> 16) << 32, (c ^ c >> 16) | (d ^ d >> 16) << 32]
+
+
+def _child_keys(first: int, count: int, pool: list, hashes: list) -> list:
+    """Keys of the children at indices first, ..., first + count - 1.
+
+    `pool` is the parent's SeedSequence pool and `hashes` are hashmix's five
+    constants from the end of the parent's entropy on.  As numpy does with an
+    entropy word past the pool size, each index is hashmixed and mixed into
+    each of the four pool words in turn; the pool then goes through
+    `generate_state(2, uint64)`.  Rows are pool words, columns children, and
+    uint32 arithmetic wraps as numpy's does.
+    """
+    c = np.array([hashes[:4], hashes[1:], pool, _OUT[:4], _OUT[1:]], dtype=np.uint32)[:, :, None]
+    h = (np.arange(first, first + count, dtype=np.uint32) ^ c[0]) * c[1]
+    h ^= h >> 16
+    w = _MIX_L * c[2] - _MIX_R * h
+    w ^= w >> 16
+    w = (w ^ c[3]) * c[4]
+    w ^= w >> 16
+    # numpy joins the words little-endian: word 2k is the low half of key k
+    return np.ascontiguousarray(w.T, dtype="<u4").view("<u8").tolist()
+
+
+class _StreamKey:
+    """The seed sequence Philox is built from: it returns the stream's key.
+
+    It becomes a virtual subclass of numpy's `ISeedSequence`, which Philox
+    requires, on the first generator build, so that importing driftlab does
+    not import numpy.random.
+    """
+
+    __slots__ = ("key",)
+    registered = False
+
+    def __init__(self, key: list):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
+            raise ValueError("a stream key only provides Philox's two 64-bit words")
+        return np.array(self.key, dtype=np.uint64)
 
 
 class RandomSource:
     """A random stream identified by (seed, spawn_key)."""
 
-    __slots__ = ("seed", "spawn_key", "_generator")
+    __slots__ = ("seed", "spawn_key", "_key", "_generator")
 
-    def __init__(self, seed: int, spawn_key: tuple[int, ...] = ()):
-        if not 0 <= int(seed) < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
-        self.seed = int(seed)
-        self.spawn_key = tuple(int(k) for k in spawn_key)
+    def __init__(self, seed: int, spawn_key: tuple[int, ...] = (), *, _key=None):
+        if _key is None:  # `children` passes a checked seed and spawn key with the stream's key
+            seed = _word(seed, "seed")
+            if seed >= 2**64:
+                raise ValueError("seed must be a 64-bit unsigned integer")
+            spawn_key = tuple([_word(k, "spawn key entry") for k in spawn_key])
+        self.seed = seed
+        self.spawn_key = spawn_key
+        self._key = _key
         self._generator = None
 
     @property
@@ -33,13 +128,37 @@ class RandomSource:
         """The stream's generator, built on first use and kept from then on."""
         gen = self._generator
         if gen is None:
-            sequence = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
-            gen = self._generator = np.random.Generator(np.random.Philox(sequence))
+            key = self._key
+            if key is None:
+                key = _generate_state(np.random.SeedSequence(self.seed, spawn_key=self.spawn_key).pool.tolist())
+            if not _StreamKey.registered:
+                np.random.bit_generator.ISeedSequence.register(_StreamKey)
+                _StreamKey.registered = True
+            gen = self._generator = np.random.Generator(np.random.Philox(_StreamKey(key)))
         return gen
 
     def spawn(self, index: int) -> "RandomSource":
         """Derive the `index`-th independent child stream."""
-        return RandomSource(self.seed, self.spawn_key + (int(index),))
+        return RandomSource(self.seed, self.spawn_key + (index,))
+
+    def children(self, first: int, count: int) -> list["RandomSource"]:
+        """`[spawn(first + j) for j in range(count)]`, with every key derived
+        in one pass.  The indices must fit in one 32-bit word."""
+        first = _word(first, "first child index")
+        count = _word(count, "child count")
+        if first + count > 2**32:
+            raise ValueError("child indices must be below 2**32")
+        if count < _BATCH_MIN:
+            return [self.spawn(i) for i in range(first, first + count)]
+        seed, parent_key = self.seed, self.spawn_key
+        # The seed (at most two words) is padded to the pool size of four, so
+        # hashmix has run 4 + 12 times on the pool and 4 times per parent-key
+        # word before the child's index comes in.
+        words = sum((k.bit_length() + 31) // 32 or 1 for k in parent_key)
+        hashes = [_INIT_A * pow(_MULT_A, 16 + 4 * words + k, 2**32) & _MASK for k in range(5)]
+        pool = np.random.SeedSequence(seed, spawn_key=parent_key).pool.tolist()
+        keys = _child_keys(first, count, pool, hashes)
+        return [RandomSource(seed, parent_key + (first + j,), _key=key) for j, key in enumerate(keys)]
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed}, spawn_key={self.spawn_key})"

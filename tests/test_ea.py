@@ -82,6 +82,86 @@ class TestRandomSource:
         # the copy continues where the original stands, not from the start
         assert np.array_equal(copy.generator.random(10), used.generator.random(10))
 
+    @pytest.mark.parametrize(
+        "seed, spawn_key, error",
+        [
+            (1.5, (), TypeError),
+            (np.float64(2.0), (), TypeError),
+            (True, (), TypeError),
+            ("5", (), TypeError),
+            (2**64, (), ValueError),
+            (1, (2.7,), TypeError),
+            (1, (False,), TypeError),
+            (1, (np.bool_(True),), TypeError),
+            (1, (0, -1), ValueError),
+        ],
+    )
+    def test_invalid_seed_or_spawn_key_is_refused(self, seed, spawn_key, error):
+        with pytest.raises(error):
+            dl.RandomSource(seed, spawn_key)
+
+    @pytest.mark.parametrize("index, error", [(2.7, TypeError), (True, TypeError), (-1, ValueError)])
+    def test_invalid_spawn_index_is_refused(self, index, error):
+        with pytest.raises(error):
+            dl.RandomSource(1, (3,)).spawn(index)
+
+    def test_numpy_integers_become_python_ints(self):
+        source = dl.RandomSource(np.uint64(2**64 - 1), (np.int64(3), np.uint32(7))).spawn(np.int16(2))
+        assert (source.seed, source.spawn_key) == (2**64 - 1, (3, 7, 2))
+        assert all(type(k) is int for k in (source.seed, *source.spawn_key))
+
+    @pytest.mark.parametrize(
+        "first, count, error",
+        [(-1, 3, ValueError), (0, -1, ValueError), (1.0, 3, TypeError), (0, True, TypeError),
+         (2**32 - 2, 3, ValueError), (2**32, 1, ValueError)],
+    )
+    def test_invalid_children_range_is_refused(self, first, count, error):
+        with pytest.raises(error):
+            dl.RandomSource(1).children(first, count)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("parent_key", [(), (0,), (2**32,), (5, 2**32 - 1), (1, 2**40, 2**64 + 3)])
+    def test_child_keys_equal_seed_sequence_keys(self, seed, parent_key):
+        parent = dl.RandomSource(seed, parent_key)
+        # batches of one and two are spawns; three and more are derived in one pass
+        for first, count in [(0, 1), (0, 2), (0, 3), (7, 20), (2**32 - 4, 4)]:
+            children = parent.children(first, count)
+            assert [c.spawn_key for c in children] == [parent_key + (first + j,) for j in range(count)]
+            for j, child in enumerate(children):
+                key = np.random.SeedSequence(seed, spawn_key=parent_key + (first + j,)).generate_state(2, np.uint64)
+                assert np.array_equal(child.generator.bit_generator.state["state"]["key"], key)
+
+    def test_children_are_built_through_init(self, monkeypatch):
+        # a tracer counts streams by wrapping RandomSource.__init__
+        calls = []
+        init = dl.RandomSource.__init__
+        monkeypatch.setattr(dl.RandomSource, "__init__", lambda self, *a, **k: calls.append(a) or init(self, *a, **k))
+        parent = dl.RandomSource(4)
+        assert len(parent.children(0, 2)) == 2 and len(parent.children(2, 30)) == 30
+        assert len(calls) == 1 + 2 + 30
+
+    def test_batched_child_survives_pickling_and_replays(self):
+        import pickle
+
+        child = dl.RandomSource(3, (1,)).children(5, 10)[4]
+        expected = dl.RandomSource(3, (1, 9)).generator.random(17)
+        fresh = pickle.loads(pickle.dumps(child))
+        assert (fresh.seed, fresh.spawn_key) == (3, (1, 9))
+        assert np.array_equal(fresh.generator.random(17), expected)
+        child.generator.random(7)
+        used = pickle.loads(pickle.dumps(child))
+        # the copy continues where the original stands
+        assert np.array_equal(used.generator.random(10), expected[7:])
+        assert np.array_equal(child.generator.random(10), expected[7:])
+
+    def test_importing_the_cli_leaves_numpy_random_unloaded(self):
+        # numpy.random loads with the first stream built, not at start-up
+        import subprocess
+        import sys
+
+        probe = "import sys, driftlab.cli; sys.exit('numpy.random' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", probe]).returncode == 0
+
 
 class TestStandardBitMutation:
     def test_no_flips_returns_parent(self):
@@ -283,8 +363,8 @@ class TestRunEA:
         root = dl.RandomSource(11)
         runs = 10**5
         total = 0
-        for rep in range(runs):
-            trace = dl.run_ea(inst, cfg, root.spawn(rep), initial=bits(1))
+        for source in root.children(0, runs):  # the streams of spawn(0), ..., spawn(runs - 1)
+            trace = dl.run_ea(inst, cfg, source, initial=bits(1))
             total += trace.hitting_time
         se = math.sqrt(2.0 / runs)  # Var of Geometric(1/2) is 2
         assert abs(total / runs - 2.0) <= 3 * se
@@ -294,7 +374,7 @@ class TestRunEA:
         inst = dl.onemax(n)
         cfg = dl.EAConfig(max_iterations=dl.default_budget(n))
         root = dl.RandomSource(99)
-        times = [dl.run_ea(inst, cfg, root.spawn(r)).hitting_time for r in range(1000)]
+        times = [dl.run_ea(inst, cfg, source).hitting_time for source in root.children(0, 1000)]
         assert all(t is not None for t in times)
         mean = sum(times) / len(times)
         reference = math.e * n * math.log(n)
@@ -446,7 +526,7 @@ class TestSparseEngine:
         exact = exact_mean_hitting_time(inst, p or inst.mutation_probability)
         cfg = dl.EAConfig(max_iterations=1000, mutation_probability=p)
         root = dl.RandomSource(31)
-        times = [dl.run_ea(inst, cfg, root.spawn(r)).hitting_time for r in range(10_000)]
+        times = [dl.run_ea(inst, cfg, source).hitting_time for source in root.children(0, 10_000)]
         assert None not in times  # E[T] is below 20 here
         times = np.array(times)
         se = times.std(ddof=1) / math.sqrt(times.size)
