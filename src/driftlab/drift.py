@@ -1,4 +1,4 @@
-"""Exact drift of the combined potential, plus time/tail bounds.
+"""Exact drift of the combined potential, certified over given or all states.
 
 The drift of potential phi at state u is
 drift(u) = sum_y K(u ^ y) [f(y) <= f(u)] (phi(u) - phi(y)), where
@@ -27,9 +27,6 @@ level of at least the block size is a block of its own and joins the accepted
 set before its own convolution, since all its pairs are accepted both ways;
 smaller levels group into blocks of fewer than twice the block size.  The
 cost is O(2^1.5m sqrt(m)) instead of 4^m.
-
-The multiplicative-drift time bound turns a certified per-step rate into an
-expected hitting time and exponential tail thresholds.
 """
 
 from __future__ import annotations
@@ -381,51 +378,3 @@ def exhaustive_drift_check(
         passed=min_ratio is not None and min_ratio - rounding_bound >= delta,
     )
 
-
-@dataclass
-class TailPoint:
-    r: float
-    threshold: float
-    probability_bound: float
-
-
-@dataclass
-class DriftTimeBound:
-    """Expected-time and tail thresholds from a multiplicative drift rate.
-
-    For a process on {0} u [floor, ceiling] that loses at least `rate` times
-    its value per step in expectation, the hitting time T of 0 satisfies
-    E[T] <= (ln(start/floor) + 1) / rate and
-    Pr(T > (ln(start/floor) + r) / rate) <= e^-r.  (The ceiling of the state
-    space plays no role in either bound and is not stored.)
-    """
-
-    start: float
-    floor: float
-    rate: float
-    expected_time_bound: float
-    tail: list
-
-
-def drift_time_bounds(
-    start: float, floor: float, rate: float, r_values: Sequence[float]
-) -> DriftTimeBound:
-    if not floor > 0.0:
-        raise ValueError("floor must be positive")
-    if start < floor:
-        raise ValueError("start must be at least the floor")
-    if not 0.0 < rate < 1.0:
-        raise ValueError("rate must lie in (0, 1)")
-    log_term = math.log(start / floor)
-    tail = []
-    for r in r_values:
-        if r < 0:
-            raise ValueError("tail parameters r must be non-negative")
-        tail.append(TailPoint(float(r), (log_term + r) / rate, math.exp(-r)))
-    return DriftTimeBound(
-        start=float(start),
-        floor=float(floor),
-        rate=float(rate),
-        expected_time_bound=(log_term + 1.0) / rate,
-        tail=tail,
-    )

@@ -29,12 +29,12 @@ Every K with K*K <= m takes its positions from the `_Mutations` pool
 inline, as ints, with the draws `_Mutations.positions` would make (a
 repeated position redraws all K): K = 1 (tested first), 2 and 3 are written
 out, each larger K takes one slice of the pool.  Only K*K > m, the exact
-subset draw, calls `positions`.  The pool, its refill rule
-(`_Mutations.refill`) and the subset draw have that one owner; the loop
-keeps the pool, its cursor and its end in locals and stores the cursor back
-before each `positions` call.  Any other objective (float weights, or sums
-that may round) takes a plain loop: `positions(k)` for every K, the flips
-applied to the parent array, and the pair re-summed by `linear_values`.
+subset draw, calls `positions`, which then neither reads nor moves the
+pool.  The pool, its refill rule (`_Mutations.refill`) and the subset draw
+have that one owner; the loop keeps the pool, its cursor and its end in
+locals.  Any other objective (float weights, or sums that may round) takes
+a plain loop: `positions(k)` for every K, the flips applied to the parent
+array, and the pair re-summed by `linear_values`.
 
 Both loops share the rest.  Each block's offsets are cut to the budget once,
 with `bisect`, when the budget ends inside it, so no offspring tests the
@@ -335,11 +335,8 @@ def run_ea(
                             at += k
                             if len(set(flips)) == k:
                                 break
-                    else:
-                        mutations.at = at  # positions() reads and moves the cursor
+                    else:  # K*K > m: range(m) or an exact subset draw, never the pool
                         flips = mutations.positions(k)
-                        pool, at = mutations.pool, mutations.at
-                        end = len(pool)
                     y1, y2 = l1, l2
                     for j in flips:
                         y1 += d1[j]

@@ -606,8 +606,10 @@ def tail_study(cfg: ExperimentConfig) -> ReportBundle:
             # T = 0 never exceeds a positive threshold; no threshold is defined
             # for a zero start potential.
             continue
-        # the tail thresholds of drift_time_bounds(start, floor, delta, r_values),
-        # by its expressions; the largest one is the run's budget
+        # The multiplicative drift theorem: phi is 0 or at least floor and loses
+        # at least delta * phi per step in expectation, so the hitting time T has
+        # Pr(T > (ln(start/floor) + r)/delta) <= e^-r, and r = 1 gives
+        # E[T] <= (ln(start/floor) + 1)/delta.  The largest threshold is the budget.
         log_term = math.log(start / floor)
         run_thresholds = [(log_term + r) / delta for r in cfg.r_values]
         jobs.append((instance, EAConfig(max_iterations=max(1, math.ceil(max(run_thresholds)))), source, x0, None))

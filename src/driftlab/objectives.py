@@ -539,6 +539,12 @@ def build_chance(c: ChanceInstance) -> CompositeObjective:
     1/(2m)); the first part carries the means under the identity, the second
     the variances under scale(fractile) o square_root.
     """
+    fractile = c.fractile
+    if fractile < 0.0:
+        raise ValueError(
+            f"confidence {c.confidence} has a negative fractile {fractile}; "
+            "a chance objective needs confidence >= 0.5"
+        )
     m = c.item_count
     every = np.arange(m)
     return CompositeObjective(
@@ -547,7 +553,7 @@ def build_chance(c: ChanceInstance) -> CompositeObjective:
         Fraction(1, 2),
         (LinearFunction(c.mu), LinearFunction(c.sigma**2)),
         (DomainEmbedding(every, m), DomainEmbedding(every, m)),
-        (identity(), compose(scale(c.fractile), square_root())),
+        (identity(), compose(scale(fractile), square_root())),
     )
 
 
@@ -573,16 +579,7 @@ def onemax(n: int) -> CompositeObjective:
     """The all-ones-weight, identity-transform instance: f(x) = |x|_1."""
     if n < 2 or n % 2:
         raise ValueError("onemax preset needs an even n >= 2")
-    half = n // 2
-    ones = np.ones(half)
-    return CompositeObjective(
-        n,
-        0,
-        Fraction(1, 2),
-        (LinearFunction(ones), LinearFunction(ones)),
-        (DomainEmbedding(np.arange(half), n), DomainEmbedding(np.arange(half, n), n)),
-        (identity(), identity()),
-    )
+    return generate_instance(n, 0, Fraction(1, 2), weight_scheme="all-ones", transforms=("identity", "identity"))
 
 
 @dataclass(eq=False)

@@ -273,6 +273,13 @@ class TestChanceCommand:
     def test_missing_m_is_config_error(self):
         assert cli_main(["chance"]) == 1
 
+    def test_confidence_below_half_names_its_fractile(self, capsys):
+        # used to say "scale transform needs a finite real number R >= 0, got -0.52..."
+        assert cli_main(["chance", "--m", "4", "--alpha-c", "0.3", "--reps", "2"]) == 1
+        assert capsys.readouterr().err.startswith("error: confidence 0.3 has a negative fractile -0.524")
+        # the median's fractile is 0: allowed
+        assert cli_main(["chance", "--m", "4", "--alpha-c", "0.5", "--reps", "2", "--samples", "1000"]) == 0
+
     def test_instance_file_supplies_item_count(self, tmp_path):
         import driftlab as dl
 

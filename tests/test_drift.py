@@ -268,38 +268,3 @@ class TestOneEvaluationPath:
         assert np.array_equal(space.optimal, [inst.is_optimal(x) for x in states])
         assert np.flatnonzero(space.optimal).tolist() == [1]
 
-
-class TestDriftTimeBounds:
-    def test_equal_start_and_floor(self):
-        bound = dl.drift_time_bounds(2.0, 2.0, 0.25, [1.0])
-        assert bound.expected_time_bound == pytest.approx(4.0)
-
-    def test_hand_example(self):
-        bound = dl.drift_time_bounds(math.e * 3.0, 3.0, 0.5, [])
-        assert bound.expected_time_bound == pytest.approx(4.0)
-
-    def test_tail_point(self):
-        bound = dl.drift_time_bounds(10.0, 1.0, 0.1, [3.0])
-        point = bound.tail[0]
-        assert point.probability_bound == pytest.approx(math.exp(-3))
-        assert point.threshold == pytest.approx((math.log(10.0) + 3.0) / 0.1)
-
-    def test_monotone_in_rate_and_start(self):
-        slow = dl.drift_time_bounds(10.0, 1.0, 0.1, [1.0])
-        fast = dl.drift_time_bounds(10.0, 1.0, 0.2, [1.0])
-        bigger = dl.drift_time_bounds(20.0, 1.0, 0.1, [1.0])
-        assert fast.expected_time_bound < slow.expected_time_bound
-        assert fast.tail[0].threshold < slow.tail[0].threshold
-        assert bigger.expected_time_bound > slow.expected_time_bound
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            dl.drift_time_bounds(1.0, 0.0, 0.5, [])
-        with pytest.raises(ValueError):
-            dl.drift_time_bounds(0.5, 1.0, 0.5, [])
-        with pytest.raises(ValueError):
-            dl.drift_time_bounds(2.0, 1.0, 0.0, [])
-        with pytest.raises(ValueError):
-            dl.drift_time_bounds(2.0, 1.0, 1.5, [])
-        with pytest.raises(ValueError):
-            dl.drift_time_bounds(2.0, 1.0, 0.5, [-1.0])

@@ -294,6 +294,20 @@ class TestMutationsLaw:
         stat = float(((obs - expected) ** 2).sum() / expected)
         assert chi2.sf(stat, df=len(subsets) - 1) > 0.001
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 10, 64])
+    def test_subset_draws_leave_the_pool_alone(self, m):
+        # run_ea's linear loop keeps the pool and its cursor in locals and calls
+        # positions(k) only for k*k > m (k = m included), without storing them back
+        mutations = _Mutations(dl.RandomSource(m).generator, m, 1 / m)
+        pool = mutations.refill(1)
+        mutations.at = 1
+        contents = list(pool)
+        for k in sorted({*range(math.isqrt(m) + 1, m + 1), m}):
+            for _ in range(20):
+                flips = mutations.positions(k)
+                assert len(set(flips)) == k and all(0 <= j < m for j in flips)
+                assert mutations.pool is pool and pool == contents and mutations.at == 1
+
 
 class TestElitistStep:
     """The elitist selection of one `run_ea` iteration: keep y iff f(y) <= f(x).
