@@ -28,13 +28,15 @@ negates the entries, and the sums stay exact under `LinearForm`'s rule.
 Every K with K*K <= m takes its positions from the `_Mutations` pool
 inline, as ints, with the draws `_Mutations.positions` would make (a
 repeated position redraws all K): K = 1 (tested first), 2 and 3 are written
-out, each larger K takes one slice of the pool.  Only K*K > m, the exact
-subset draw, calls `positions`, which then neither reads nor moves the
-pool.  The pool, its refill rule (`_Mutations.refill`) and the subset draw
-have that one owner; the loop keeps the pool, its cursor and its end in
-locals.  Any other objective (float weights, or sums that may round) takes
-a plain loop: `positions(k)` for every K, the flips applied to the parent
-array, and the pair re-summed by `linear_values`.
+out, each larger K takes one slice of the pool.  Only K*K > m calls
+`positions`, which then takes the first K entries of one uniform random
+permutation of range(m) (an exactly uniform K-subset; K = m flips all with
+no draw) and neither reads nor moves the pool.  The pool, its refill rule
+(`_Mutations.refill`) and the subset draw have that one owner; the loop
+keeps the pool, its cursor and its end in locals.  Any other objective
+(float weights, or sums that may round) takes a plain loop: `positions(k)`
+for every K, the flips applied to the parent array, and the pair re-summed
+by `linear_values`.
 
 Both loops share the rest.  Each block's offsets are cut to the budget once,
 with `bisect`, when the budget ends inside it, so no offspring tests the
@@ -156,7 +158,9 @@ class _Mutations:
     An iteration flips K ~ Binomial(m, p) bits; given K = k >= 1 the flipped
     set is uniform among the k-subsets.  Small k take k iid uniform
     positions and redraw all of them on a repeat (k*k <= m keeps the success
-    chance above 1/2); larger k use an exact subset draw.
+    chance above 1/2); larger k take the first k entries of one
+    `Generator.permutation(m)`, an exactly uniform k-subset, and k = m takes
+    every position with no draw.
     """
 
     __slots__ = ("gen", "m", "p", "size", "pool", "at")
@@ -188,7 +192,7 @@ class _Mutations:
         if k == m:
             return list(range(m))
         if k * k > m:
-            return self.gen.choice(m, k, replace=False).tolist()
+            return self.gen.permutation(m)[:k].tolist()
         while True:
             if self.at + k > len(self.pool):
                 self.refill(k)
@@ -335,7 +339,7 @@ def run_ea(
                             at += k
                             if len(set(flips)) == k:
                                 break
-                    else:  # K*K > m: range(m) or an exact subset draw, never the pool
+                    else:  # K*K > m: range(m) or a permutation prefix, never the pool
                         flips = mutations.positions(k)
                     y1, y2 = l1, l2
                     for j in flips:

@@ -569,7 +569,8 @@ def tail_study(cfg: ExperimentConfig) -> ReportBundle:
         raise ValueError(f"expected kind 'tail', got {cfg.kind!r}")
     n = cfg.n_values[0]
     root = RandomSource(cfg.seed)
-    instance = build_objective(cfg, n, root.spawn(0))
+    instance_source = root.spawn(0)
+    instance = build_objective(cfg, n, instance_source)
     notes = []
     if cfg.delta is not None:
         delta = float(cfg.delta)
@@ -594,10 +595,13 @@ def tail_study(cfg: ExperimentConfig) -> ReportBundle:
 
     potential = build_combined_potential(instance)
     floor = 1.0  # every nonzero state carries a coefficient >= 1
-    # replicate j draws its start from (j+1,), then runs on the same stream;
-    # the starts are valued together, one row each
+    # every start is row j of one draw on stream (0, 1), which nothing else
+    # draws from (a larger R keeps the earlier rows); replicate j then runs on
+    # (j+1,) from its first draw.  The starts are valued together, one row each
+    starts = instance_source.spawn(1).generator.integers(
+        0, 2, (cfg.replicates, instance.domain_size), dtype=np.uint8
+    )
     sources = root.children(1, cfg.replicates)
-    starts = np.array([source.generator.integers(0, 2, instance.domain_size, dtype=np.uint8) for source in sources])
     jobs, thresholds = [], []
     for source, x0, start, optimal in zip(
         sources, starts, potential.value(starts).tolist(), instance.is_optimal(starts).tolist()

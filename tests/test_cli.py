@@ -772,8 +772,8 @@ class TestUncertifiedAndMootOptions:
         # every run censored: no mean, spread, median or ratio
         (["scale", "--preset", "onemax", "--n", "64", "--reps", "2", "--budget", "1"],
          {"mean_T", "sd_T", "median_T", "ratio_nlogn"}),
-        # seed 3 starts its one replicate at the optimum, so no start is counted
-        (["tail", "--preset", "onemax", "--n", "2", "--reps", "1", "--delta", "0.2", "--seed", "3"],
+        # seed 17 starts its one replicate at the optimum, so no start is counted
+        (["tail", "--preset", "onemax", "--n", "2", "--reps", "1", "--delta", "0.2", "--seed", "17"],
          {"threshold"}),
     ])
     def test_undefined_statistics_are_json_null(self, tmp_path, argv, row_nulls):

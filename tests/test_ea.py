@@ -264,7 +264,8 @@ class TestMutationsLaw:
 
     @pytest.mark.parametrize("k", [1, 2, 4, 5, 8])
     def test_positions_are_uniform_per_position(self, k):
-        # k = 1, 2, 4 take the rejection path on 16 bits (k*k <= m), 5 and 8 `choice`
+        # k = 1, 2, 4 take the rejection path on 16 bits (k*k <= m), 5 and 8 a
+        # permutation prefix
         m, draws = 16, 20_000
         mutations = _Mutations(dl.RandomSource(2024).generator, m, 1 / m)
         hits = np.zeros(m, dtype=np.int64)
@@ -277,9 +278,10 @@ class TestMutationsLaw:
         stat = float(((hits - expected) ** 2).sum() / expected) * (m - 1) / (m - k)
         assert chi2.sf(stat, df=m - 1) > 0.001
 
-    @pytest.mark.parametrize("m, k", [(9, 3), (6, 3), (5, 5)])
+    @pytest.mark.parametrize("m, k", [(9, 3), (6, 3), (10, 4), (5, 5)])
     def test_positions_are_uniform_subsets(self, m, k):
-        # (9, 3) takes the rejection path, (6, 3) `choice`, and K = m the full set
+        # (9, 3) takes the rejection path; (6, 3) and (10, 4), tail's k*k > m
+        # case, a permutation prefix; and K = m the full set
         draws = 50_000
         mutations = _Mutations(dl.RandomSource(42).generator, m, 1 / m)
         subsets = {s: 0 for s in itertools.combinations(range(m), k)}
@@ -771,17 +773,18 @@ def golden_cases():
 
 
 # (hitting_time, accepted_steps, samples, final_state as a bit string) of each
-# golden case, recorded before run_ea became one fused loop.
+# golden case, recorded before run_ea became one fused loop (multimodal16 and
+# p_half again when k*k > m subsets became permutation prefixes).
 GOLDEN = {
     "onemax10": (56, 7, [(0, 5.0, None, 5), (56, 0.0, None, 0)], "0" * 10),
     "separable64": (722, 42, [(0, 958466.179356624, None, 38), (722, 0.0, None, 0)], "0" * 64),
     "chance64": (191, 16, [(0, 219.79512688175166, None, 14), (191, 0.0, None, 0)], "0" * 32),
     "multimodal16": (
-        507, 9, [(0, 1.0002261765559461, None, 1), (507, 0.5002261765559461, None, 1)], "1" + "0" * 15),
+        458, 11, [(0, 1.0002261765559461, None, 1), (458, 0.5002261765559461, None, 1)], "1" + "0" * 15),
     "float32": (258, 23, [(0, 278.47724840824424, None, 16), (258, 0.0, None, 0)], "0" * 32),
     "doubling128": (1773, 151, [(0, 5.630913779987742e+35, None, 61), (1773, 0.0, None, 0)], "0" * 128),
     "p_one": (None, 9, [(0, 3.0, None, 3), (9, 3.0, None, 3)], "000111"),
-    "p_half": (None, 12, [(0, 6.0, None, 6), (300, 4.0, None, 4)], "0110000000011000"),
+    "p_half": (None, 4, [(0, 6.0, None, 6), (300, 2.0, None, 2)], "0001000000000001"),
     "stride7": (
         69, 10,
         [(0, 8.0, 8.0, 8), (7, 8.0, 8.0, 8), (14, 5.0, 5.0, 5), (21, 3.0, 3.0, 3), (28, 3.0, 3.0, 3),
@@ -796,8 +799,8 @@ def test_golden_run(name):
     """Fixed seeds pin every branch of run_ea: a drawn start and a given one,
     the O(K) update (integer weights, the compose transform, the multimodal
     instance) and the full re-sum (float weights, doubling), K = m at p = 1,
-    the `choice` subset draw at p = 1/2 on 16 bits, and stride records with a
-    potential.
+    the permutation-prefix subset draw at p = 1/2 on 16 bits, and stride
+    records with a potential.
 
     A change that means to alter the random stream or the selection must
     regenerate GOLDEN and say so in CHANGES.md; any other change must leave

@@ -305,6 +305,24 @@ class TestTailStudy:
         assert once.rows[0].exceed_freq > 0
         assert twice.rows == [once.rows[0]] * 2
 
+    def test_more_replicates_keep_the_earlier_starts_and_runs(self, monkeypatch):
+        # every start is a row of one draw on stream (0, 1), so R = 12 begins with R = 5's runs
+        runs = []
+
+        def recording_run_ea(instance, config, rng, initial, potential):
+            trace = dl.run_ea(instance, config, rng, initial, potential)
+            runs.append((initial.tolist(), rng.spawn_key, trace.hitting_time))
+            return trace
+
+        monkeypatch.setattr(experiments, "run_ea", recording_run_ea)
+        base = dict(kind="tail", n_values=(10,), preset="onemax", seed=4, delta=0.035)
+        dl.tail_study(ExperimentConfig(**base, replicates=5))
+        few = runs[:]
+        runs.clear()
+        dl.tail_study(ExperimentConfig(**base, replicates=12))
+        assert len(few) == 5 and runs[:5] == few and len(runs) == 12
+        assert [key for _, key, _ in runs] == [(j + 1,) for j in range(12)]
+
     def test_refuses_uncertifiable_instance(self):
         cfg = ExperimentConfig(kind="tail", n_values=(64,), preset="onemax", replicates=10, seed=1)
         with pytest.raises(ValueError):
@@ -335,27 +353,27 @@ def _float_weight_instance(path):
 
 # Rows (r, threshold, exceed_freq, bound, violation) and extras of three tail
 # studies, pinned bit for bit: start draws, start potentials, skipped optimal
-# starts (onemax n = 2) and both offspring evaluators.
+# starts (onemax n = 2, and one of onemax10's) and both offspring evaluators.
 GOLDEN_TAIL = {
     "onemax10": (
         dict(n_values=(10,), preset="onemax", replicates=250, seed=7, delta=0.035, r_values=(0.0, 1.0, 3.0)),
-        [(0.0, 43.14061462674422, 0.504, 1.0, False),
-         (1.0, 71.71204319817298, 0.152, 0.36787944117144233, False),
-         (3.0, 128.85490034102963, 0.032, 0.049787068367863944, False)],
-        {"delta": 0.035, "replicates_counted": 250},
+        [(0.0, 44.83867416505593, 0.456, 1.0, False),
+         (1.0, 73.41010273648457, 0.192, 0.36787944117144233, False),
+         (3.0, 130.55295987934142, 0.024, 0.049787068367863944, False)],
+        {"delta": 0.035, "replicates_counted": 249},
     ),
     "onemax2_skips_optimal_starts": (
         dict(n_values=(2,), preset="onemax", replicates=40, seed=3, delta=0.2),
-        [(1.0, 6.155245300933243, 0.15, 0.36787944117144233, False),
-         (2.0, 11.155245300933245, 0.05, 0.1353352832366127, False),
-         (3.0, 16.15524530093324, 0.0, 0.049787068367863944, False)],
-        {"delta": 0.2, "replicates_counted": 30},
+        [(1.0, 6.565171052877297, 0.1, 0.36787944117144233, False),
+         (2.0, 11.565171052877298, 0.0, 0.1353352832366127, False),
+         (3.0, 16.565171052877297, 0.0, 0.049787068367863944, False)],
+        {"delta": 0.2, "replicates_counted": 31},
     ),
     "float_weight_file": (
         dict(n_values=(10,), replicates=120, seed=11, delta=0.03, r_values=(0.5, 1.0, 2.0)),
-        [(0.5, 74.19613162562963, 0.1, 0.6065306597126334, False),
-         (1.0, 90.86279829229623, 0.05, 0.36787944117144233, False),
-         (2.0, 124.19613162562968, 0.016666666666666666, 0.1353352832366127, False)],
+        [(0.5, 73.37228408611689, 0.075, 0.6065306597126334, False),
+         (1.0, 90.03895075278355, 0.03333333333333333, 0.36787944117144233, False),
+         (2.0, 123.37228408611693, 0.0, 0.1353352832366127, False)],
         {"delta": 0.03, "replicates_counted": 120},
     ),
 }
@@ -494,13 +512,13 @@ def _replay_escape(cfg):
 
 
 def _replay_tail(cfg):
-    # stream (j+1,): the start point first, then the run, budget the largest threshold
+    # the start is row j of the (R, m) draw on stream (0, 1); the run is stream
+    # (j+1,) from its first draw, budget the largest threshold
     instance = dl.onemax(8)
-    source = dl.RandomSource(cfg.seed, (3,))
-    x0 = source.generator.integers(0, 2, 8, dtype=np.uint8)
+    x0 = dl.RandomSource(cfg.seed, (0, 1)).generator.integers(0, 2, (3, 8), dtype=np.uint8)[2]
     start = dl.build_combined_potential(instance).value(x0)
     budget = math.ceil((math.log(start) + max(cfg.r_values)) / cfg.delta)
-    return dl.run_ea(instance, dl.EAConfig(budget), source, initial=x0)
+    return dl.run_ea(instance, dl.EAConfig(budget), dl.RandomSource(cfg.seed, (3,)), initial=x0)
 
 
 def _replay_chance(cfg):
