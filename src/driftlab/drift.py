@@ -31,8 +31,9 @@ cost is O(2^1.5m sqrt(m)) instead of 4^m.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -193,14 +194,24 @@ class DriftReport:
 
     rounding_bound bounds |computed - exact| drift/phi over the checked states
     (see exhaustive_drift_check); passed asks min_ratio - rounding_bound >= delta.
+    `rows` holds one DriftRow per checked state, in state order; they are
+    built from `columns` (state codes, one-bit counts, phi, drift and ratio,
+    one array each) when `rows` is first read, so a caller that needs only
+    the summary builds none.
     """
 
     epsilon: float
     delta_reference: float
-    rows: list
     min_ratio: Optional[float]  # None when no non-optimal state was checked
     rounding_bound: Optional[float]  # None with min_ratio
     passed: bool  # False when no state was checked: nothing is certified
+    columns: tuple = field(default=(), repr=False, compare=False)
+
+    @functools.cached_property
+    def rows(self) -> list:
+        if not self.columns:
+            return []
+        return list(map(DriftRow, *(column.tolist() for column in self.columns)))
 
     def summary_dict(self) -> dict:
         return {
@@ -359,22 +370,21 @@ def exhaustive_drift_check(
         sweep = _direct_drift
 
     min_ratio = rounding_bound = None
-    rows = []
+    columns = ()
     if codes.size:
         drift, rounding_bound = sweep(space, p, codes)
         phi = space.phi[codes]
         ratio = drift / phi
         min_ratio = float(ratio.min())
-        rows = list(map(DriftRow, codes.tolist(), space.popcount[codes].tolist(),
-                        phi.tolist(), drift.tolist(), ratio.tolist()))
+        columns = (codes, space.popcount[codes], phi, drift, ratio)
 
     delta = drift_rate_reference(instance)
     return DriftReport(
         epsilon=instance.slack,
         delta_reference=delta,
-        rows=rows,
         min_ratio=min_ratio,
         rounding_bound=rounding_bound,
         passed=min_ratio is not None and min_ratio - rounding_bound >= delta,
+        columns=columns,
     )
 

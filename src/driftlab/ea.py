@@ -22,7 +22,8 @@ The kind of objective is decided once per run, from its `linear_form`, and
 each block's non-empty iterations go to that kind's loop, which never tests
 the kind again.  With a linear form the loop never re-sums: it carries, per
 position, what a flip adds to the pair (+w while the bit is 0, -w while it
-is 1; both lists and the start pair are built in numpy), so an offspring's
+is 1; both lists and the start pair are built in numpy, from the weights
+and the negated weights that a LinearForm holds), so an offspring's
 pair is l1 + d1[j] (+ d1[i]) with no branch on the bit, an accepted flip
 negates the entries, and the sums stay exact under `LinearForm`'s rule.
 Every K with K*K <= m takes its positions from the `_Mutations` pool
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -80,8 +82,13 @@ class EAConfig:
                              f"{self.max_iterations!r} and {self.trace_stride!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if self.mutation_probability is not None and not 0.0 < self.mutation_probability <= 1.0:
-            raise ValueError("mutation probability must lie in (0, 1]")
+        p = self.mutation_probability
+        if p is not None:
+            # a real number, as in config files: True is no probability of 1
+            if isinstance(p, (bool, np.bool_)) or not isinstance(p, numbers.Real):
+                raise ValueError(f"mutation probability must be a real number, got {p!r}")
+            if not 0.0 < p <= 1.0:
+                raise ValueError("mutation probability must lie in (0, 1]")
         if self.trace_stride < 0:
             raise ValueError("trace_stride must be non-negative")
 
@@ -216,7 +223,8 @@ def run_ea(
     linear_values(x), optimum and float_kernel(l1, l2), the objective value
     of a linear pair of Python floats as a float (equal to
     float(combine(l1, l2)) bit for bit); with a `linear_form` (see
-    objectives.LinearForm) offspring are evaluated in O(flipped bits).  The
+    objectives.LinearForm; any object with its `weights` will do) offspring
+    are evaluated in O(flipped bits).  The
     start point is valued once, and its linear pair decides its optimality and
     seeds the parent.  `potential`, when given, fills the phi column of the trace.
     The outcome is deterministic given (instance, config, rng state).
@@ -228,14 +236,19 @@ def run_ea(
     gen = rng.generator
     if initial is None:
         x = gen.integers(0, 2, m, dtype=np.uint8)
+        bits = x.tolist()
     else:
         start = np.asarray(initial)
-        # as_bits's rule, checked in one pass over the values
-        if start.ndim != 1 or start.dtype.kind not in "biuf" or not set(start.tolist()) <= {0, 1}:
+        if start.ndim != 1 or start.dtype.kind not in "biuf":
             raise ValueError("bitstring must be a flat sequence of 0/1 values")
-        if start.size != m:
+        bits = start.tolist()
+        if not set(bits) <= {0, 1}:  # as_bits's rule, in one pass over the values
+            raise ValueError("bitstring must be a flat sequence of 0/1 values")
+        if len(bits) != m:
             raise ValueError(f"initial point must have {m} bits")
         x = start.astype(np.uint8)  # a copy: the run never writes to the caller's array
+        if start.dtype != np.uint8:  # bools and floats as the ints 0 and 1
+            bits = x.tolist()
     linear_values, kernel, optimum = instance.linear_values, instance.float_kernel, instance.optimum
     f_x = instance.value(x)
     mutations = _Mutations(gen, m, p)
@@ -245,9 +258,11 @@ def run_ea(
         # exact sums: the start pair has the same bits in any order
         weights = np.asarray(form.weights, dtype=float)
         l1, l2 = weights.dot(x).tolist()
+        negated = getattr(form, "negated", None)  # a LinearForm negates its weights once
+        if negated is None:  # a form that holds weights only
+            negated = -weights
         # what flipping position j adds to the pair: +w while bit j is 0, -w while it is 1
-        d1, d2 = np.where(x, -weights, weights).tolist()
-        bits = x.tolist()  # the parent, toggled on acceptance
+        d1, d2 = np.where(x, negated, weights).tolist()
         pool, at, end = mutations.pool, 0, 0  # the pool, its cursor and its length
         # every K with K*K <= m is drawn from the pool inline, as positions()
         # would draw it: K = 1, 2 and 3 written out, larger K by one slice.
@@ -386,7 +401,7 @@ def run_ea(
                     break
         done += size
     if not linear:
-        bits = x.tolist()
+        bits = x.tolist()  # the plain loop flips x itself
     record(budget if hitting_time is None else hitting_time, f_x, bits, final=True)
 
     return RunTrace(

@@ -36,7 +36,7 @@ from .objectives import (
     write_in_place,
 )
 from .potential import build_combined_potential, zero_weight_positions
-from .rng import RandomSource
+from .rng import RandomSource, philox_generator
 
 # The generation settings that the onemax and separable presets fix; the
 # chance preset builds its instance with _chance_preset instead.
@@ -419,9 +419,18 @@ def _generation(cfg: ExperimentConfig) -> dict:
     return {**own, **PRESET_SETTINGS.get(cfg.preset, {})}
 
 
-def _replicate(job) -> RunTrace:
-    instance, config, rng, initial, potential = job
-    return run_ea(instance, config, rng, initial=initial, potential=potential)
+def _run_jobs(jobs: list) -> list[RunTrace]:
+    """Run jobs in order, each source on one generator lent to it for its run."""
+    generator = philox_generator()
+    traces = []
+    for instance, config, rng, initial, potential in jobs:
+        lent = rng.lend(generator)
+        try:
+            traces.append(run_ea(instance, config, rng, initial=initial, potential=potential))
+        finally:
+            if lent:
+                rng.spend()
+    return traces
 
 
 def _run_replicates(jobs: list, workers: int = 1) -> list[RunTrace]:
@@ -429,16 +438,24 @@ def _run_replicates(jobs: list, workers: int = 1) -> list[RunTrace]:
     None, potential or None) jobs, serially or on `workers` processes.
 
     Traces come back in job order.  Each job carries its own stream, so the
-    results do not depend on `workers`.
+    results do not depend on `workers`; a source in two jobs is refused with
+    ValueError.  One Philox generator (serially one for all jobs, in a pool
+    one per chunk of jobs) is lent to each job's source in turn with
+    `RandomSource.lend`: re-keyed to the stream's start, it draws what the
+    source's own generator would, and the source is spent after its run.  A
+    source that built its generator before (it drew, say) keeps drawing on it.
     """
+    if len({id(job[2]) for job in jobs}) < len(jobs):
+        raise ValueError("a RandomSource appears in two jobs; each job needs its own stream")
     workers = min(workers, len(jobs))  # a pool starts all its workers at once
     if workers <= 1:
-        return [_replicate(job) for job in jobs]
+        return _run_jobs(jobs)
     from concurrent.futures import ProcessPoolExecutor  # here, so serial runs never import it
 
     chunk = max(1, len(jobs) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_replicate, jobs, chunksize=chunk))
+        runs = pool.map(_run_jobs, [jobs[i : i + chunk] for i in range(0, len(jobs), chunk)])
+        return [trace for traces in runs for trace in traces]
 
 
 def _time_stats(traces: list) -> tuple[int, float, float, float]:

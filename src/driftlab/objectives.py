@@ -147,6 +147,7 @@ class LinearForm:
     """
 
     weights: np.ndarray  # (2, m) float64, read-only: one row per part, one column per position
+    negated: np.ndarray  # -weights, read-only: what flipping a one-bit adds to the pair
 
 
 def _linear_form(weights: np.ndarray) -> Optional[LinearForm]:
@@ -154,9 +155,9 @@ def _linear_form(weights: np.ndarray) -> Optional[LinearForm]:
     weight sum can round (a non-integer weight, or a part total of 2**53 or more)."""
     if not all(np.all(w == np.floor(w)) and math.fsum(w.tolist()) < 2.0**53 for w in weights):
         return None
-    weights = weights.copy()
-    weights.flags.writeable = False
-    return LinearForm(weights)
+    weights, negated = weights.copy(), -weights
+    weights.flags.writeable = negated.flags.writeable = False
+    return LinearForm(weights, negated)
 
 
 def _members(d: dict, keys: tuple, optional: tuple = (), integers: tuple = (), integer_lists: tuple = ()) -> list:
@@ -307,7 +308,8 @@ class CompositeObjective:
     def value(self, x: BitString) -> float:
         if len(x) != self.domain_size:
             raise ValueError(f"expected {self.domain_size} bits, got {len(x)}")
-        return float(self.combine(*self.linear_values(x)))
+        # the kernel of the pair as Python floats: float(combine(l1, l2)), bit for bit
+        return self.float_kernel(*linear_sums(np.asarray(x), self._weights).tolist())
 
     @functools.cached_property
     def linear_form(self) -> Optional[LinearForm]:

@@ -12,6 +12,15 @@ construction: a source that only spawns children, or hands an instance
 generator nothing to draw, costs no SeedSequence or Philox.  Building it
 later changes no draw, since the stream depends only on (seed, spawn_key).
 
+A source that has not built its generator can instead run on a lent one:
+`lend(generator)` re-keys a Philox-backed generator the caller owns to the
+stream's start (counter 0, the stream's key, an empty buffer), which draws
+what a new generator of the stream would, for a fraction of the cost of
+building one.  `spend()` then ends the loan: from then on `.generator`
+raises, so the source can neither restart its stream nor continue on a
+generator that has moved on to another stream.  `philox_generator()` builds
+a generator to lend.
+
 A stream's Philox key is numpy's
 `SeedSequence(seed, spawn_key=spawn_key).generate_state(2, uint64)`, and
 Philox is built from that key alone, so `generator.bit_generator.seed_seq` is
@@ -31,6 +40,7 @@ exactly what `RandomSource(seed, spawn_key)` draws.
 from __future__ import annotations
 
 import operator
+from typing import Sequence
 
 import numpy as np
 
@@ -98,13 +108,24 @@ class _StreamKey:
     __slots__ = ("key",)
     registered = False
 
-    def __init__(self, key: list):
+    def __init__(self, key: Sequence[int]):
         self.key = key
 
     def generate_state(self, n_words, dtype=np.uint32):
         if n_words != 2 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise ValueError("a stream key only provides Philox's two 64-bit words")
         return np.array(self.key, dtype=np.uint64)
+
+
+def philox_generator(key: Sequence[int] = (0, 0)) -> np.random.Generator:
+    """A Generator on Philox with counter 0 and `key`, two 64-bit words."""
+    if not _StreamKey.registered:
+        np.random.bit_generator.ISeedSequence.register(_StreamKey)
+        _StreamKey.registered = True
+    return np.random.Generator(np.random.Philox(_StreamKey(key)))
+
+
+_SPENT = False  # a source's `_generator` once its lent run has ended
 
 
 class RandomSource:
@@ -123,19 +144,45 @@ class RandomSource:
         self._key = _key
         self._generator = None
 
+    def _stream_key(self) -> list:
+        key = self._key
+        if key is None:
+            key = _generate_state(np.random.SeedSequence(self.seed, spawn_key=self.spawn_key).pool.tolist())
+        return key
+
     @property
     def generator(self) -> np.random.Generator:
-        """The stream's generator, built on first use and kept from then on."""
+        """The stream's generator, built on first use and kept from then on
+        (the lent one while a loan lasts).  A spent source raises RuntimeError."""
         gen = self._generator
         if gen is None:
-            key = self._key
-            if key is None:
-                key = _generate_state(np.random.SeedSequence(self.seed, spawn_key=self.spawn_key).pool.tolist())
-            if not _StreamKey.registered:
-                np.random.bit_generator.ISeedSequence.register(_StreamKey)
-                _StreamKey.registered = True
-            gen = self._generator = np.random.Generator(np.random.Philox(_StreamKey(key)))
+            gen = self._generator = philox_generator(self._stream_key())
+        elif gen is _SPENT:
+            raise RuntimeError(f"{self!r} is spent: its stream ran on a lent generator")
         return gen
+
+    def lend(self, generator: np.random.Generator) -> bool:
+        """Run this stream on `generator`, a Philox-backed Generator the caller
+        owns, from the stream's start, until `spend()`.  Returns False and
+        changes nothing if the source has built its generator (or is spent):
+        its stream stays on its own generator."""
+        if self._generator is not None:
+            return False
+        generator.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": self._stream_key()},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,  # empty: the first draw steps the counter to 1
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        self._generator = generator
+        return True
+
+    def spend(self) -> None:
+        """End a loan: the lent generator goes back to its owner and
+        `.generator` raises from now on."""
+        self._generator = _SPENT
 
     def spawn(self, index: int) -> "RandomSource":
         """Derive the `index`-th independent child stream."""

@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import driftlab as dl
+from driftlab import experiments
+from driftlab.drift import DriftRow
 from oracle_drift import exact_drift as oracle_exact_drift
 from oracle_drift import objective_value as oracle_objective_value
 
@@ -46,6 +49,12 @@ def float_weight_instance(transforms, n=20, s=4, seed=16):
 def all_states(m):
     """Every m-bit state as a row, row u holding the bits of code u."""
     return ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(np.uint8)
+
+
+def eager_rows(report):
+    """The rows as the check built them before they were built on first read:
+    one DriftRow per checked state, in state order, of Python ints and floats."""
+    return list(map(DriftRow, *(column.tolist() for column in report.columns)))
 
 
 class TestExactDrift:
@@ -158,6 +167,49 @@ class TestExhaustiveDriftCheck:
     def test_summary_schema(self):
         report = dl.exhaustive_drift_check(dl.onemax(6))
         assert set(report.summary_dict()) == {"min_ratio", "rounding_bound", "delta_ref", "epsilon", "pass"}
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["all_states", "sampled"])
+    def test_rows_are_built_on_first_read(self, sampled):
+        inst = random_instance(3)
+        pot = dl.build_combined_potential(inst)
+        states = all_states(inst.domain_size)
+        checked = np.flatnonzero(~inst.is_optimal(states))
+        if sampled:
+            checked = checked[::37]
+        report = dl.exhaustive_drift_check(inst, states=list(states[checked[::-1]]) if sampled else None)
+        assert "rows" not in vars(report)  # the check built none
+        rows = report.rows
+        assert report.rows is rows and len(rows) == checked.size
+        assert [vars(row) for row in rows] == [vars(row) for row in eager_rows(report)]
+        assert all(type(row.state_index) is type(row.ones) is int for row in rows)
+        assert all(type(row.phi) is type(row.drift) is type(row.ratio) is float for row in rows)
+        assert [row.state_index for row in rows] == checked.tolist()
+        assert [row.ones for row in rows] == [bin(code).count("1") for code in checked.tolist()]
+        assert [row.phi for row in rows] == pot.value(states[checked]).tolist()
+        assert all(row.ratio == row.drift / row.phi for row in rows)
+        assert report.min_ratio == min(row.ratio for row in rows)
+        if sampled:
+            assert [row.drift for row in rows] == [dl.exact_drift(inst, pot, states[u]).drift for u in checked]
+
+    def test_a_check_of_optimal_states_only_has_no_rows(self):
+        report = dl.exhaustive_drift_check(dl.onemax(4), states=[np.zeros(4, dtype=np.uint8)])
+        assert report.rows == [] and report.min_ratio is None and not report.passed
+
+    @pytest.mark.parametrize("states", [None, 5], ids=["all_states", "sampled"])
+    def test_report_bytes_are_those_of_the_eager_rows(self, monkeypatch, states):
+        reports = []
+        check = experiments.exhaustive_drift_check
+
+        def recording_check(*args, **kwargs):
+            reports.append(check(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(experiments, "exhaustive_drift_check", recording_check)
+        bundle = dl.drift_study(dl.ExperimentConfig(kind="drift", n_values=(10,), seed=3, states=states))
+        (report,) = reports
+        eager = replace(bundle, rows=eager_rows(report))
+        assert bundle.csv_text() == eager.csv_text()
+        assert bundle.json_text() == eager.json_text()
 
 
 def largest_tie_level(inst):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.stats import binom, chi2
 
 import driftlab as dl
 from driftlab.ea import _FIRST_BLOCK, _MAX_BLOCK, _Mutations
+from driftlab.rng import philox_generator
 
 
 def bits(*values):
@@ -81,6 +83,32 @@ class TestRandomSource:
         copy = pickle.loads(pickle.dumps(used))
         # the copy continues where the original stands, not from the start
         assert np.array_equal(copy.generator.random(10), used.generator.random(10))
+
+    @pytest.mark.parametrize("key", [(), (4,), (1, 2**40)])
+    def test_lent_generator_draws_the_stream_from_its_start(self, key):
+        lent = philox_generator()
+        sources = dl.RandomSource(7, key).children(0, 4) + [dl.RandomSource(7, key)]
+        for prior, source in enumerate(sources):
+            # leave the lent generator mid-buffer, with and without a buffered uint32
+            lent.random(prior)
+            lent.integers(0, 2**32, size=prior, dtype=np.uint32)
+            assert source.lend(lent) and source.generator is lent
+            own = dl.RandomSource(source.seed, source.spawn_key).generator
+            for draw in (lambda g: g.integers(0, 2**32, dtype=np.uint32), lambda g: g.random(5),
+                         lambda g: g.binomial(10, 0.1, 40), lambda g: g.permutation(9)):
+                assert np.array_equal(draw(lent), draw(own))
+            source.spend()
+            with pytest.raises(RuntimeError, match="is spent"):
+                source.generator
+            assert not source.lend(lent)  # a spent source takes no second loan
+
+    def test_a_source_with_its_own_generator_takes_no_loan(self):
+        lent = philox_generator()
+        source = dl.RandomSource(7, (1,))
+        first = source.generator.random()
+        assert not source.lend(lent)
+        expected = dl.RandomSource(7, (1,)).generator.random(2)
+        assert [first, source.generator.random()] == expected.tolist()
 
     @pytest.mark.parametrize(
         "seed, spawn_key, error",
@@ -511,6 +539,14 @@ class TestRunEA:
                 dl.EAConfig(max_iterations=bad)
             with pytest.raises(ValueError, match="must be integers"):
                 dl.EAConfig(max_iterations=10, trace_stride=bad)
+
+    def test_mutation_probability_must_be_a_real_number(self):
+        # as a config file's true is no number: True would otherwise run at p = 1
+        for bad in (True, np.bool_(True), "0.5", 1j, [0.5]):
+            with pytest.raises(ValueError, match="must be a real number"):
+                dl.EAConfig(max_iterations=10, mutation_probability=bad)
+        for good in (1, 0.25, np.float64(0.5), np.float32(0.5), Fraction(1, 3)):
+            assert dl.EAConfig(max_iterations=10, mutation_probability=good).mutation_probability == good
 
 
 def exact_mean_hitting_time(instance, p):

@@ -561,3 +561,57 @@ def test_one_replicate_replays_in_isolation(monkeypatch, study):
     hitting_times = [t.hitting_time for t in traces[-3:]]
     assert len(set(hitting_times)) > 1, "replicates of one size should differ"
     assert replay(cfg).hitting_time == hitting_times[-1]
+
+
+def _fresh_streams(jobs):
+    """The jobs again, each on a new RandomSource of its stream."""
+    return [(inst, config, dl.RandomSource(r.seed, r.spawn_key), x0, phi) for inst, config, r, x0, phi in jobs]
+
+
+@pytest.mark.parametrize("study", sorted(REPLAYS))
+def test_engine_runs_each_job_on_its_own_stream(monkeypatch, study):
+    """The engine lends one generator to every job's source in turn; serially
+    and on two workers its traces equal run_ea on a fresh source per job."""
+    options, _ = REPLAYS[study]
+    engine = experiments._run_replicates
+    batches = []
+
+    def recording_engine(jobs, workers=1):
+        batches.append(jobs)
+        return engine(jobs, workers)
+
+    monkeypatch.setattr(experiments, "_run_replicates", recording_engine)
+    experiments.run_experiment(ExperimentConfig(**options, replicates=3, seed=23))
+    assert batches
+    for jobs in batches:
+        expected = [dl.run_ea(inst, config, r, initial=x0, potential=phi)
+                    for inst, config, r, x0, phi in _fresh_streams(jobs)]
+        for workers in (1, 2):
+            traces = engine(_fresh_streams(jobs), workers)
+            assert [t.to_json() for t in traces] == [t.to_json() for t in expected]
+            assert all(np.array_equal(t.final_state, e.final_state) for t, e in zip(traces, expected))
+
+
+def test_engine_keeps_a_source_that_drew_on_its_own_stream():
+    inst, config = dl.onemax(10), dl.EAConfig(200)
+    first, second = dl.RandomSource(4, (1,)), dl.RandomSource(4, (3,))
+    drawn, reference = dl.RandomSource(4, (2,)), dl.RandomSource(4, (2,))
+    drawn.generator.random(3)
+    reference.generator.random(3)
+    traces = experiments._run_replicates([(inst, config, r, None, None) for r in (first, drawn, second)])
+    expected = [dl.run_ea(inst, config, r) for r in (dl.RandomSource(4, (1,)), reference, dl.RandomSource(4, (3,)))]
+    assert [t.to_json() for t in traces] == [t.to_json() for t in expected]
+    # the source that drew is not spent: its stream goes on where the run left it
+    assert drawn.generator.random() == reference.generator.random()
+    for spent in (first, second):
+        with pytest.raises(RuntimeError, match="is spent"):
+            spent.generator
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_engine_refuses_a_source_in_two_jobs(workers):
+    source = dl.RandomSource(4, (1,))
+    job = (dl.onemax(4), dl.EAConfig(10), source, None, None)
+    with pytest.raises(ValueError, match="appears in two jobs"):
+        experiments._run_replicates([job, job], workers)
+    source.generator  # nothing ran: the source is not spent
