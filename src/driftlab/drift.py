@@ -57,16 +57,19 @@ class StateSpace:
     State `code` has bit j at position j.  Every instance takes one path, in
     batches of states: f = combine(*linear_values(states)), a state is optimal
     iff its linear pair equals instance.optimum, and phi is linear_sums of the
-    states with the potential coefficients.  These are the sums value(x),
+    states with the potential coefficients.  These are the values value(x),
     is_optimal(x) and CombinedPotential.value(x) compute for one state, so f,
     optimal and phi agree with them bit for bit and exact drift accepts and
-    rejects exactly as the EA does.
+    rejects exactly as the EA does.  A part of integers totalling 2**53 or
+    more is refused: the EA compares its exact ints, which a float64 f can tie.
     """
 
     def __init__(self, instance, phi_coefficients: Optional[np.ndarray] = None, cap: int = SINGLE_STATE_CAP):
         m = instance.domain_size
         if m > cap:
             raise ValueError(f"domain size {m} exceeds enumeration cap {cap}")
+        if 1 in instance.linear_form.scales:
+            raise ValueError("exact drift tabulates f in float64, but a part's integer weights total 2**53 or more")
         self.instance = instance
         self.m = m
         codes = np.arange(1 << m, dtype=np.uint32)

@@ -9,43 +9,34 @@ mutation + selection, whether or not any bit flips.
 mutation: it draws each iteration's flip count K ~ Binomial(m, p) in blocks,
 passes over the iterations with K = 0 (they leave the parent as it is), and
 for K >= 1 draws K distinct uniform positions.  The parent carries its
-linear pair (l1, l2) as Python floats, so f = float_kernel(l1, l2) and the
-parent is optimal iff the pair equals the instance's `optimum`.  Objectives
-with a `linear_form` (exact sums) update the pair in O(K) per offspring; any
-other objective re-sums it in full with `linear_values`.  Either way f is
-bit-identical to `value(x)`: the pair comes from the same left-to-right sums,
-and the kernel equals float(combine(l1, l2)) bit for bit.  The random stream
-is consumed in that sparse order, and the same (instance, config, stream)
-gives the same run.
+linear pair (l1, l2) in the form of objectives.LinearForm, whose sums never
+round, so f = float_kernel(l1, l2) is value(x) for every objective, the
+parent is optimal iff the pair equals the instance's `optimum`, and one loop
+values every offspring in O(K).  The random stream is consumed in that
+sparse order, and the same (instance, config, stream) gives the same run.
 
-The kind of objective is decided once per run, from its `linear_form`, and
-each block's non-empty iterations go to that kind's loop, which never tests
-the kind again.  With a linear form the loop never re-sums: it carries, per
-position, what a flip adds to the pair (+w while the bit is 0, -w while it
-is 1; both lists and the start pair are built in numpy, from the weights
-and the negated weights that a LinearForm holds), so an offspring's
-pair is l1 + d1[j] (+ d1[i]) with no branch on the bit, an accepted flip
-negates the entries, and the sums stay exact under `LinearForm`'s rule.
-Every K with K*K <= m takes its positions from the `_Mutations` pool
-inline, as ints, with the draws `_Mutations.positions` would make (a
-repeated position redraws all K): K = 1 (tested first), 2 and 3 are written
-out, each larger K takes one slice of the pool.  Only K*K > m calls
-`positions`, which then takes the first K entries of one uniform random
-permutation of range(m) (an exactly uniform K-subset; K = m flips all with
-no draw) and neither reads nor moves the pool.  The pool, its refill rule
-(`_Mutations.refill`) and the subset draw have that one owner; the loop
-keeps the pool, its cursor and its end in locals.  Any other objective
-(float weights, or sums that may round) takes a plain loop: `positions(k)`
-for every K, the flips applied to the parent array, and the pair re-summed
-by `linear_values`.
+The loop never re-sums: it carries, per position, what a flip adds to the
+pair (+w while the bit is 0, -w while it is 1; both lists and the start pair
+are built in numpy, from the weights and the negated weights that the
+LinearForm holds), so an offspring's pair is l1 + d1[j] (+ d1[i]) with no
+branch on the bit, and an accepted flip negates the entries.  Every K with
+K*K <= m takes its positions from the `_Mutations` pool inline, as ints,
+with the draws `_Mutations.positions` would make (a repeated position
+redraws all K): K = 1 (tested first), 2 and 3 are written out, each larger K
+takes one slice of the pool.  Only K*K > m calls `positions`, which then
+takes the first K entries of one uniform random permutation of range(m) (an
+exactly uniform K-subset; K = m flips all with no draw) and neither reads
+nor moves the pool.  The pool, its refill rule (`_Mutations.refill`) and the
+subset draw have that one owner; the loop keeps the pool, its cursor and its
+end in locals.
 
-Both loops share the rest.  Each block's offsets are cut to the budget once,
-with `bisect`, when the budget ends inside it, so no offspring tests the
-budget.  The iteration number t is computed only when an offspring is
-accepted: stride records are written when the parent is about to change
-(every mark before t saw the old parent) and when the run ends, which gives
-the samples a per-iteration check would.  A rejected offspring thus costs
-its position draw, its pair, one `float_kernel` call and one comparison.
+Each block's offsets are cut to the budget once, with `bisect`, when the
+budget ends inside it, so no offspring tests the budget.  The iteration
+number t is computed only when an offspring is accepted: stride records are
+written when the parent is about to change (every mark before t saw the old
+parent) and when the run ends, which gives the samples a per-iteration check
+would; a sample carries f as a float.  A rejected offspring thus costs its
+position draw, its pair, one `float_kernel` call and one comparison.
 
 `standard_bit_mutation` (the dense one-step draw, one uniform per bit) and
 its `MutationEvent` are kept only because the benchmark tracer wraps that
@@ -220,14 +211,12 @@ def run_ea(
 
     The start point is uniform over the domain unless `initial` is given.
     `instance` must expose domain_size, mutation_probability, value(x),
-    linear_values(x), optimum and float_kernel(l1, l2), the objective value
-    of a linear pair of Python floats as a float (equal to
-    float(combine(l1, l2)) bit for bit); with a `linear_form` (see
-    objectives.LinearForm; any object with its `weights` will do) offspring
-    are evaluated in O(flipped bits).  The
-    start point is valued once, and its linear pair decides its optimality and
-    seeds the parent.  `potential`, when given, fills the phi column of the trace.
-    The outcome is deterministic given (instance, config, rng state).
+    optimum, a `linear_form` (see objectives.LinearForm; any object with its
+    `weights` and `negated` will do) and float_kernel(l1, l2), the objective
+    value of a pair of that form (equal to value(x) for x's pair).  The start
+    point is valued once, and its linear pair decides its optimality and
+    seeds the parent.  `potential`, when given, fills the phi column of the
+    trace.  The outcome is deterministic given (instance, config, rng state).
     """
     m = instance.domain_size
     p = config.mutation_probability
@@ -249,53 +238,42 @@ def run_ea(
         x = start.astype(np.uint8)  # a copy: the run never writes to the caller's array
         if start.dtype != np.uint8:  # bools and floats as the ints 0 and 1
             bits = x.tolist()
-    linear_values, kernel, optimum = instance.linear_values, instance.float_kernel, instance.optimum
+    kernel, optimum, form = instance.float_kernel, instance.optimum, instance.linear_form
     f_x = instance.value(x)
     mutations = _Mutations(gen, m, p)
-    form = getattr(instance, "linear_form", None)
-    linear = form is not None
-    if linear:
-        # exact sums: the start pair has the same bits in any order
-        weights = np.asarray(form.weights, dtype=float)
-        l1, l2 = weights.dot(x).tolist()
-        negated = getattr(form, "negated", None)  # a LinearForm negates its weights once
-        if negated is None:  # a form that holds weights only
-            negated = -weights
-        # what flipping position j adds to the pair: +w while bit j is 0, -w while it is 1
-        d1, d2 = np.where(x, negated, weights).tolist()
-        pool, at, end = mutations.pool, 0, 0  # the pool, its cursor and its length
-        # every K with K*K <= m is drawn from the pool inline, as positions()
-        # would draw it: K = 1, 2 and 3 written out, larger K by one slice.
-        # Where positions() draws otherwise these are 0, which no K is (m = 1
-        # draws nothing: its one K is the whole domain)
-        one = 1 if m > 1 else 0
-        two = 2 if m >= 4 else 0
-        three = 3 if m >= 9 else 0
-        most = math.isqrt(m) if m > 1 else 0  # the largest K drawn inline
-    else:
-        l1, l2 = linear_values(x)
+    l1, l2 = form.weights.dot(x).tolist()  # exact sums (LinearForm): the same in any order
+    # what flipping position j adds to the pair: +w while bit j is 0, -w while it is 1
+    d1, d2 = np.where(x, form.negated, form.weights).tolist()
+    pool, at, end = mutations.pool, 0, 0  # the pool, its cursor and its length
+    # every K with K*K <= m is drawn from the pool inline, as positions()
+    # would draw it: K = 1, 2 and 3 written out, larger K by one slice.
+    # Where positions() draws otherwise these are 0, which no K is (m = 1
+    # draws nothing: its one K is the whole domain)
+    one = 1 if m > 1 else 0
+    two = 2 if m >= 4 else 0
+    three = 3 if m >= 9 else 0
+    most = math.isqrt(m) if m > 1 else 0  # the largest K drawn inline
 
     budget = config.max_iterations
     stride = config.trace_stride or budget + 1  # without a stride no mark after 0 is reached
     samples = []
     next_mark = 0  # the first stride mark not yet recorded
 
-    def record(stop: int, f: float, parent: list, final: bool = False) -> None:
-        """Sample the parent (a bit list), of value f, at each mark still due
-        before iteration `stop`, and at `stop` itself when the run ends there."""
+    def record(stop: int, f, parent: list, final: bool = False) -> None:
+        """Sample the parent (a bit list), of value f (as a float), at each mark
+        still due before iteration `stop`, and at `stop` itself when the run ends there."""
         nonlocal next_mark
         phi = float(potential(np.array(parent, dtype=np.uint8))) if potential is not None else None
-        ones = parent.count(1)
+        ones, f = parent.count(1), float(f)
         while next_mark < stop:
             samples.append((next_mark, f, phi, ones))
             next_mark += stride
         if final:
             samples.append((stop, f, phi, ones))
 
-    # Each block goes to the loop of the objective's kind.  An accepted
-    # offspring at iteration t first records the marks before t, which the
-    # parent it replaces held; a rejected one costs its draw, its pair, one
-    # kernel call and one comparison.
+    # An accepted offspring at iteration t first records the marks before t,
+    # which the parent it replaces held; a rejected one costs its draw, its
+    # pair, one kernel call and one comparison.
     hitting_time: Optional[int] = None
     accepted_steps = 0
     if (l1, l2) == optimum:
@@ -306,102 +284,76 @@ def run_ea(
         if done + size > budget:  # the budget ends in this block: cut it once
             cut = bisect_left(offsets, budget - done)  # offset o is iteration done + o + 1
             offsets, counts = offsets[:cut], counts[:cut]
-        if linear:
-            for offset, k in zip(offsets, counts):
-                if k == one:
-                    if at == end:
-                        pool, at = mutations.refill(1), 0
+        for offset, k in zip(offsets, counts):
+            if k == one:
+                if at == end:
+                    pool, at = mutations.refill(1), 0
+                    end = len(pool)
+                j = pool[at]
+                at += 1
+                f_y = kernel(l1 + d1[j], l2 + d2[j])
+                if not f_y <= f_x:
+                    continue
+                flips = (j,)
+            elif k == two:
+                while True:  # a repeated position redraws both
+                    if at + 2 > end:
+                        pool, at = mutations.refill(2), 0
                         end = len(pool)
-                    j = pool[at]
-                    at += 1
-                    f_y = kernel(l1 + d1[j], l2 + d2[j])
-                    if not f_y <= f_x:
-                        continue
-                    flips = (j,)
-                elif k == two:
-                    while True:  # a repeated position redraws both
-                        if at + 2 > end:
-                            pool, at = mutations.refill(2), 0
+                    j, i = pool[at], pool[at + 1]
+                    at += 2
+                    if j != i:
+                        break
+                f_y = kernel(l1 + d1[j] + d1[i], l2 + d2[j] + d2[i])
+                if not f_y <= f_x:
+                    continue
+                flips = (j, i)
+            elif k == three:
+                while True:  # a repeated position redraws all three
+                    if at + 3 > end:
+                        pool, at = mutations.refill(3), 0
+                        end = len(pool)
+                    j, i, h = pool[at], pool[at + 1], pool[at + 2]
+                    at += 3
+                    if j != i and j != h and i != h:
+                        break
+                f_y = kernel(l1 + d1[j] + d1[i] + d1[h], l2 + d2[j] + d2[i] + d2[h])
+                if not f_y <= f_x:
+                    continue
+                flips = (j, i, h)
+            else:
+                if k <= most:
+                    while True:  # a repeated position redraws all k
+                        if at + k > end:
+                            pool, at = mutations.refill(k), 0
                             end = len(pool)
-                        j, i = pool[at], pool[at + 1]
-                        at += 2
-                        if j != i:
+                        flips = pool[at : at + k]
+                        at += k
+                        if len(set(flips)) == k:
                             break
-                    f_y = kernel(l1 + d1[j] + d1[i], l2 + d2[j] + d2[i])
-                    if not f_y <= f_x:
-                        continue
-                    flips = (j, i)
-                elif k == three:
-                    while True:  # a repeated position redraws all three
-                        if at + 3 > end:
-                            pool, at = mutations.refill(3), 0
-                            end = len(pool)
-                        j, i, h = pool[at], pool[at + 1], pool[at + 2]
-                        at += 3
-                        if j != i and j != h and i != h:
-                            break
-                    f_y = kernel(l1 + d1[j] + d1[i] + d1[h], l2 + d2[j] + d2[i] + d2[h])
-                    if not f_y <= f_x:
-                        continue
-                    flips = (j, i, h)
-                else:
-                    if k <= most:
-                        while True:  # a repeated position redraws all k
-                            if at + k > end:
-                                pool, at = mutations.refill(k), 0
-                                end = len(pool)
-                            flips = pool[at : at + k]
-                            at += k
-                            if len(set(flips)) == k:
-                                break
-                    else:  # K*K > m: range(m) or a permutation prefix, never the pool
-                        flips = mutations.positions(k)
-                    y1, y2 = l1, l2
-                    for j in flips:
-                        y1 += d1[j]
-                        y2 += d2[j]
-                    f_y = kernel(y1, y2)
-                    if not f_y <= f_x:
-                        continue
-                t = done + offset + 1
-                if next_mark < t:
-                    record(t, f_x, bits)
-                for j in flips:  # the offspring's pair again, in the same order
-                    l1 += d1[j]
-                    l2 += d2[j]
-                    bits[j] ^= 1
-                    d1[j], d2[j] = -d1[j], -d2[j]
-                f_x = f_y
-                accepted_steps += 1
-                if (l1, l2) == optimum:
-                    hitting_time = t
-                    break
-        else:
-            for offset, k in zip(offsets, counts):
-                flips = mutations.positions(k)
-                for j in flips:  # x becomes the offspring (one bit at a time: no index array)
-                    x[j] ^= 1
-                y1, y2 = linear_values(x)
-                y1, y2 = float(y1), float(y2)
+                else:  # K*K > m: range(m) or a permutation prefix, never the pool
+                    flips = mutations.positions(k)
+                y1, y2 = l1, l2
+                for j in flips:
+                    y1 += d1[j]
+                    y2 += d2[j]
                 f_y = kernel(y1, y2)
                 if not f_y <= f_x:
-                    for j in flips:  # and the parent again
-                        x[j] ^= 1
                     continue
-                t = done + offset + 1
-                if next_mark < t:
-                    parent = x.tolist()
-                    for j in flips:
-                        parent[j] ^= 1
-                    record(t, f_x, parent)
-                f_x = f_y
-                accepted_steps += 1
-                if (y1, y2) == optimum:
-                    hitting_time = t
-                    break
+            t = done + offset + 1
+            if next_mark < t:
+                record(t, f_x, bits)
+            for j in flips:  # the offspring's pair again, in the same order
+                l1 += d1[j]
+                l2 += d2[j]
+                bits[j] ^= 1
+                d1[j], d2[j] = -d1[j], -d2[j]
+            f_x = f_y
+            accepted_steps += 1
+            if (l1, l2) == optimum:
+                hitting_time = t
+                break
         done += size
-    if not linear:
-        bits = x.tolist()  # the plain loop flips x itself
     record(budget if hitting_time is None else hitting_time, f_x, bits, final=True)
 
     return RunTrace(
@@ -411,7 +363,7 @@ def run_ea(
         budget_exhausted=hitting_time is None,
         accepted_steps=accepted_steps,
         samples=samples,
-        final_state=np.array(bits, dtype=np.uint8) if linear else x,
+        final_state=np.array(bits, dtype=np.uint8),
     )
 
 

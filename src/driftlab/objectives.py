@@ -7,8 +7,10 @@ Conventions used throughout the package:
 * objectives are minimized, weights are non-negative, transforms are monotone
   non-decreasing, so the minimizers are exactly the strings whose
   positive-weight positions are all zero;
-* every linear part (and every potential) is one left-to-right sum,
-  :func:`linear_sums`, whether one state or a batch of states is evaluated.
+* a linear part's value is its exact sum correctly rounded (math.fsum of the
+  chosen weights), whether one state or a batch of states is evaluated; the
+  EA carries the exact pair itself (:class:`LinearForm`), and a potential is
+  one left-to-right sum, :func:`linear_sums`.
 
 A :class:`CompositeObjective` lives on ``m = n - s`` bits, where ``n`` is the
 nominal dimension (the mutation probability defaults to ``1/n``) and ``s``
@@ -49,20 +51,12 @@ def linear_sums(bits, weights) -> np.ndarray:
     `bits` is one state (shape (m,)) or a batch of states (rows); `weights`
     broadcasts against it.  The products are added in position order
     0, ..., m-1, the same order for one state, for every row of a batch and
-    for the independent oracle, so a state's value never depends on how it
-    was evaluated.  This is np.cumsum's last entry; `@`, np.sum (pairwise)
+    for the independent oracle, so a potential's value never depends on how
+    it was evaluated.  This is np.cumsum's last entry; `@`, np.sum (pairwise)
     and the builtin sum() (compensated from Python 3.12) each choose their own
-    order and are not used.
+    order, which only exact sums (LinearForm) can afford.
     """
     return np.add.accumulate(bits * weights, axis=-1)[..., -1]
-
-
-def _linear_pair(x, weights: np.ndarray):
-    """(l1, l2) for a (2, m) weight matrix: scalars for one state, arrays for a batch of rows."""
-    x = np.asarray(x)
-    # The pair axis leads: (2, m) weights meet one state, (2, 1, m) a batch of rows.
-    l1, l2 = linear_sums(x, weights if x.ndim == 1 else weights[:, None, :])
-    return l1, l2
 
 
 def _at_optimum(instance, x):
@@ -109,7 +103,7 @@ class LinearFunction:
     def value(self, y: BitString) -> float:
         if len(y) != self.arity:
             raise ValueError(f"expected {self.arity} bits, got {len(y)}")
-        return float(linear_sums(np.asarray(y), self.weights))
+        return math.fsum(self.weights[np.asarray(y) == 1])
 
 
 @dataclass(eq=False)
@@ -137,27 +131,50 @@ class DomainEmbedding:
 
 @dataclass(frozen=True, eq=False)
 class LinearForm:
-    """An objective as combine(l1, l2) with linear sums that float64 keeps exact.
+    """An objective's linear pair (l1, l2), held so that its sums never round.
 
-    Every subset sum of either per-position weight row is an integer below
-    2**53, so adding or removing one position's weight never rounds, and every
-    summation order gives the same bits: a pair (l1, l2) updated one flipped
-    bit at a time equals linear_values(x), and so does combine(l1, l2) and
-    value(x).
+    A part of integer weights totalling below 2**53 is held in float64, where
+    every subset sum is exact.  Any other part is held as Python ints, its
+    weights times S, the smallest power of two that makes each an integer;
+    the kernel reads its sum l as l / S, correctly rounded, or as the int
+    itself where S = 1.  A pair updated one flip at a time thus equals pair(x),
+    and `sums` rounds each part's exact sum once (math.fsum of the chosen weights).
     """
 
-    weights: np.ndarray  # (2, m) float64, read-only: one row per part, one column per position
+    weights: np.ndarray  # (2, m), read-only: float64, or object where some part holds ints
     negated: np.ndarray  # -weights, read-only: what flipping a one-bit adds to the pair
+    scales: tuple  # per part: None while it is float64, else its S
+
+    def pair(self, x) -> list:
+        """The kernel's arguments for one state: floats, or a part's exact int."""
+        return self.weights.dot(x).tolist()
+
+    def sums(self, x):
+        """(l1, l2) as float64, each part's exact sum correctly rounded: scalars
+        for one state, arrays for a batch of rows."""
+        sums = self.weights.dot(np.asarray(x).T)
+        if self.weights.dtype == object:  # int / int is correctly rounded
+            sums = (sums.T / np.array([s or 1 for s in self.scales], dtype=object)).T.astype(np.float64)
+        return sums[0], sums[1]
 
 
-def _linear_form(weights: np.ndarray) -> Optional[LinearForm]:
-    """The exact incremental form of a (2, m) weight matrix, or None if some
-    weight sum can round (a non-integer weight, or a part total of 2**53 or more)."""
-    if not all(np.all(w == np.floor(w)) and math.fsum(w.tolist()) < 2.0**53 for w in weights):
-        return None
-    weights, negated = weights.copy(), -weights
-    weights.flags.writeable = negated.flags.writeable = False
-    return LinearForm(weights, negated)
+def _linear_form(weights: np.ndarray) -> LinearForm:
+    """The exact form of a (2, m) weight matrix (see LinearForm)."""
+    rows, scales = [], []
+    for w in weights:
+        values = w.tolist()  # non-negative: an integer total is below 2**53 iff its float sum is
+        if np.all(w == np.floor(w)) and sum(values) < 2.0**53:
+            rows.append(values)
+            scales.append(None)
+        else:
+            ratios = [v.as_integer_ratio() for v in values]  # denominators are powers of two
+            scale = max(den for _, den in ratios)
+            rows.append([num * (scale // den) for num, den in ratios])
+            scales.append(scale)
+    held = weights.copy() if scales == [None, None] else np.array(rows, dtype=object)
+    negated = -held
+    held.flags.writeable = negated.flags.writeable = False
+    return LinearForm(held, negated, tuple(scales))
 
 
 def _members(d: dict, keys: tuple, optional: tuple = (), integers: tuple = (), integer_lists: tuple = ()) -> list:
@@ -217,8 +234,8 @@ class CompositeObjective:
     slack = 2 - e^alpha > 0 is the instance's drift margin.
 
     Weights are non-negative, so a state is optimal iff its pair
-    linear_values(x) equals `optimum` = (0, 0): a sum is 0 iff no
-    positive-weight bit is set.
+    linear_values(x) equals `optimum` = (0, 0): an exact sum, and so its
+    correct rounding, is 0 iff no positive-weight bit is set.
     """
 
     optimum = (0.0, 0.0)
@@ -241,6 +258,7 @@ class CompositeObjective:
         self._weights = np.zeros((2, self.domain_size))
         for w, lf, emb in zip(self._weights, self.functions, self.embeddings):
             w[emb.positions] = lf.weights
+        self._check_finite()
 
     def _validate(self):
         _check_shape(self.n, self.s, self.alpha)
@@ -262,6 +280,20 @@ class CompositeObjective:
         if shared != self.s:
             raise ValueError(f"|B1 & B2| = {shared} but s = {self.s}")
 
+    def _check_finite(self):
+        """Refuse a part total, or an f at the all-ones state (the largest f: the
+        transforms are monotone), past float64.  A part total past it is an
+        int that raises OverflowError on its way into any transform or float()."""
+        ones, zeros = (self.linear_form.pair(np.full(self.domain_size, bit, dtype=np.uint8)) for bit in (1, 0))
+        for name, pair in (("part 1", (ones[0], zeros[1])), ("part 2", (zeros[0], ones[1])), ("h1 + h2", ones)):
+            try:
+                with np.errstate(all="ignore"):
+                    f = float(self.float_kernel(*pair))
+            except OverflowError:
+                f = math.inf
+            if f == math.inf:
+                raise ValueError(f"{name} of f overflows float64 at the all-ones state, n = {self.n}")
+
     @property
     def domain_size(self) -> int:
         return self.n - self.s
@@ -280,14 +312,17 @@ class CompositeObjective:
         return self._weights[part]
 
     def linear_values(self, x: BitString):
-        """(w1 . x, w2 . x) through linear_sums, for one state or a batch of rows."""
-        return _linear_pair(x, self._weights)
+        """(w1 . x, w2 . x), each correctly rounded (LinearForm.sums), for one state or a batch of rows."""
+        return self.linear_form.sums(x)
 
-    def _compile(self, template: str, functions: dict):
+    def _compile(self, template: str, functions: dict, scales=(None, None)):
+        """h1(l1) + h2(l2) in `template`; a part with a scale S > 1 reads its argument as l / S."""
         h1, h2 = self.transforms
-        return compile_function(
-            template, lambda bind: f"({h1.expression('l1', bind)}) + ({h2.expression('l2', bind)})", functions
-        )
+
+        def build(bind):
+            l1, l2 = (f"(l{i} / {bind(s)})" if s and s > 1 else f"l{i}" for i, s in enumerate(scales, 1))
+            return f"({h1.expression(l1, bind)}) + ({h2.expression(l2, bind)})"
+        return compile_function(template, build, functions)
 
     @functools.cached_property
     def combine(self):
@@ -297,23 +332,28 @@ class CompositeObjective:
 
     @functools.cached_property
     def float_kernel(self):
-        """float(combine(l1, l2)) for Python floats, bit for bit: the same
-        expression compiled with Python floats' functions, so a call makes no
-        numpy scalar."""
-        return self._compile(_FLOAT_KERNEL, {**FLOAT_FUNCTIONS, "combine": self.combine})
+        """f of a pair as LinearForm.pair gives it: the same expression as
+        combine compiled with Python floats' functions, so a call makes no
+        numpy scalar.  On float arguments it is float(combine(l1, l2)) bit for
+        bit; a part held in ints reads its sum l as l / S (S > 1) or as the int
+        itself, on which identity and square stay exact."""
+        scales = self.linear_form.scales
+        fallback = self._compile("f = lambda l1, l2: {}", ARRAY_FUNCTIONS, scales)  # combine on the same arguments
+        return self._compile(_FLOAT_KERNEL, {**FLOAT_FUNCTIONS, "combine": fallback}, scales)
 
     def __reduce__(self):  # the compiled functions do not pickle; build again from the parts
         return CompositeObjective, (self.n, self.s, self.alpha, self.functions, self.embeddings, self.transforms)
 
     def value(self, x: BitString) -> float:
+        """f(x), the kernel of x's pair: a float, or the exact int where both
+        parts hold ints under identity or square."""
         if len(x) != self.domain_size:
             raise ValueError(f"expected {self.domain_size} bits, got {len(x)}")
-        # the kernel of the pair as Python floats: float(combine(l1, l2)), bit for bit
-        return self.float_kernel(*linear_sums(np.asarray(x), self._weights).tolist())
+        return self.float_kernel(*self.linear_form.pair(np.asarray(x)))
 
     @functools.cached_property
-    def linear_form(self) -> Optional[LinearForm]:
-        """The exact incremental form, or None if some weight sum can round."""
+    def linear_form(self) -> LinearForm:
+        """The exact incremental form of the weights (see LinearForm)."""
         return _linear_form(self._weights)
 
     def is_optimal(self, x: BitString):
@@ -448,9 +488,9 @@ class ChanceInstance:
 
     The smallest W guaranteed with probability `confidence` for selection x is
     fitness(x) = mu(x) + quantile(confidence) * sigma(x); minimizing that is
-    the deterministic equivalent of the probabilistic guarantee.  Both sums go
-    through linear_sums, so fitness_value(x) equals build_chance(self).value(x)
-    bit for bit.
+    the deterministic equivalent of the probabilistic guarantee.  Both sums are
+    correctly rounded exact sums (math.fsum), the parts' rule, so
+    fitness_value(x) equals build_chance(self).value(x) bit for bit.
     """
 
     mu: np.ndarray
@@ -477,10 +517,10 @@ class ChanceInstance:
         return normal_quantile(self.confidence)
 
     def mean_value(self, x: BitString) -> float:
-        return float(linear_sums(np.asarray(x), self.mu))
+        return math.fsum(self.mu[np.asarray(x) == 1])
 
     def std_value(self, x: BitString) -> float:
-        return math.sqrt(float(linear_sums(np.asarray(x), self.sigma**2)))
+        return math.sqrt(math.fsum((self.sigma**2)[np.asarray(x) == 1]))
 
     def fitness_value(self, x: BitString) -> float:
         return self.mean_value(x) + self.fractile * self.std_value(x)
@@ -634,8 +674,8 @@ class MultimodalInstance:
         return 1.0 / self.n
 
     def linear_values(self, x: BitString):
-        """(x_1, sum_{i>=2} x_i) through linear_sums, for one state or a batch of rows."""
-        return _linear_pair(x, self._weights)
+        """(x_1, sum_{i>=2} x_i), for one state or a batch of rows."""
+        return self.linear_form.sums(x)
 
     def combine(self, l1, l2):
         """The ones term l1/2 + l2 plus the large power of the zeros count."""
@@ -705,10 +745,12 @@ def generate_instance(
     k1 = int(alpha * n)
     k2 = n - k1
 
-    def draw_weights(k: int) -> np.ndarray:
+    def draw_weights(k: int, part: int) -> np.ndarray:
         if weight_scheme == "all-ones":
             return np.ones(k)
         if weight_scheme == "doubling":
+            if k > 1023:  # 2^0 + ... + 2^(k-1) passes float64's largest value
+                raise ValueError(f"doubling weights of part {part} total 2^{k} - 1, past float64, at n = {n}")
             return np.power(2.0, np.arange(k))
         lo, hi = weight_range
         if not 0 <= lo <= hi:
@@ -730,7 +772,7 @@ def generate_instance(
         n,
         s,
         alpha,
-        (LinearFunction(draw_weights(k1)), LinearFunction(draw_weights(k2))),
+        (LinearFunction(draw_weights(k1, 1)), LinearFunction(draw_weights(k2, 2))),
         (DomainEmbedding(b1, m), DomainEmbedding(b2, m)),
         tuple(t if isinstance(t, MonotoneTransform) else from_name(t) for t in transforms),
     )

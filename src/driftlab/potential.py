@@ -5,7 +5,8 @@ t counts that part's weights strictly below its own; tied weights therefore
 share one coefficient and every coefficient lies in [1, (1+1/n)^(k-1)].  The
 combined potential of a composite objective adds the two parts' coefficients
 position-wise, so it is itself a non-negative linear form over the domain,
-evaluated like the objective's parts by :func:`driftlab.objectives.linear_sums`.
+one left-to-right sum, :func:`driftlab.objectives.linear_sums` (its
+coefficients are not integers, so unlike the objective's parts its sum rounds).
 """
 
 from __future__ import annotations

@@ -30,14 +30,13 @@ def transform_value(tag, v):
 
 
 def objective_value(data, x):
+    """h1(l1) + h2(l2), each part's value its exact sum correctly rounded."""
     total = 0.0
     for wkey, bkey, tkey in (
         ("weights1", "B1", "transform1"),
         ("weights2", "B2", "transform2"),
     ):
-        linear = 0.0
-        for w, pos in zip(data[wkey], data[bkey]):
-            linear += w * x[pos - 1]
+        linear = math.fsum(w for w, pos in zip(data[wkey], data[bkey]) if x[pos - 1])
         total += transform_value(data[tkey], linear)
     return total
 

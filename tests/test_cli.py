@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -315,6 +316,18 @@ class TestRunCommand:
         )
         assert code == 0
         assert len(json.loads(out.read_text())) == 3
+
+    @pytest.mark.parametrize("n", [1100, 2200])
+    def test_doubling_past_float64_is_a_config_error(self, n, capsys):
+        # n = 1100: h1 = square of 2^550 - 1 overflows; n = 2200: the weights
+        # themselves would, and no numpy overflow warning comes first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli_main(["run", "--n", str(n), "--weights", "doubling", "--reps", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "float64" in err and f"n = {n}" in err
+        assert "part 1" in err and "Warning" not in err
 
 
 class TestTopLevel:

@@ -10,6 +10,7 @@ from driftlab import experiments
 from driftlab.drift import DriftRow
 from oracle_drift import exact_drift as oracle_exact_drift
 from oracle_drift import objective_value as oracle_objective_value
+from oracle_exact import exact_ratios
 
 
 def bits(*values):
@@ -285,12 +286,30 @@ class TestConvolutionSweep:
         assert report.min_ratio - report.rounding_bound >= report.delta_reference
 
 
+class TestExactArithmetic:
+    """The certificate's float drift/phi against exact arithmetic (oracle_exact)."""
+
+    @pytest.mark.parametrize("case", [case for case, (make, _) in sorted(_SWEEP_CASES.items())
+                                      if make().domain_size <= 10])
+    def test_both_paths_within_rounding_bound_of_exact(self, case):
+        make, p = _SWEEP_CASES[case]
+        inst = make()
+        exact = exact_ratios(inst.to_dict(), inst.mutation_probability if p is None else p)
+        swept = dl.exhaustive_drift_check(inst, p=p)
+        direct = dl.exhaustive_drift_check(inst, p=p, states=list(all_states(inst.domain_size)))
+        for report in (swept, direct):
+            codes, _, _, _, ratio = (column.tolist() for column in report.columns)
+            assert max(abs(Fraction(r) - exact[u]) for u, r in zip(codes, ratio)) <= report.rounding_bound
+            assert abs(Fraction(report.min_ratio) - min(exact[u] for u in codes)) <= report.rounding_bound
+
+
 class TestOneEvaluationPath:
-    """value, is_optimal, StateSpace and exact drift share one sum."""
+    """value, is_optimal, StateSpace, exact drift and the oracle share one
+    pair rule: each part's exact sum, correctly rounded."""
 
     def test_value_statespace_and_oracle_agree_on_every_state(self):
         inst = float_weight_instance(("square", "square_root"))
-        assert inst.linear_form is None
+        assert None not in inst.linear_form.scales  # both parts held as ints
         data = inst.to_dict()
         states = all_states(16)
         values = np.array([inst.value(x) for x in states])

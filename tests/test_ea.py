@@ -340,55 +340,37 @@ class TestMutationsLaw:
 
 
 class TestElitistStep:
-    """The elitist selection of one `run_ea` iteration: keep y iff f(y) <= f(x).
-
-    Each check runs on both offspring evaluators: the O(K) update of an
-    instance with a LinearForm, and the full sum of one without.
-    """
-
-    @staticmethod
-    def evaluators(inst):
-        full = SimpleNamespace(
-            domain_size=inst.domain_size, mutation_probability=inst.mutation_probability,
-            value=inst.value, linear_values=inst.linear_values, float_kernel=inst.float_kernel,
-            optimum=inst.optimum,
-        )
-        return inst, full
+    """The elitist selection of one `run_ea` iteration: keep y iff f(y) <= f(x)."""
 
     def test_strict_improvement_accepted(self):
         # p = 1 flips both bits: (1,1) -> (0,0), f drops
         cfg = dl.EAConfig(max_iterations=1, mutation_probability=1.0)
-        for inst in self.evaluators(dl.onemax(2)):
-            trace = dl.run_ea(inst, cfg, dl.RandomSource(0), initial=bits(1, 1))
-            assert trace.hitting_time == 1 and trace.accepted_steps == 1
-            assert np.array_equal(trace.final_state, bits(0, 0))
+        trace = dl.run_ea(dl.onemax(2), cfg, dl.RandomSource(0), initial=bits(1, 1))
+        assert trace.hitting_time == 1 and trace.accepted_steps == 1
+        assert np.array_equal(trace.final_state, bits(0, 0))
 
     def test_optimum_rejects_worse(self):
         # p = 1 always offers the complement (1,1,1,0), which is worse than (0,0,0,1)
         cfg = dl.EAConfig(max_iterations=50, mutation_probability=1.0)
-        for inst in self.evaluators(dl.onemax(4)):
-            trace = dl.run_ea(inst, cfg, dl.RandomSource(0), initial=bits(0, 0, 0, 1))
-            assert trace.budget_exhausted and trace.accepted_steps == 0
-            assert np.array_equal(trace.final_state, bits(0, 0, 0, 1))
+        trace = dl.run_ea(dl.onemax(4), cfg, dl.RandomSource(0), initial=bits(0, 0, 0, 1))
+        assert trace.budget_exhausted and trace.accepted_steps == 0
+        assert np.array_equal(trace.final_state, bits(0, 0, 0, 1))
 
     def test_constant_objective_accepts_ties(self):
         constant = SimpleNamespace(
-            domain_size=4, mutation_probability=0.5, value=lambda _: 0.0,
-            linear_values=lambda _: (0.0, 0.0), float_kernel=lambda l1, l2: 0.0, optimum=None,
+            domain_size=4, mutation_probability=0.5, value=lambda _: 0.0, float_kernel=lambda l1, l2: 0.0,
+            optimum=None, linear_form=SimpleNamespace(weights=np.zeros((2, 4)), negated=np.zeros((2, 4))),
         )
-        zero_form = SimpleNamespace(weights=([0.0] * 4, [0.0] * 4))
         cfg = dl.EAConfig(max_iterations=50, trace_stride=1)
-        for form in (zero_form, None):
-            constant.linear_form = form
-            # phi is the state read as a binary number, so it changes with every accepted flip
-            trace = dl.run_ea(
-                constant, cfg, dl.RandomSource(5), initial=bits(0, 1, 0, 1),
-                potential=lambda x: float(np.dot(x, [8, 4, 2, 1])),
-            )
-            phis = [phi for _, _, phi, _ in trace.samples]
-            changes = sum(a != b for a, b in zip(phis, phis[1:]))
-            assert trace.budget_exhausted and trace.accepted_steps > 0
-            assert changes == trace.accepted_steps
+        # phi is the state read as a binary number, so it changes with every accepted flip
+        trace = dl.run_ea(
+            constant, cfg, dl.RandomSource(5), initial=bits(0, 1, 0, 1),
+            potential=lambda x: float(np.dot(x, [8, 4, 2, 1])),
+        )
+        phis = [phi for _, _, phi, _ in trace.samples]
+        changes = sum(a != b for a, b in zip(phis, phis[1:]))
+        assert trace.budget_exhausted and trace.accepted_steps > 0
+        assert changes == trace.accepted_steps
 
 
 class TestRunEA:
@@ -453,7 +435,7 @@ class TestRunEA:
         # valuing the start point works; valuing the first offspring raises
         failing = SimpleNamespace(
             domain_size=4, mutation_probability=0.25, value=inst.value,
-            linear_values=inst.linear_values, float_kernel=broken, optimum=inst.optimum,
+            linear_form=inst.linear_form, float_kernel=broken, optimum=inst.optimum,
         )
         cfg = dl.EAConfig(max_iterations=10, mutation_probability=1.0)
         with pytest.raises(RuntimeError, match="boom"):
@@ -495,22 +477,24 @@ class TestRunEA:
         assert doc["hitting_time"] is None
         assert doc["budget_exhausted"] is True
 
-    @pytest.mark.parametrize("linear_form", [True, False], ids=["linear_form", "full_sum"])
+    # a float64 form (integer weights) and one of ints (fractional weights); the
+    # ids are those of the time when fractional weights took a full re-sum
+    @pytest.mark.parametrize("float_form", [True, False], ids=["linear_form", "full_sum"])
     @pytest.mark.parametrize(
         "initial",
         [np.array([0, 2, 1, 0], dtype=np.uint8), [0, 0.5, 1, 0], [0, 1, -1, 0], [0, 1, float("nan"), 0],
          np.zeros((2, 2), dtype=np.uint8), ["0", "1", "0", "1"]],
         ids=["uint8_2", "half", "minus_1", "nan", "2d", "str"],
     )
-    def test_rejects_a_start_that_is_not_bits(self, initial, linear_form):
-        inst = dl.onemax(4) if linear_form else dl.build_separable([0.5, 1.5], [2.5, 1.0])
-        assert (inst.linear_form is not None) == linear_form
+    def test_rejects_a_start_that_is_not_bits(self, initial, float_form):
+        inst = dl.onemax(4) if float_form else dl.build_separable([0.5, 1.5], [2.5, 1.0])
+        assert (inst.linear_form.scales == (None, None)) == float_form
         with pytest.raises(ValueError, match="0/1 values"):
             dl.run_ea(inst, dl.EAConfig(max_iterations=10), dl.RandomSource(1), initial=initial)
 
-    @pytest.mark.parametrize("linear_form", [True, False], ids=["linear_form", "full_sum"])
-    def test_start_is_copied_and_any_0_1_dtype_accepted(self, linear_form):
-        inst = dl.onemax(4) if linear_form else dl.build_separable([0.5, 1.5], [2.5, 1.0])
+    @pytest.mark.parametrize("float_form", [True, False], ids=["linear_form", "full_sum"])
+    def test_start_is_copied_and_any_0_1_dtype_accepted(self, float_form):
+        inst = dl.onemax(4) if float_form else dl.build_separable([0.5, 1.5], [2.5, 1.0])
         cfg = dl.EAConfig(max_iterations=50, trace_stride=5)
         start = np.array([1, 0, 1, 1], dtype=np.uint8)
         reference = dl.run_ea(inst, cfg, dl.RandomSource(4), initial=start)
@@ -567,10 +551,14 @@ def exact_mean_hitting_time(instance, p):
 
 
 class TestSparseEngine:
-    @pytest.mark.parametrize("case", ["onemax", "onemax-p-half", "generated"])
+    @pytest.mark.parametrize("case", ["onemax", "onemax-p-half", "generated", "float"])
     def test_mean_hitting_time_matches_markov_chain(self, case):
         if case == "generated":
             inst = dl.generate_instance(6, 1, "1/2", weight_range=(1, 5), rng=dl.RandomSource(8))
+            p = None
+        elif case == "float":  # a form of ints scaled by a power of two
+            weights = dl.RandomSource(13).generator.uniform(0, 3, 6)
+            inst = dl.build_separable(weights[:3], weights[3:])
             p = None
         else:
             inst = dl.onemax(4)
@@ -593,7 +581,7 @@ class TestSparseEngine:
             inst = dl.build_separable(gen.uniform(0, 3, 8), gen.uniform(0, 3, 8))
         else:
             inst = dl.generate_instance(128, 0, "1/2", weight_scheme="doubling")
-        assert (inst.linear_form is not None) == (kind == "integer")
+        assert (inst.linear_form.scales == (None, None)) == (kind == "integer")
         # The phi column evaluates each recorded parent from scratch.
         cfg = dl.EAConfig(max_iterations=dl.default_budget(inst.n), trace_stride=1)
         start = np.ones(inst.domain_size, dtype=np.uint8)
@@ -660,19 +648,19 @@ class TestSparseEngine:
 def reference_run(instance, config, rng, initial=None, potential=None):
     """run_ea written plainly: one pass per iteration, every non-empty one
     drawn by `_Mutations.positions(k)` and valued bit by bit with `if x[j]`
-    (or re-summed in full without a linear form).  Its (hitting time,
-    accepted steps, samples, final state) must be run_ea's."""
+    on the linear form's weights.  Its (hitting time, accepted steps,
+    samples, final state) must be run_ea's."""
     m = instance.domain_size
     p = config.mutation_probability or instance.mutation_probability
     gen = rng.generator
     x = gen.integers(0, 2, m, dtype=np.uint8) if initial is None else np.array(initial, dtype=np.uint8)
-    form = getattr(instance, "linear_form", None)
+    form = instance.linear_form
     f_x = instance.value(x)
-    l1, l2 = (float(v) for v in instance.linear_values(x))
+    l1, l2 = form.pair(x)
 
     def sample(t):
         phi = None if potential is None else float(potential(x.copy()))
-        return (t, f_x, phi, int(np.count_nonzero(x)))
+        return (t, float(f_x), phi, int(np.count_nonzero(x)))
 
     samples = [sample(0)]
     hitting_time, accepted, t = None, 0, 0
@@ -690,15 +678,12 @@ def reference_run(instance, config, rng, initial=None, potential=None):
                 flips = mutations.positions(k)
                 y = x.copy()
                 y[flips] ^= 1
-                if form is None:
-                    y1, y2 = (float(v) for v in instance.linear_values(y))
-                else:
-                    y1, y2 = l1, l2
-                    for j in flips:
-                        if x[j]:
-                            y1, y2 = y1 - form.weights[0][j], y2 - form.weights[1][j]
-                        else:
-                            y1, y2 = y1 + form.weights[0][j], y2 + form.weights[1][j]
+                y1, y2 = l1, l2
+                for j in flips:
+                    if x[j]:
+                        y1, y2 = y1 - form.weights[0][j], y2 - form.weights[1][j]
+                    else:
+                        y1, y2 = y1 + form.weights[0][j], y2 + form.weights[1][j]
                 f_y = instance.float_kernel(y1, y2)
                 if f_y <= f_x:
                     x, l1, l2, f_x = y, y1, y2, f_y
@@ -736,7 +721,7 @@ def reference_cases():
             for label, p in rates:
                 cases[f"m{m}-{scheme}{label}"] = (inst, dl.EAConfig(3000, mutation_probability=p), None, None)
     doubling = dl.generate_instance(128, 0, "1/2", weight_scheme="doubling")
-    assert doubling.linear_form is None
+    assert doubling.linear_form.scales == (1, 1)  # exact ints past 2**53
     cases["doubling128"] = (doubling, dl.EAConfig(dl.default_budget(128)), None, None)
     multimodal = dl.MultimodalInstance(8)
     cases["multimodal8"] = (multimodal, dl.EAConfig(3000), multimodal.local_optimum(3), None)
@@ -751,19 +736,11 @@ def reference_cases():
     # that ends inside the second block before the optimum
     onemax32 = dl.onemax(32)
     cases["stride2-budget45"] = (onemax32, dl.EAConfig(45, trace_stride=2), None, onemax32.value)
-    # the same integer weights through the O(K) loop and, with the linear form
-    # hidden, through the full re-sum
     uniform = composite(24, "uniform-int", s=0)
-    hidden = SimpleNamespace(
-        domain_size=uniform.domain_size, mutation_probability=uniform.mutation_probability,
-        value=uniform.value, linear_values=uniform.linear_values, float_kernel=uniform.float_kernel,
-        optimum=uniform.optimum,
-    )
-    for name, inst in (("int24", uniform), ("int24-hidden-form", hidden)):
-        cases[name] = (inst, dl.EAConfig(600, trace_stride=5), None, uniform.value)
+    cases["int24"] = (uniform, dl.EAConfig(600, trace_stride=5), None, uniform.value)
     floats = dl.RandomSource(12).generator.uniform(0, 3, 32)
     separable = dl.build_separable(floats[:16], floats[16:])
-    assert separable.linear_form is None
+    assert None not in separable.linear_form.scales  # ints scaled by a power of two
     cases["float32-stride7"] = (
         separable, dl.EAConfig(400, trace_stride=7), None, dl.build_combined_potential(separable).value)
     return cases
@@ -810,15 +787,17 @@ def golden_cases():
 
 # (hitting_time, accepted_steps, samples, final_state as a bit string) of each
 # golden case, recorded before run_ea became one fused loop (multimodal16 and
-# p_half again when k*k > m subsets became permutation prefixes).
+# p_half again when k*k > m subsets became permutation prefixes; float32 and
+# doubling128 again when their parts became exact sums, which moved only the
+# start value's last bit).
 GOLDEN = {
     "onemax10": (56, 7, [(0, 5.0, None, 5), (56, 0.0, None, 0)], "0" * 10),
     "separable64": (722, 42, [(0, 958466.179356624, None, 38), (722, 0.0, None, 0)], "0" * 64),
     "chance64": (191, 16, [(0, 219.79512688175166, None, 14), (191, 0.0, None, 0)], "0" * 32),
     "multimodal16": (
         458, 11, [(0, 1.0002261765559461, None, 1), (458, 0.5002261765559461, None, 1)], "1" + "0" * 15),
-    "float32": (258, 23, [(0, 278.47724840824424, None, 16), (258, 0.0, None, 0)], "0" * 32),
-    "doubling128": (1773, 151, [(0, 5.630913779987742e+35, None, 61), (1773, 0.0, None, 0)], "0" * 128),
+    "float32": (258, 23, [(0, 278.47724840824435, None, 16), (258, 0.0, None, 0)], "0" * 32),
+    "doubling128": (1773, 151, [(0, 5.630913779987741e+35, None, 61), (1773, 0.0, None, 0)], "0" * 128),
     "p_one": (None, 9, [(0, 3.0, None, 3), (9, 3.0, None, 3)], "000111"),
     "p_half": (None, 4, [(0, 6.0, None, 6), (300, 2.0, None, 2)], "0001000000000001"),
     "stride7": (
@@ -833,8 +812,8 @@ GOLDEN = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_run(name):
     """Fixed seeds pin every branch of run_ea: a drawn start and a given one,
-    the O(K) update (integer weights, the compose transform, the multimodal
-    instance) and the full re-sum (float weights, doubling), K = m at p = 1,
+    a float64 form (integer weights, the compose transform, the multimodal
+    instance) and one of ints (float weights, doubling), K = m at p = 1,
     the permutation-prefix subset draw at p = 1/2 on 16 bits, and stride
     records with a potential.
 

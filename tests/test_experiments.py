@@ -173,6 +173,13 @@ class TestScalingStudy:
             doc_b["config"].pop("workers")
             assert doc_a == doc_b, cfg.kind
 
+    def test_doubling_identity_runtime_keeps_the_exact_pair(self):
+        # Parts of weights 2^0..2^127 pass 2^53: summed in floats, f missed
+        # flips of the low bits, which then random-walked (ratio 3.57 here)
+        cfg = make_cfg(preset=None, n_values=(256,), replicates=30, seed=9, weight_scheme="doubling",
+                       transforms=("identity", "identity"))
+        assert dl.scaling_study(cfg).rows[0].ratio_nlogn < 3.0
+
     def test_budget_censoring_is_reported_not_mixed(self):
         bundle = dl.scaling_study(make_cfg(n_values=(32,), replicates=6, budget=3))
         row = bundle.rows[0]
@@ -339,14 +346,14 @@ class TestTailStudy:
 
 
 def _float_weight_instance(path):
-    """n = 10, s = 2: non-integer weights, so run_ea re-sums without a LinearForm."""
+    """n = 10, s = 2: non-integer weights, so the LinearForm holds both parts as scaled ints."""
     inst = dl.CompositeObjective(
         10, 2, Fraction(1, 2),
         (dl.LinearFunction([0.5, 1.25, 2.75, 0.3, 4.1]), dl.LinearFunction([1.1, 0.7, 3.3, 2.2, 0.9])),
         (dl.DomainEmbedding(range(5), 8), dl.DomainEmbedding(range(3, 8), 8)),
         (dl.square(), dl.square_root()),
     )
-    assert inst.linear_form is None
+    assert None not in inst.linear_form.scales
     dl.save_instance(inst, path)
     return str(path)
 
@@ -502,6 +509,12 @@ def _replay_scale_fresh(cfg):
     return dl.run_ea(instance, dl.EAConfig(dl.default_budget(12)), dl.RandomSource(cfg.seed, (1, 3, 1)))
 
 
+def _replay_scale_doubling(cfg):
+    # stream (0, j+1) on the size's one instance, whose parts are held as Python ints
+    instance = dl.generate_instance(128, 0, "1/2", weight_scheme="doubling")
+    return dl.run_ea(instance, dl.EAConfig(dl.default_budget(128)), dl.RandomSource(cfg.seed, (0, 3)))
+
+
 def _replay_escape(cfg):
     # stream (i, j+1), from the local optimum at position 1
     instance = dl.MultimodalInstance(8)
@@ -537,6 +550,7 @@ REPLAYS = {
     "scale-fresh": (
         dict(kind="scale", n_values=(10, 12), s=1, weight_high=9, fresh_instances=True), _replay_scale_fresh
     ),
+    "scale-doubling": (dict(kind="scale", n_values=(128,), weight_scheme="doubling"), _replay_scale_doubling),
     "escape": (dict(kind="escape", n_values=(6, 8)), _replay_escape),
     "tail": (dict(kind="tail", n_values=(8,), preset="onemax", delta=0.05, r_values=(1.0, 2.0)), _replay_tail),
     "chance": (dict(kind="chance", n_values=(6,), level_samples=1000, probes=0), _replay_chance),
