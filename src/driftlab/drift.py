@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,6 +50,41 @@ _STATE_CHUNK = 1 << 14  # states evaluated per batch while building a StateSpace
 def drift_rate_reference(instance: CompositeObjective) -> float:
     """The certified multiplicative drift rate e^-3 * (2 - e^alpha) / (2n)."""
     return math.exp(-3.0) * instance.slack / (2.0 * instance.n)
+
+
+def _series(x: Fraction, terms: int) -> Fraction:
+    """sum_{k < terms} x^k / k!, in exact arithmetic."""
+    total = term = Fraction(1)
+    for k in range(1, terms):
+        term = term * x / k
+        total += term
+    return total
+
+
+# e^-3 <= the alternating series' partial sum that ends on its positive term
+# 3^30/30!: from k = 3 on its terms fall in size, so every partial sum ending
+# on a positive term lies above the limit, here by less than 3^31/31! < 1e-19.
+_EXP_MINUS_3_UP = _series(Fraction(-3), 31)
+
+
+@functools.lru_cache(maxsize=None)
+def _exp_lower(alpha: Fraction) -> Fraction:
+    """A lower bound on e^alpha, alpha >= 0: its Taylor partial sum through
+    alpha^29/29! (every term is positive), short of it by less than
+    2 alpha^30/30! < 1e-36 for alpha < ln 2."""
+    return _series(alpha, 30)
+
+
+def drift_rate_upper(instance: CompositeObjective) -> float:
+    """delta+, a float no smaller than the exact rate e^-3 (2 - e^alpha) / (2n)
+    at the instance's rational alpha: an upper bound on e^-3 times a lower
+    bound on e^alpha, each a rational partial sum (above: _EXP_MINUS_3_UP and
+    _exp_lower), rounded up to a float.  It exceeds the exact rate by the
+    partial sums' slack, far below one part in 10^12 for alpha < ln 2, and
+    by the final rounding (one ulp)."""
+    upper = _EXP_MINUS_3_UP * (2 - _exp_lower(instance.alpha)) / (2 * instance.n)
+    bound = float(upper)  # correctly rounded: below `upper` by less than an ulp, or not at all
+    return bound if Fraction(bound) >= upper else math.nextafter(bound, math.inf)
 
 
 class StateSpace:
@@ -196,7 +232,9 @@ class DriftReport:
     """Per-state drift/potential ratios against the reference rate.
 
     rounding_bound bounds |computed - exact| drift/phi over the checked states
-    (see exhaustive_drift_check); passed asks min_ratio - rounding_bound >= delta.
+    (see exhaustive_drift_check); passed asks min_ratio - rounding_bound >=
+    drift_rate_upper(instance), in exact arithmetic: delta_reference rounds
+    the exact rate, and drift_rate_upper bounds it from above.
     `rows` holds one DriftRow per checked state, in state order; they are
     built from `columns` (state codes, one-bit counts, phi, drift and ratio,
     one array each) when `rows` is first read, so a caller that needs only
@@ -381,13 +419,14 @@ def exhaustive_drift_check(
         min_ratio = float(ratio.min())
         columns = (codes, space.popcount[codes], phi, drift, ratio)
 
-    delta = drift_rate_reference(instance)
     return DriftReport(
         epsilon=instance.slack,
-        delta_reference=delta,
+        delta_reference=drift_rate_reference(instance),
         min_ratio=min_ratio,
         rounding_bound=rounding_bound,
-        passed=min_ratio is not None and min_ratio - rounding_bound >= delta,
+        # exact: the float subtraction could round the margin up past delta+
+        passed=min_ratio is not None
+        and Fraction(min_ratio) - Fraction(rounding_bound) >= Fraction(drift_rate_upper(instance)),
         columns=columns,
     )
 

@@ -16,11 +16,10 @@ values every offspring in O(K).  The random stream is consumed in that
 sparse order, and the same (instance, config, stream) gives the same run.
 
 The loop never re-sums: it carries, per position, what a flip adds to the
-pair (+w while the bit is 0, -w while it is 1; both lists and the start pair
-are built in numpy, from the weights and the negated weights that the
-LinearForm holds), so an offspring's pair is l1 + d1[j] (+ d1[i]) with no
-branch on the bit, and an accepted flip negates the entries.  Every K with
-K*K <= m takes its positions from the `_Mutations` pool inline, as ints,
+pair (+w while the bit is 0, -w while it is 1), so an offspring's pair is
+l1 + d1[j] (+ d1[i]) with no branch on the bit, and an accepted flip negates
+the entries.  Every K with K*K <= m takes its positions from the
+`_Mutations` pool inline, as ints,
 with the draws `_Mutations.positions` would make (a repeated position
 redraws all K): K = 1 (tested first), 2 and 3 are written out, each larger K
 takes one slice of the pool.  Only K*K > m calls `positions`, which then
@@ -29,6 +28,14 @@ exactly uniform K-subset; K = m flips all with no draw) and neither reads
 nor moves the pool.  The pool, its refill rule (`_Mutations.refill`) and the
 subset draw have that one owner; the loop keeps the pool, its cursor and its
 end in locals.
+
+The parent's state at the start (its bits, its pair, its two delta lists and
+its value) is a `PreparedStart`.  `prepare_starts` builds it for a batch of
+rows at once, with a fixed number of numpy calls on the LinearForm's weights
+and negated weights and one `value` call for the whole batch.  `run_ea` takes
+a prepared start as `initial` and copies its lists, and it prepares a drawn
+or given start as a batch of one, so every start is checked and valued on
+that one path.
 
 Each block's offsets are cut to the budget once, with `bisect`, when the
 budget ends inside it, so no offspring tests the budget.  The iteration
@@ -50,7 +57,7 @@ import math
 import numbers
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -200,23 +207,63 @@ class _Mutations:
                 return flips
 
 
+class PreparedStart(NamedTuple):
+    """A parent state as `run_ea` carries it: its bits, its linear pair
+    (l1, l2), what flipping each position adds to the pair (d1, d2: +w while
+    the bit is 0, -w while it is 1) and its value f."""
+
+    bits: list
+    l1: object
+    l2: object
+    d1: list
+    d2: list
+    f: object
+
+
+def prepare_starts(instance, rows) -> list[PreparedStart]:
+    """Each row of `rows`, an (R, m) array of 0/1 values, as a start for `run_ea`.
+
+    The rows are checked once: any bool, integer or float dtype whose values
+    are all 0 or 1, each row of m = instance.domain_size bits.  Every row's
+    state then comes from a fixed number of numpy calls, whatever R is: the
+    exact pairs from one dot with the LinearForm's weights (exact sums, the
+    same in any order), the flip deltas from one np.where on its weights and
+    negated weights, and f from one instance.value(rows).  `run_ea` copies
+    a start's lists, so one prepared start can seed any number of runs.
+    """
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.dtype.kind not in "biuf" or ((rows != 0) & (rows != 1)).any():
+        raise ValueError("bitstring must be a flat sequence of 0/1 values")
+    m = instance.domain_size
+    if rows.shape[1] != m:
+        raise ValueError(f"initial point must have {m} bits")
+    rows = rows.astype(np.uint8, copy=False)  # bools and floats as the ints 0 and 1
+    form = instance.linear_form
+    l1, l2 = form.weights.dot(rows.T).tolist()
+    deltas = np.where(rows[:, None, :], form.negated, form.weights).tolist()  # row, part, position
+    return list(map(PreparedStart, rows.tolist(), l1, l2, *zip(*deltas), instance.value(rows)))
+
+
 def run_ea(
     instance,
     config: EAConfig,
     rng: RandomSource,
-    initial: Optional[BitString] = None,
+    initial=None,
     potential: Optional[Callable[[BitString], float]] = None,
 ) -> RunTrace:
     """Run to the first optimal point or until the iteration budget is spent.
 
-    The start point is uniform over the domain unless `initial` is given.
-    `instance` must expose domain_size, mutation_probability, value(x),
-    optimum, a `linear_form` (see objectives.LinearForm; any object with its
-    `weights` and `negated` will do) and float_kernel(l1, l2), the objective
-    value of a pair of that form (equal to value(x) for x's pair).  The start
-    point is valued once, and its linear pair decides its optimality and
-    seeds the parent.  `potential`, when given, fills the phi column of the
-    trace.  The outcome is deterministic given (instance, config, rng state).
+    The start point is uniform over the domain unless `initial` is given,
+    as a bit sequence or as a `PreparedStart`, whose lists the run copies;
+    a drawn or given sequence goes through `prepare_starts` as a batch of
+    one.  `instance` must expose domain_size, mutation_probability, value(x)
+    of a batch of rows, optimum, a `linear_form` (see objectives.LinearForm;
+    any object with its `weights` and `negated` will do) and
+    float_kernel(l1, l2), the objective value of a pair of that form (equal
+    to value(x) for x's pair).  The start's linear pair decides its
+    optimality and seeds the parent.  `potential`, when given, fills the phi
+    column of the trace.  The outcome is deterministic given (instance,
+    config, rng state).
     """
     m = instance.domain_size
     p = config.mutation_probability
@@ -224,26 +271,13 @@ def run_ea(
         p = instance.mutation_probability
     gen = rng.generator
     if initial is None:
-        x = gen.integers(0, 2, m, dtype=np.uint8)
-        bits = x.tolist()
-    else:
-        start = np.asarray(initial)
-        if start.ndim != 1 or start.dtype.kind not in "biuf":
-            raise ValueError("bitstring must be a flat sequence of 0/1 values")
-        bits = start.tolist()
-        if not set(bits) <= {0, 1}:  # as_bits's rule, in one pass over the values
-            raise ValueError("bitstring must be a flat sequence of 0/1 values")
-        if len(bits) != m:
-            raise ValueError(f"initial point must have {m} bits")
-        x = start.astype(np.uint8)  # a copy: the run never writes to the caller's array
-        if start.dtype != np.uint8:  # bools and floats as the ints 0 and 1
-            bits = x.tolist()
-    kernel, optimum, form = instance.float_kernel, instance.optimum, instance.linear_form
-    f_x = instance.value(x)
+        initial = prepare_starts(instance, gen.integers(0, 2, (1, m), dtype=np.uint8))[0]
+    elif not isinstance(initial, PreparedStart):
+        initial = prepare_starts(instance, np.asarray(initial)[None])[0]
+    bits, d1, d2 = initial.bits.copy(), initial.d1.copy(), initial.d2.copy()
+    l1, l2, f_x = initial.l1, initial.l2, initial.f
+    kernel, optimum = instance.float_kernel, instance.optimum
     mutations = _Mutations(gen, m, p)
-    l1, l2 = form.weights.dot(x).tolist()  # exact sums (LinearForm): the same in any order
-    # what flipping position j adds to the pair: +w while bit j is 0, -w while it is 1
-    d1, d2 = np.where(x, form.negated, form.weights).tolist()
     pool, at, end = mutations.pool, 0, 0  # the pool, its cursor and its length
     # every K with K*K <= m is drawn from the pool inline, as positions()
     # would draw it: K = 1, 2 and 3 written out, larger K by one slice.

@@ -24,7 +24,7 @@ import numpy as np
 
 from .version import __version__
 from .drift import ALL_STATES_CAP, exhaustive_drift_check
-from .ea import EAConfig, RunTrace, default_budget, run_ea
+from .ea import EAConfig, RunTrace, default_budget, prepare_starts, run_ea
 from .objectives import (
     ChanceInstance,
     MultimodalInstance,
@@ -47,6 +47,9 @@ PRESET_SETTINGS = {
                   "transforms": ("square", "square_root"), "embedding": "canonical"},
 }
 PRESETS = (*PRESET_SETTINGS, "chance")
+# tail prepares its starts for run_ea in slices of about this many bits, so
+# the prepared lists it holds do not grow with the replicate count
+_START_SLICE_BITS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -561,7 +564,7 @@ def escape_study(cfg: ExperimentConfig) -> ReportBundle:
             budget = max(100, math.ceil(cfg.budget_multiplier * math.e * n * n))
         config = EAConfig(max_iterations=budget)
         source = root.spawn(idx)
-        start = instance.local_optimum(1)
+        start = prepare_starts(instance, instance.local_optimum(1)[None])[0]  # one start for every run
         jobs = [(instance, config, r, start, None) for r in source.children(1, cfg.replicates)]
         censored, mean, sd, _ = _time_stats(_run_replicates(jobs, cfg.workers))
         rows.append(EscapeRow(n=n, reps=cfg.replicates, censored=censored, mean_T=mean, sd_T=sd))
@@ -614,29 +617,32 @@ def tail_study(cfg: ExperimentConfig) -> ReportBundle:
     floor = 1.0  # every nonzero state carries a coefficient >= 1
     # every start is row j of one draw on stream (0, 1), which nothing else
     # draws from (a larger R keeps the earlier rows); replicate j then runs on
-    # (j+1,) from its first draw.  The starts are valued together, one row each
-    starts = instance_source.spawn(1).generator.integers(
-        0, 2, (cfg.replicates, instance.domain_size), dtype=np.uint8
-    )
+    # (j+1,) from its first draw.  The starts are valued together, one row
+    # each, and prepared for run_ea a slice of rows at a time
+    m = instance.domain_size
+    starts = instance_source.spawn(1).generator.integers(0, 2, (cfg.replicates, m), dtype=np.uint8)
     sources = root.children(1, cfg.replicates)
-    jobs, thresholds = [], []
-    for source, x0, start, optimal in zip(
-        sources, starts, potential.value(starts).tolist(), instance.is_optimal(starts).tolist()
-    ):
-        if optimal:
-            # T = 0 never exceeds a positive threshold; no threshold is defined
-            # for a zero start potential.
-            continue
-        # The multiplicative drift theorem: phi is 0 or at least floor and loses
-        # at least delta * phi per step in expectation, so the hitting time T has
-        # Pr(T > (ln(start/floor) + r)/delta) <= e^-r, and r = 1 gives
-        # E[T] <= (ln(start/floor) + 1)/delta.  The largest threshold is the budget.
-        log_term = math.log(start / floor)
-        run_thresholds = [(log_term + r) / delta for r in cfg.r_values]
-        jobs.append((instance, EAConfig(max_iterations=max(1, math.ceil(max(run_thresholds)))), source, x0, None))
-        thresholds.append(run_thresholds)
-    traces = _run_replicates(jobs)
-    counted = len(jobs)
+    phis, optimal = potential.value(starts).tolist(), instance.is_optimal(starts).tolist()
+    traces, thresholds = [], []
+    step = max(1, _START_SLICE_BITS // m)
+    for lo in range(0, cfg.replicates, step):
+        jobs = []
+        for j, prepared in enumerate(prepare_starts(instance, starts[lo : lo + step]), lo):
+            if optimal[j]:
+                # T = 0 never exceeds a positive threshold; no threshold is defined
+                # for a zero start potential.
+                continue
+            # The multiplicative drift theorem: phi is 0 or at least floor and loses
+            # at least delta * phi per step in expectation, so the hitting time T has
+            # Pr(T > (ln(start/floor) + r)/delta) <= e^-r, and r = 1 gives
+            # E[T] <= (ln(start/floor) + 1)/delta.  The largest threshold is the budget.
+            log_term = math.log(phis[j] / floor)
+            run_thresholds = [(log_term + r) / delta for r in cfg.r_values]
+            budget = max(1, math.ceil(max(run_thresholds)))
+            jobs.append((instance, EAConfig(max_iterations=budget), sources[j], prepared, None))
+            thresholds.append(run_thresholds)
+        traces += _run_replicates(jobs)
+    counted = len(traces)
     exceed = [0] * len(cfg.r_values)
     threshold_sums = [0.0] * len(cfg.r_values)
     for trace, run_thresholds in zip(traces, thresholds):

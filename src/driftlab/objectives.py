@@ -59,12 +59,18 @@ def linear_sums(bits, weights) -> np.ndarray:
     return np.add.accumulate(bits * weights, axis=-1)[..., -1]
 
 
+def _states(instance, x) -> np.ndarray:
+    """x as an array of one state (shape (m,)) or of a batch of rows (R, m)."""
+    x = np.asarray(x)
+    if x.ndim not in (1, 2) or x.shape[-1] != instance.domain_size:
+        raise ValueError(f"expected {instance.domain_size} bits, got shape {x.shape}")
+    return x
+
+
 def _at_optimum(instance, x):
     """Whether the linear pair of x equals instance.optimum: a bool for one
     state, a bool array for a batch of rows (each row's pair is its own sum)."""
-    x = np.asarray(x)
-    if x.shape[-1:] != (instance.domain_size,):
-        raise ValueError(f"expected {instance.domain_size} bits, got shape {x.shape}")
+    x = _states(instance, x)
     (l1, l2), (o1, o2) = instance.linear_values(x), instance.optimum
     optimal = (l1 == o1) & (l2 == o2)
     return bool(optimal) if x.ndim == 1 else optimal
@@ -146,8 +152,9 @@ class LinearForm:
     scales: tuple  # per part: None while it is float64, else its S
 
     def pair(self, x) -> list:
-        """The kernel's arguments for one state: floats, or a part's exact int."""
-        return self.weights.dot(x).tolist()
+        """The kernel's arguments, floats or a part's exact int: [l1, l2] for
+        one state, [l1 list, l2 list] for a batch of rows."""
+        return self.weights.dot(x.T).tolist()
 
     def sums(self, x):
         """(l1, l2) as float64, each part's exact sum correctly rounded: scalars
@@ -344,12 +351,13 @@ class CompositeObjective:
     def __reduce__(self):  # the compiled functions do not pickle; build again from the parts
         return CompositeObjective, (self.n, self.s, self.alpha, self.functions, self.embeddings, self.transforms)
 
-    def value(self, x: BitString) -> float:
+    def value(self, x: BitString):
         """f(x), the kernel of x's pair: a float, or the exact int where both
-        parts hold ints under identity or square."""
-        if len(x) != self.domain_size:
-            raise ValueError(f"expected {self.domain_size} bits, got {len(x)}")
-        return self.float_kernel(*self.linear_form.pair(np.asarray(x)))
+        parts hold ints under identity or square.  A batch of rows gives a
+        list of each row's value(row), the pairs from one dot product."""
+        x = _states(self, x)
+        pairs = self.linear_form.pair(x)
+        return self.float_kernel(*pairs) if x.ndim == 1 else list(map(self.float_kernel, *pairs))
 
     @functools.cached_property
     def linear_form(self) -> LinearForm:
@@ -685,10 +693,11 @@ class MultimodalInstance:
         """float(combine(l1, l2)) for Python floats, read from the same table as a list."""
         return 0.5 * l1 + l2 + self._zeros[int(l1 + l2)]
 
-    def value(self, x: BitString) -> float:
-        if len(x) != self.n:
-            raise ValueError(f"expected {self.n} bits, got {len(x)}")
-        return float(self.combine(*self.linear_values(x)))
+    def value(self, x: BitString):
+        """f(x) as a float; a batch of rows gives a list of each row's value(row)."""
+        x = _states(self, x)
+        values = self.combine(*self.linear_values(x))
+        return float(values) if x.ndim == 1 else values.tolist()
 
     @functools.cached_property
     def linear_form(self) -> LinearForm:

@@ -126,6 +126,16 @@ def philox_generator(key: Sequence[int] = (0, 0)) -> np.random.Generator:
 
 
 _SPENT = False  # a source's `_generator` once its lent run has ended
+# The Philox state `lend` sets, built once: a stream's start is counter 0 and
+# an empty buffer (the first draw steps the counter to 1); only the key changes.
+_RESTART = {
+    "bit_generator": "Philox",
+    "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},
+    "buffer": [0, 0, 0, 0],
+    "buffer_pos": 4,
+    "has_uint32": 0,
+    "uinteger": 0,
+}
 
 
 class RandomSource:
@@ -168,14 +178,8 @@ class RandomSource:
         its stream stays on its own generator."""
         if self._generator is not None:
             return False
-        generator.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, 0], "key": self._stream_key()},
-            "buffer": [0, 0, 0, 0],
-            "buffer_pos": 4,  # empty: the first draw steps the counter to 1
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        _RESTART["state"]["key"] = self._stream_key()  # Philox copies the values out
+        generator.bit_generator.state = _RESTART
         self._generator = generator
         return True
 

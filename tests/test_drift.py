@@ -302,6 +302,52 @@ class TestExactArithmetic:
             assert max(abs(Fraction(r) - exact[u]) for u, r in zip(codes, ratio)) <= report.rounding_bound
             assert abs(Fraction(report.min_ratio) - min(exact[u] for u in codes)) <= report.rounding_bound
 
+    def test_paper_rate_moves_exact_ratios_far_less_than_the_bound(self):
+        # the certificate is exact arithmetic at the float p; the paper's p is 1/n
+        inst = random_instance(5)
+        data, n = inst.to_dict(), inst.n
+        at_float = exact_ratios(data, inst.mutation_probability)
+        at_paper = exact_ratios(data, Fraction(1, n))
+        move = max(abs(at_paper[u] - at_float[u]) for u in at_float)
+        assert 0 < move < 1e-3 * dl.exhaustive_drift_check(inst).rounding_bound
+
+
+class TestDeltaUpper:
+    """passed compares with delta+ >= the exact e^-3 (2 - e^alpha) / (2n)."""
+
+    @pytest.mark.parametrize("alpha, n", [("1/2", 10), ("3/5", 10), ("9/13", 13), ("13/19", 19)])
+    def test_encloses_the_exact_rate(self, alpha, n):
+        mpmath = pytest.importorskip("mpmath")
+        inst = dl.generate_instance(n, 0, alpha, weight_scheme="all-ones")
+        a = Fraction(alpha)
+        with mpmath.workdps(50):
+            exact = mpmath.exp(-3) * (2 - mpmath.exp(mpmath.mpf(a.numerator) / a.denominator)) / (2 * n)
+            upper = mpmath.mpf(dl.drift_rate_upper(inst))
+            assert exact <= upper <= exact * (1 + mpmath.mpf("1e-12"))
+        # the float delta sits next to the exact rate, on either side of it
+        assert dl.drift_rate_reference(inst) == pytest.approx(float(exact), rel=1e-12)
+
+    def test_onemax_passes_above_delta_upper(self):
+        inst = dl.onemax(10)
+        report = dl.exhaustive_drift_check(inst)
+        assert dl.drift_rate_upper(inst) >= report.delta_reference
+        margin = Fraction(report.min_ratio) - Fraction(report.rounding_bound)
+        assert report.passed and margin >= Fraction(dl.drift_rate_upper(inst))
+        assert report.min_ratio / report.delta_reference == pytest.approx(44.3, abs=0.05)
+
+    def test_passed_compares_the_exact_margin_with_delta_upper(self, monkeypatch):
+        inst = dl.generate_instance(13, 0, "9/13", weight_scheme="all-ones")
+        report = dl.exhaustive_drift_check(inst)
+        margin = Fraction(report.min_ratio) - Fraction(report.rounding_bound)
+        below = above = float(margin)  # the floats next to the exact margin, on each side
+        if Fraction(above) <= margin:
+            above = math.nextafter(above, math.inf)
+        else:
+            below = math.nextafter(below, -math.inf)
+        for upper, passed in ((below, True), (above, False)):
+            monkeypatch.setattr(dl.drift, "drift_rate_upper", lambda instance: upper)
+            assert dl.exhaustive_drift_check(inst).passed is passed
+
 
 class TestOneEvaluationPath:
     """value, is_optimal, StateSpace, exact drift and the oracle share one

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 from fractions import Fraction
@@ -358,7 +359,7 @@ class TestElitistStep:
 
     def test_constant_objective_accepts_ties(self):
         constant = SimpleNamespace(
-            domain_size=4, mutation_probability=0.5, value=lambda _: 0.0, float_kernel=lambda l1, l2: 0.0,
+            domain_size=4, mutation_probability=0.5, value=lambda rows: [0.0] * len(rows), float_kernel=lambda l1, l2: 0.0,
             optimum=None, linear_form=SimpleNamespace(weights=np.zeros((2, 4)), negated=np.zeros((2, 4))),
         )
         cfg = dl.EAConfig(max_iterations=50, trace_stride=1)
@@ -828,3 +829,61 @@ def test_golden_run(name):
     assert trace.accepted_steps == accepted_steps
     assert trace.samples == samples
     assert "".join(map(str, trace.final_state.tolist())) == final_state
+
+
+class TestPreparedStarts:
+    """prepare_starts: every row's parent state in one batch, and run_ea on it."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_prepared_and_raw_starts_run_alike(self, name):
+        instance, config, seed, initial, potential = golden_cases()[name]
+        if initial is None:  # a start of the golden case's size, drawn elsewhere
+            initial = dl.RandomSource(seed, (99,)).generator.integers(0, 2, instance.domain_size, dtype=np.uint8)
+        prepared = dl.prepare_starts(instance, initial[None])[0]
+        raw = dl.run_ea(instance, config, dl.RandomSource(seed), initial=initial, potential=potential)
+        from_prepared = dl.run_ea(instance, config, dl.RandomSource(seed), initial=prepared, potential=potential)
+        assert from_prepared.to_json() == raw.to_json()
+        assert np.array_equal(from_prepared.final_state, raw.final_state)
+
+    @pytest.mark.parametrize("kind", ["integer", "doubling"])
+    def test_one_prepared_start_seeds_many_runs_unchanged(self, kind):
+        if kind == "integer":
+            inst = dl.generate_instance(16, 2, "1/2", rng=dl.RandomSource(3))
+        else:
+            inst = dl.generate_instance(128, 0, "1/2", weight_scheme="doubling")
+        start = dl.prepare_starts(inst, np.ones((1, inst.domain_size), dtype=np.uint8))[0]
+        before = copy.deepcopy(start)
+        cfg = dl.EAConfig(dl.default_budget(inst.n))
+        traces = [dl.run_ea(inst, cfg, source, initial=start) for source in dl.RandomSource(5).children(0, 3)]
+        assert all(t.accepted_steps > 0 for t in traces)  # every run moved its parent
+        assert start == before
+        again = dl.run_ea(inst, cfg, dl.RandomSource(5, (2,)), initial=start)
+        assert again.to_json() == traces[2].to_json()
+
+    def test_a_batch_is_its_rows_prepared_one_by_one(self):
+        inst = dl.build_separable([0.5, 1.5, 2.25], [2.5, 1.0, 3.0])
+        rows = dl.RandomSource(2).generator.integers(0, 2, (30, 6), dtype=np.uint8)
+        batch = dl.prepare_starts(inst, rows)
+        assert batch == [dl.prepare_starts(inst, row[None])[0] for row in rows]
+        for start, row in zip(batch, rows):
+            assert start.bits == row.tolist() and start.f == inst.value(row)
+            assert [start.l1, start.l2] == inst.linear_form.pair(row)
+        assert dl.prepare_starts(inst, rows[:0]) == []
+
+    def test_any_0_1_dtype_gives_the_uint8_start(self):
+        inst = dl.onemax(4)
+        reference = dl.prepare_starts(inst, np.array([[1, 0, 1, 1]], dtype=np.uint8))
+        for same in ([[1, 0, 1, 1]], [[True, False, True, True]], [[1.0, 0.0, 1.0, 1.0]]):
+            assert dl.prepare_starts(inst, same) == reference
+
+    @pytest.mark.parametrize(
+        "rows", [[[0, 2, 1, 0]], [[0, 0.5, 1, 0]], [[0, 1, -1, 0]], [[0, 1, float("nan"), 0]],
+                 np.zeros(4, dtype=np.uint8), np.zeros((1, 1, 4), dtype=np.uint8), [["0", "1", "0", "1"]]],
+        ids=["2", "half", "minus_1", "nan", "1d", "3d", "str"])
+    def test_rejects_rows_that_are_not_bits(self, rows):
+        with pytest.raises(ValueError, match="0/1 values"):
+            dl.prepare_starts(dl.onemax(4), rows)
+
+    def test_rejects_rows_of_another_width(self):
+        with pytest.raises(ValueError, match="must have 4 bits"):
+            dl.prepare_starts(dl.onemax(4), np.zeros((3, 5), dtype=np.uint8))

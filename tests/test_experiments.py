@@ -318,7 +318,7 @@ class TestTailStudy:
 
         def recording_run_ea(instance, config, rng, initial, potential):
             trace = dl.run_ea(instance, config, rng, initial, potential)
-            runs.append((initial.tolist(), rng.spawn_key, trace.hitting_time))
+            runs.append((initial.bits, rng.spawn_key, trace.hitting_time))  # a prepared start's row
             return trace
 
         monkeypatch.setattr(experiments, "run_ea", recording_run_ea)
@@ -329,6 +329,13 @@ class TestTailStudy:
         dl.tail_study(ExperimentConfig(**base, replicates=12))
         assert len(few) == 5 and runs[:5] == few and len(runs) == 12
         assert [key for _, key, _ in runs] == [(j + 1,) for j in range(12)]
+
+    def test_start_slices_change_no_report(self, monkeypatch):
+        # starts are prepared a slice of rows at a time; 25 bits is two rows of 10
+        cfg = ExperimentConfig(kind="tail", n_values=(10,), preset="onemax", replicates=45, seed=6)
+        whole = dl.tail_study(cfg).json_text()
+        monkeypatch.setattr(experiments, "_START_SLICE_BITS", 25)
+        assert dl.tail_study(cfg).json_text() == whole
 
     def test_refuses_uncertifiable_instance(self):
         cfg = ExperimentConfig(kind="tail", n_values=(64,), preset="onemax", replicates=10, seed=1)

@@ -318,6 +318,64 @@ class TestIsOptimal:
             dl.onemax(8).is_optimal(np.zeros((3, 7), dtype=np.uint8))
 
 
+def batch_value_cases():
+    """name -> an instance, one per way value() computes f."""
+    floats = dl.RandomSource(12).generator.uniform(0, 3, 16)
+    return {
+        "float64-parts": dl.generate_instance(12, 2, "1/2", rng=dl.RandomSource(4)),
+        "int-parts-identity": dl.generate_instance(
+            128, 0, "1/2", weight_scheme="doubling", transforms=("identity", "identity")),
+        "int-parts-square": dl.generate_instance(
+            128, 0, "1/2", weight_scheme="doubling", transforms=("square", "identity")),
+        "scaled-int-parts": dl.build_separable(floats[:8], floats[8:]),
+        "scaled-int-parts-identity": float_weight_instance(("identity", "identity")),
+        "chance-compose": dl.build_chance(dl.ChanceInstance(np.arange(1.0, 11.0), np.ones(10), 0.9)),
+        "multimodal": dl.MultimodalInstance(9),
+    }
+
+
+class TestBatchValue:
+    """value() of a batch of rows is value() of each row, bit for bit and type for type."""
+
+    @pytest.mark.parametrize("name", sorted(batch_value_cases()))
+    def test_batch_equals_rows(self, name):
+        inst = batch_value_cases()[name]
+        scales = inst.linear_form.scales
+        if name.startswith("int-parts"):
+            assert scales == (1, 1)  # exact ints, past 2**53
+        elif name.startswith("scaled"):
+            assert None not in scales and 1 not in scales
+        else:
+            assert scales == (None, None)
+        m = inst.domain_size
+        rows = dl.RandomSource(9).generator.integers(0, 2, (40, m), dtype=np.uint8)
+        rows[0], rows[1] = 0, 1
+        batch = inst.value(rows)
+        single = [inst.value(x) for x in rows]
+        assert type(batch) is list and len(batch) == 40
+        # repr tells ints from floats and shows every bit of a float
+        assert list(map(repr, batch)) == list(map(repr, single))
+        if name.startswith("int-parts"):
+            assert all(type(v) is int for v in batch)
+        assert inst.value(rows[:0]) == []
+
+    @pytest.mark.parametrize("name", sorted(batch_value_cases()))
+    def test_square_batch_is_rows_not_one_state(self, name):
+        inst = batch_value_cases()[name]
+        m = inst.domain_size
+        square = np.eye(m, dtype=np.uint8)  # m rows of m bits: a batch, not one state
+        assert list(map(repr, inst.value(square))) == [repr(inst.value(x)) for x in square]
+
+    def test_one_hot_rows_of_onemax(self):
+        assert dl.onemax(4).value(np.eye(4, dtype=np.uint8)) == [1.0, 1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 4), ()])
+    def test_wrong_shape_rejected(self, shape):
+        for inst in (dl.onemax(4), dl.MultimodalInstance(4)):
+            with pytest.raises(ValueError, match="expected 4 bits"):
+                inst.value(np.zeros(shape, dtype=np.uint8))
+
+
 class TestNormalQuantile:
     def test_median_is_zero(self):
         assert dl.normal_quantile(0.5) == 0.0
