@@ -232,12 +232,14 @@ def prepare_starts(instance, rows) -> list[PreparedStart]:
     a start's lists, so one prepared start can seed any number of runs.
     """
     rows = np.asarray(rows)
-    if rows.ndim != 2 or rows.dtype.kind not in "biuf" or ((rows != 0) & (rows != 1)).any():
+    if rows.dtype != np.uint8 and rows.dtype.kind in "biuf" and not ((rows != 0) & (rows != 1)).any():
+        rows = rows.astype(np.uint8)  # bools, other ints and floats as the ints 0 and 1
+    # a uint8 array, drawn or converted, needs one pass: 0 and 1 are its only values <= 1
+    if rows.ndim != 2 or rows.dtype != np.uint8 or rows.max(initial=0) > 1:
         raise ValueError("bitstring must be a flat sequence of 0/1 values")
     m = instance.domain_size
     if rows.shape[1] != m:
         raise ValueError(f"initial point must have {m} bits")
-    rows = rows.astype(np.uint8, copy=False)  # bools and floats as the ints 0 and 1
     form = instance.linear_form
     l1, l2 = form.weights.dot(rows.T).tolist()
     deltas = np.where(rows[:, None, :], form.negated, form.weights).tolist()  # row, part, position
@@ -248,7 +250,7 @@ def run_ea(
     instance,
     config: EAConfig,
     rng: RandomSource,
-    initial=None,
+    initial: Optional[BitString | PreparedStart] = None,
     potential: Optional[Callable[[BitString], float]] = None,
 ) -> RunTrace:
     """Run to the first optimal point or until the iteration budget is spent.
@@ -270,12 +272,12 @@ def run_ea(
     if p is None:
         p = instance.mutation_probability
     gen = rng.generator
-    if initial is None:
-        initial = prepare_starts(instance, gen.integers(0, 2, (1, m), dtype=np.uint8))[0]
-    elif not isinstance(initial, PreparedStart):
-        initial = prepare_starts(instance, np.asarray(initial)[None])[0]
-    bits, d1, d2 = initial.bits.copy(), initial.d1.copy(), initial.d2.copy()
-    l1, l2, f_x = initial.l1, initial.l2, initial.f
+    if isinstance(initial, PreparedStart):  # perhaps shared: the run changes copies of its lists
+        bits, l1, l2, d1, d2, f_x = initial
+        bits, d1, d2 = bits.copy(), d1.copy(), d2.copy()
+    else:  # a drawn or given start, prepared as a batch of one
+        rows = gen.integers(0, 2, (1, m), dtype=np.uint8) if initial is None else np.asarray(initial)[None]
+        bits, l1, l2, d1, d2, f_x = prepare_starts(instance, rows)[0]
     kernel, optimum = instance.float_kernel, instance.optimum
     mutations = _Mutations(gen, m, p)
     pool, at, end = mutations.pool, 0, 0  # the pool, its cursor and its length

@@ -128,6 +128,8 @@ def philox_generator(key: Sequence[int] = (0, 0)) -> np.random.Generator:
 _SPENT = False  # a source's `_generator` once its lent run has ended
 # The Philox state `lend` sets, built once: a stream's start is counter 0 and
 # an empty buffer (the first draw steps the counter to 1); only the key changes.
+# `lend` writes the key into it and then sets the state, so two threads lending
+# at once could swap keys; the replicate engine's workers are processes.
 _RESTART = {
     "bit_generator": "Philox",
     "state": {"counter": [0, 0, 0, 0], "key": [0, 0]},

@@ -878,8 +878,9 @@ class TestPreparedStarts:
 
     @pytest.mark.parametrize(
         "rows", [[[0, 2, 1, 0]], [[0, 0.5, 1, 0]], [[0, 1, -1, 0]], [[0, 1, float("nan"), 0]],
+                 [[0, 256, 1, 0]], np.array([[0, 1, 1, 0], [0, 255, 1, 0]], dtype=np.uint8),
                  np.zeros(4, dtype=np.uint8), np.zeros((1, 1, 4), dtype=np.uint8), [["0", "1", "0", "1"]]],
-        ids=["2", "half", "minus_1", "nan", "1d", "3d", "str"])
+        ids=["2", "half", "minus_1", "nan", "256", "uint8_255", "1d", "3d", "str"])
     def test_rejects_rows_that_are_not_bits(self, rows):
         with pytest.raises(ValueError, match="0/1 values"):
             dl.prepare_starts(dl.onemax(4), rows)
