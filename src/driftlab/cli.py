@@ -15,13 +15,12 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
-import json
 import os
 import sys
 from typing import Optional
 
 from .experiments import PRESETS, STUDIES, ExperimentConfig, resolve_config, run_experiment
-from .objectives import EMBEDDING_SCHEMES, WEIGHT_SCHEMES, write_in_place
+from .objectives import EMBEDDING_SCHEMES, WEIGHT_SCHEMES, read_json_object, write_in_place
 from .version import __version__
 
 
@@ -126,10 +125,7 @@ def _merge_options(args: argparse.Namespace, kind: str) -> ExperimentConfig:
     spellings: dict = {}  # field name -> the config file's key for it
     config_path = getattr(args, "config", None)
     if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            file_cfg = json.load(fh, object_pairs_hook=_unique_keys)
-        if not isinstance(file_cfg, dict):
-            raise ValueError("config file must hold a JSON object")
+        file_cfg = read_json_object(config_path, "config", object_pairs_hook=_unique_keys)
         if file_cfg.pop("kind", kind) != kind:
             raise ValueError(f"config file is not for {kind}")
         for key, value in file_cfg.items():

@@ -39,7 +39,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .objectives import BitString, CompositeObjective, as_bits, linear_sums
+from .ea import check_mutation_probability
+from .objectives import BitString, CompositeObjective, _bits, linear_sums
 from .potential import CombinedPotential, build_combined_potential
 
 SINGLE_STATE_CAP = 20
@@ -127,10 +128,7 @@ class StateSpace:
                 self.phi[rows] = linear_sums(states, coeffs)
 
     def encode(self, x: BitString) -> int:
-        x = as_bits(x)
-        if x.size != self.m:
-            raise ValueError(f"expected {self.m} bits, got {x.size}")
-        return int(x.astype(np.int64) @ (1 << np.arange(self.m, dtype=np.int64)))
+        return int(_bits(x, self.m, (1,)).astype(np.int64) @ (1 << np.arange(self.m, dtype=np.int64)))
 
     def mask_probabilities(self, p: float) -> np.ndarray:
         return _mask_kernel(p, self.m)[self.popcount]
@@ -195,9 +193,7 @@ def exact_drift(
     many states of one instance use exhaustive_drift_check(states=...), which
     enumerates it once.
     """
-    x = as_bits(x)
-    if p is None:
-        p = instance.mutation_probability
+    p = check_mutation_probability(instance.mutation_probability if p is None else p)
     space = StateSpace(instance, potential.position_coefficients)
     u = space.encode(x)
     probs = space.mask_probabilities(p)
@@ -208,7 +204,7 @@ def exact_drift(
     ones_flipped_b2 = np.bitwise_count(space.codes & np.uint32(u) & b2_code)
     moved = space.codes != 0
     return DriftSample(
-        state=x,
+        state=((u >> np.arange(space.m)) & 1).astype(np.uint8),
         potential=phi_u,
         drift=drift,
         drift_given_accepted=_conditional(probs, dphi, accepted & moved),
@@ -397,8 +393,7 @@ def exhaustive_drift_check(
     The bound itself is evaluated in floating point, to a relative error far
     below its own size.
     """
-    if p is None:
-        p = instance.mutation_probability
+    p = check_mutation_probability(instance.mutation_probability if p is None else p)
     cap = SINGLE_STATE_CAP if states is not None else ALL_STATES_CAP
     space = StateSpace(instance, build_combined_potential(instance).position_coefficients, cap=cap)
 

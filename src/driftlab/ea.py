@@ -34,8 +34,8 @@ its value) is a `PreparedStart`.  `prepare_starts` builds it for a batch of
 rows at once, with a fixed number of numpy calls on the LinearForm's weights
 and negated weights and one `value` call for the whole batch.  `run_ea` takes
 a prepared start as `initial` and copies its lists, and it prepares a drawn
-or given start as a batch of one, so every start is checked and valued on
-that one path.
+or given start as a batch of one, so every start is checked (by the check
+every entry point shares, objectives._bits) and valued on that one path.
 
 Each block's offsets are cut to the budget once, with `bisect`, when the
 budget ends inside it, so no offspring tests the budget.  The iteration
@@ -61,8 +61,18 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .objectives import BitString
+from .objectives import BitString, _bits
 from .rng import RandomSource
+
+
+def check_mutation_probability(p):
+    """p, or a ValueError unless it is a real number in (0, 1]; as in config
+    files, a bool is none, so True is no probability of 1 (and NaN lies in no range)."""
+    if isinstance(p, (bool, np.bool_)) or not isinstance(p, numbers.Real):
+        raise ValueError(f"mutation probability must be a real number, got {p!r}")
+    if not 0.0 < p <= 1.0:
+        raise ValueError("mutation probability must lie in (0, 1]")
+    return p
 
 
 @dataclass
@@ -80,13 +90,8 @@ class EAConfig:
                              f"{self.max_iterations!r} and {self.trace_stride!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        p = self.mutation_probability
-        if p is not None:
-            # a real number, as in config files: True is no probability of 1
-            if isinstance(p, (bool, np.bool_)) or not isinstance(p, numbers.Real):
-                raise ValueError(f"mutation probability must be a real number, got {p!r}")
-            if not 0.0 < p <= 1.0:
-                raise ValueError("mutation probability must lie in (0, 1]")
+        if self.mutation_probability is not None:
+            check_mutation_probability(self.mutation_probability)
         if self.trace_stride < 0:
             raise ValueError("trace_stride must be non-negative")
 
@@ -223,23 +228,15 @@ class PreparedStart(NamedTuple):
 def prepare_starts(instance, rows) -> list[PreparedStart]:
     """Each row of `rows`, an (R, m) array of 0/1 values, as a start for `run_ea`.
 
-    The rows are checked once: any bool, integer or float dtype whose values
-    are all 0 or 1, each row of m = instance.domain_size bits.  Every row's
+    The rows are checked once, by objectives._bits: any bool, integer or float
+    dtype of 0s and 1s, each row of m = instance.domain_size bits.  Every row's
     state then comes from a fixed number of numpy calls, whatever R is: the
     exact pairs from one dot with the LinearForm's weights (exact sums, the
     same in any order), the flip deltas from one np.where on its weights and
     negated weights, and f from one instance.value(rows).  `run_ea` copies
     a start's lists, so one prepared start can seed any number of runs.
     """
-    rows = np.asarray(rows)
-    if rows.dtype != np.uint8 and rows.dtype.kind in "biuf" and not ((rows != 0) & (rows != 1)).any():
-        rows = rows.astype(np.uint8)  # bools, other ints and floats as the ints 0 and 1
-    # a uint8 array, drawn or converted, needs one pass: 0 and 1 are its only values <= 1
-    if rows.ndim != 2 or rows.dtype != np.uint8 or rows.max(initial=0) > 1:
-        raise ValueError("bitstring must be a flat sequence of 0/1 values")
-    m = instance.domain_size
-    if rows.shape[1] != m:
-        raise ValueError(f"initial point must have {m} bits")
+    rows = _bits(rows, instance.domain_size, (2,))
     form = instance.linear_form
     l1, l2 = form.weights.dot(rows.T).tolist()
     deltas = np.where(rows[:, None, :], form.negated, form.weights).tolist()  # row, part, position

@@ -24,7 +24,7 @@ import numpy as np
 
 from .version import __version__
 from .drift import ALL_STATES_CAP, exhaustive_drift_check
-from .ea import EAConfig, RunTrace, default_budget, prepare_starts, run_ea
+from .ea import EAConfig, RunTrace, check_mutation_probability, default_budget, prepare_starts, run_ea
 from .objectives import (
     ChanceInstance,
     MultimodalInstance,
@@ -202,8 +202,8 @@ class ExperimentConfig:
             raise ValueError("confidence must lie in (0, 1)")
         if self.states is not None and self.states < 1:
             raise ValueError("sampled state count must be at least 1")
-        if self.mutation_probability is not None and not 0.0 < self.mutation_probability <= 1.0:
-            raise ValueError("mutation probability must lie in (0, 1]")
+        if self.mutation_probability is not None:
+            check_mutation_probability(self.mutation_probability)
 
     def to_dict(self) -> dict:
         d = _fields_dict(self)

@@ -2,7 +2,8 @@
 
 Conventions used throughout the package:
 
-* bitstrings are 1-D numpy ``uint8`` arrays with values in {0, 1};
+* bitstrings are 1-D numpy ``uint8`` arrays with values in {0, 1}; every entry
+  point that takes bits checks them, and converts other 0/1 dtypes, with `_bits`;
 * bit positions are 0-based in code and 1-based in JSON instance files;
 * objectives are minimized, weights are non-negative, transforms are monotone
   non-decreasing, so the minimizers are exactly the strings whose
@@ -59,33 +60,42 @@ def linear_sums(bits, weights) -> np.ndarray:
     return np.add.accumulate(bits * weights, axis=-1)[..., -1]
 
 
-def _states(instance, x) -> np.ndarray:
-    """x as an array of one state (shape (m,)) or of a batch of rows (R, m)."""
+def _bits(x, m: Optional[int] = None, ndims: tuple = (1, 2)) -> np.ndarray:
+    """x as uint8 bits, one state (m,) or a batch of rows (R, m) as `ndims`
+    allows (any width where m is None): any bool, integer or float dtype of
+    exact 0s and 1s, checked before the cast, so 2, 0.5, -1, NaN or 256 never
+    wrap or truncate to a bit.  A uint8 array is returned as it is after one
+    pass (0 and 1 are its only values <= 1); anything else is one ValueError
+    naming the expected width."""
     x = np.asarray(x)
-    if x.ndim not in (1, 2) or x.shape[-1] != instance.domain_size:
-        raise ValueError(f"expected {instance.domain_size} bits, got shape {x.shape}")
+    if x.dtype != np.uint8 and x.dtype.kind in "biuf" and not ((x != 0) & (x != 1)).any():
+        x = x.astype(np.uint8)  # bools, other ints and floats as the ints 0 and 1
+    if x.dtype != np.uint8 or x.ndim not in ndims or m not in (None, x.shape[-1]) or x.max(initial=0) > 1:
+        width = "a flat sequence" if m is None else f"{m} bits"
+        shapes = " or ".join((f"({m or 'm'},)", f"(R, {m or 'm'})")[d - 1] for d in ndims)
+        raise ValueError(f"expected {width} of 0/1 values, shape {shapes}; got {x.dtype} of shape {x.shape}")
     return x
 
 
+def _values(instance, x):
+    """f of one state, or each row's f as a list: float_kernel of the pair, as run_ea carries it."""
+    x = _bits(x, instance.domain_size)
+    pairs = instance.linear_form.pair(x)
+    return instance.float_kernel(*pairs) if x.ndim == 1 else list(map(instance.float_kernel, *pairs))
+
+
 def _at_optimum(instance, x):
-    """Whether the linear pair of x equals instance.optimum: a bool for one
-    state, a bool array for a batch of rows (each row's pair is its own sum)."""
-    x = _states(instance, x)
-    (l1, l2), (o1, o2) = instance.linear_values(x), instance.optimum
+    """Whether x's pair equals instance.optimum, as run_ea tests it: a bool, or a bool array for rows."""
+    x = _bits(x, instance.domain_size)
+    (l1, l2), (o1, o2) = instance.linear_form.weights.dot(x.T), instance.optimum  # LinearForm.pair's sums
     optimal = (l1 == o1) & (l2 == o2)
     return bool(optimal) if x.ndim == 1 else optimal
 
 
 def as_bits(x: Sequence[int]) -> BitString:
-    """A flat sequence of values exactly 0 or 1 as the canonical uint8 bitstring.
-
-    The values are checked before the cast, so 0.5, -1 or 256 raise ValueError
-    instead of wrapping or truncating to a bit; a uint8 array is returned as it is.
-    """
-    arr = np.asarray(x)
-    if arr.ndim != 1 or arr.dtype.kind not in "biuf" or not np.all((arr == 0) | (arr == 1)):
-        raise ValueError("bitstring must be a flat sequence of 0/1 values")
-    return arr if arr.dtype == np.uint8 else arr.astype(np.uint8)
+    """One state of exact 0s and 1s, of any width, as the canonical uint8 bitstring
+    (2, 0.5, -1 or 256 raise ValueError); a uint8 array is returned as it is."""
+    return _bits(x, ndims=(1,))
 
 
 @dataclass(eq=False)
@@ -107,9 +117,7 @@ class LinearFunction:
         return int(self.weights.size)
 
     def value(self, y: BitString) -> float:
-        if len(y) != self.arity:
-            raise ValueError(f"expected {self.arity} bits, got {len(y)}")
-        return math.fsum(self.weights[np.asarray(y) == 1])
+        return math.fsum(self.weights[_bits(y, self.arity, (1,)) == 1])
 
 
 @dataclass(eq=False)
@@ -320,7 +328,7 @@ class CompositeObjective:
 
     def linear_values(self, x: BitString):
         """(w1 . x, w2 . x), each correctly rounded (LinearForm.sums), for one state or a batch of rows."""
-        return self.linear_form.sums(x)
+        return self.linear_form.sums(_bits(x, self.domain_size))
 
     def _compile(self, template: str, functions: dict, scales=(None, None)):
         """h1(l1) + h2(l2) in `template`; a part with a scale S > 1 reads its argument as l / S."""
@@ -355,9 +363,7 @@ class CompositeObjective:
         """f(x), the kernel of x's pair: a float, or the exact int where both
         parts hold ints under identity or square.  A batch of rows gives a
         list of each row's value(row), the pairs from one dot product."""
-        x = _states(self, x)
-        pairs = self.linear_form.pair(x)
-        return self.float_kernel(*pairs) if x.ndim == 1 else list(map(self.float_kernel, *pairs))
+        return _values(self, x)
 
     @functools.cached_property
     def linear_form(self) -> LinearForm:
@@ -525,10 +531,10 @@ class ChanceInstance:
         return normal_quantile(self.confidence)
 
     def mean_value(self, x: BitString) -> float:
-        return math.fsum(self.mu[np.asarray(x) == 1])
+        return math.fsum(self.mu[_bits(x, self.item_count, (1,)) == 1])
 
     def std_value(self, x: BitString) -> float:
-        return math.sqrt(math.fsum((self.sigma**2)[np.asarray(x) == 1]))
+        return math.sqrt(math.fsum((self.sigma**2)[_bits(x, self.item_count, (1,)) == 1]))
 
     def fitness_value(self, x: BitString) -> float:
         return self.mean_value(x) + self.fractile * self.std_value(x)
@@ -559,9 +565,7 @@ def chance_level_check(
     w_i ~ N(mu_i, sigma_i^2) and returns the fraction not exceeding the
     deterministic-equivalent fitness; converges to `confidence`.
     """
-    x = as_bits(x)
-    if len(x) != c.item_count:
-        raise ValueError(f"expected {c.item_count} bits, got {len(x)}")
+    x = _bits(x, c.item_count, (1,))
     if samples < 1:
         raise ValueError("samples must be positive")
     chosen = np.flatnonzero(x)
@@ -683,7 +687,7 @@ class MultimodalInstance:
 
     def linear_values(self, x: BitString):
         """(x_1, sum_{i>=2} x_i), for one state or a batch of rows."""
-        return self.linear_form.sums(x)
+        return self.linear_form.sums(_bits(x, self.domain_size))
 
     def combine(self, l1, l2):
         """The ones term l1/2 + l2 plus the large power of the zeros count."""
@@ -695,9 +699,7 @@ class MultimodalInstance:
 
     def value(self, x: BitString):
         """f(x) as a float; a batch of rows gives a list of each row's value(row)."""
-        x = _states(self, x)
-        values = self.combine(*self.linear_values(x))
-        return float(values) if x.ndim == 1 else values.tolist()
+        return _values(self, x)
 
     @functools.cached_property
     def linear_form(self) -> LinearForm:
@@ -817,13 +819,26 @@ def write_in_place(path, text: str) -> None:
         os.close(fd)
 
 
+def read_json_object(path, what: str, **options) -> dict:
+    """The JSON object that file `path`, a `what` file ("instance", "config"),
+    holds; any other text is a ValueError naming the file.  `options` go to json.load."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            d = json.load(fh, **options)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{what} file {path} must hold a JSON object: {exc}") from None
+    if not isinstance(d, dict):
+        kind = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}.get(type(d), "a number")
+        raise ValueError(f"{what} file {path} must hold a JSON object, not {kind}")
+    return d
+
+
 def save_instance(instance: CompositeObjective, path) -> None:
     write_in_place(path, json.dumps(instance.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def load_instance(path) -> CompositeObjective:
-    with open(path, encoding="utf-8") as fh:
-        return CompositeObjective.from_dict(json.load(fh))
+    return CompositeObjective.from_dict(read_json_object(path, "instance"))
 
 
 def save_chance_instance(c: ChanceInstance, path) -> None:
@@ -831,5 +846,4 @@ def save_chance_instance(c: ChanceInstance, path) -> None:
 
 
 def load_chance_instance(path) -> ChanceInstance:
-    with open(path, encoding="utf-8") as fh:
-        return ChanceInstance.from_dict(json.load(fh))
+    return ChanceInstance.from_dict(read_json_object(path, "chance instance"))

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .objectives import BitString, CompositeObjective, linear_sums
+from .objectives import BitString, CompositeObjective, _bits, linear_sums
 
 
 def part_coefficients(weights: Sequence[float], n: int) -> np.ndarray:
@@ -69,11 +69,7 @@ class CombinedPotential:
 
     def value(self, x: BitString):
         """phi(x): a float for one state, an array for a batch of rows (each row summed on its own)."""
-        x = np.asarray(x)
-        if x.shape[-1:] != self.position_coefficients.shape:
-            raise ValueError(
-                f"expected {self.position_coefficients.size} bits, got shape {x.shape}"
-            )
+        x = _bits(x, self.position_coefficients.size)
         values = linear_sums(x, self.position_coefficients)
         return float(values) if x.ndim == 1 else values
 

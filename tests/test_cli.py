@@ -165,6 +165,20 @@ class TestInstanceFileErrors:
         assert code == 1
         assert err.startswith("error:") and "'alpha_c'" in err
 
+    @pytest.mark.parametrize("text", ['{"n": 8,', "[1, 2]", '"onemax"', "8", "null"],
+                             ids=["truncated", "array", "string", "number", "null"])
+    @pytest.mark.parametrize("command, what", [
+        (["run", "--reps", "2"], "instance"), (["drift", "--exhaustive"], "instance"),
+        (["chance", "--samples", "100", "--reps", "1"], "chance instance")], ids=["run", "drift", "chance"])
+    def test_file_without_a_json_object_exits_1(self, tmp_path, capsys, command, what, text):
+        # a truncated file printed only the decoder's "Expecting property name
+        # ...", and an array "instance object lacks key(s) [...]"
+        path = tmp_path / "inst.json"
+        path.write_text(text)
+        code, err = self._exit_and_error(command, path, capsys)
+        assert code == 1
+        assert err.startswith(f"error: {what} file {path} must hold a JSON object")
+
     @pytest.mark.parametrize(
         "change, said",
         [
@@ -739,6 +753,24 @@ def test_config_file_writing_a_key_twice_exits_1(tmp_path, capsys):
     path.write_text('{"preset": "onemax", "n": 8, "reps": 3, "reps": 7}', encoding="utf-8")
     assert cli_main(["scale", "--config", str(path)]) == 1
     assert capsys.readouterr().err.startswith("error: config file writes key 'reps' twice")
+
+
+@pytest.mark.parametrize("text, said", [
+    ('{"n": 8,', ": Expecting property name enclosed in double quotes"), ("[1, 2]", ", not an array"),
+    ('"scale"', ", not a string"), ("true", ", not a boolean"), ("8", ", not a number"), ("null", ", not null")],
+    ids=["truncated", "array", "string", "boolean", "number", "null"])
+def test_config_file_without_a_json_object_exits_1(tmp_path, capsys, text, said):
+    path = tmp_path / "f.json"
+    path.write_text(text, encoding="utf-8")
+    assert cli_main(["scale", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: config file {path} must hold a JSON object{said}")
+
+
+def test_config_file_that_is_not_utf8_exits_1(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_bytes(b'{"n": "\xff"}')
+    assert cli_main(["scale", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: config file {path} must hold a JSON object: 'utf-8' codec")
 
 
 @pytest.mark.parametrize("doc, said", [

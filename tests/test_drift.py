@@ -128,6 +128,22 @@ class TestExactDrift:
                 assert inst.value(y) <= fx
 
 
+@pytest.mark.parametrize("p, said", [
+    (1.5, "lie in"), (0.0, "lie in"), (-0.25, "lie in"), (float("nan"), "lie in"),
+    (True, "be a real number"), (np.bool_(True), "be a real number"), ("0.5", "be a real number")])
+def test_drift_entry_points_take_only_a_mutation_probability(p, said):
+    # p = 1.5 gave min_ratio -2.72 and a drift of 9.0 at all-ones from negative
+    # mask probabilities, True ran as 1, and NaN died converting to a ratio
+    inst = dl.onemax(6)
+    ones = np.ones(6, dtype=np.uint8)
+    for check in (lambda: dl.exhaustive_drift_check(inst, p=p),
+                  lambda: dl.exhaustive_drift_check(inst, p=p, states=[ones]),
+                  lambda: dl.exact_drift(inst, dl.build_combined_potential(inst), ones, p=p),
+                  lambda: dl.EAConfig(10, mutation_probability=p)):
+        with pytest.raises(ValueError, match=f"mutation probability must {said}"):
+            check()
+
+
 class TestExhaustiveDriftCheck:
     def test_onemax_certifies_reference_rate(self):
         inst = dl.onemax(8)

@@ -505,7 +505,7 @@ class TestRunEA:
             trace = dl.run_ea(inst, cfg, dl.RandomSource(4), initial=same)
             assert trace.samples == reference.samples
             assert trace.final_state.dtype == np.uint8
-        with pytest.raises(ValueError, match="must have 4 bits"):
+        with pytest.raises(ValueError, match="expected 4 bits"):
             dl.run_ea(inst, cfg, dl.RandomSource(4), initial=[1, 0, 1])
 
     def test_config_validation(self):
@@ -884,7 +884,17 @@ class TestPreparedStarts:
     def test_rejects_rows_that_are_not_bits(self, rows):
         with pytest.raises(ValueError, match="0/1 values"):
             dl.prepare_starts(dl.onemax(4), rows)
+        # every other entry point that takes rows; a 1-d array is one state to them
+        if np.ndim(rows) == 1:
+            return
+        for inst in (dl.onemax(4), dl.MultimodalInstance(4)):
+            calls = [inst.value, inst.is_optimal, inst.linear_values]
+            if isinstance(inst, dl.CompositeObjective):
+                calls.append(dl.build_combined_potential(inst).value)
+            for call in calls:
+                with pytest.raises(ValueError, match="expected 4 bits of 0/1 values"):
+                    call(rows)
 
     def test_rejects_rows_of_another_width(self):
-        with pytest.raises(ValueError, match="must have 4 bits"):
+        with pytest.raises(ValueError, match="expected 4 bits"):
             dl.prepare_starts(dl.onemax(4), np.zeros((3, 5), dtype=np.uint8))

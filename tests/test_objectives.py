@@ -16,12 +16,42 @@ def bits(*values):
     return np.array(values, dtype=np.uint8)
 
 
+def bit_entry_points(m):
+    """name -> (a call of one entry point that takes bits on a state or rows of
+    m bits, whether it takes rows), one per such entry point."""
+    composite, multimodal = dl.generate_instance(2 * m, m, "1/2", rng=dl.RandomSource(m)), dl.MultimodalInstance(m)
+    potential = dl.build_combined_potential(composite)
+    chance = dl.ChanceInstance(np.arange(1.0, m + 1), np.ones(m), 0.9)
+    return {
+        **{f"{type(inst).__name__}.{name}": (getattr(inst, name), True)
+           for inst in (composite, multimodal) for name in ("value", "is_optimal", "linear_values")},
+        "CombinedPotential.value": (potential.value, True),
+        "StateSpace.encode": (dl.StateSpace(composite).encode, False),
+        "exact_drift": (lambda x: dl.exact_drift(composite, potential, x), False),
+        "chance_level_check": (lambda x: dl.chance_level_check(chance, x, 10, dl.RandomSource(0)), False),
+        **{f"ChanceInstance.{name}": (getattr(chance, name), False)
+           for name in ("mean_value", "std_value", "fitness_value")},
+        "LinearFunction.value": (dl.LinearFunction(np.arange(1.0, m + 1)).value, False),
+        "run_ea": (lambda x: dl.run_ea(composite, dl.EAConfig(10), dl.RandomSource(0), initial=x), False),
+        "as_bits": (dl.as_bits, False),
+    }
+
+
 class TestAsBits:
     @pytest.mark.parametrize("x", [
         [0, 1, 1], [0.0, 1.0, 1.0], [False, True, True], np.array([0, 1, 1], dtype=np.int64)])
     def test_exact_bits_of_any_numeric_type(self, x):
         out = dl.as_bits(x)
         assert out.dtype == np.uint8 and out.tolist() == [0, 1, 1]
+        # one state and rows of it, whatever their dtype, value as the uint8 bits do
+        rows = np.array([x, x[::-1], np.ones_like(x)])
+        for inst in (dl.generate_instance(6, 3, "1/2", rng=dl.RandomSource(3)), dl.MultimodalInstance(3)):
+            potential = dl.build_combined_potential(inst) if isinstance(inst, dl.CompositeObjective) else None
+            for given, canonical in ((x, out), (rows, rows.astype(np.uint8))):
+                assert repr(inst.value(given)) == repr(inst.value(canonical))
+                assert np.array_equal(inst.is_optimal(given), inst.is_optimal(canonical))
+                if potential is not None:
+                    assert np.array_equal(potential.value(given), potential.value(canonical))
 
     def test_uint8_array_is_returned_as_it_is(self):
         x = bits(1, 0, 1)
@@ -29,10 +59,15 @@ class TestAsBits:
 
     @pytest.mark.parametrize("bad", [
         [0.5, 1], [-1, 0], [256, 1], [2, 0], [np.nan, 0], [1j, 0], ["0", "1"], [0, None], [[0, 1]],
-        np.array([0, 2], dtype=np.uint8)])
+        np.array([0, 2], dtype=np.uint8), np.array([0, 255], dtype=np.uint8)])
     def test_anything_but_exact_0_and_1_is_a_value_error(self, bad):
-        with pytest.raises(ValueError, match="0/1"):
-            dl.as_bits(bad)
+        # every entry point that takes bits, on one state of 2 bits; [[0, 1]]
+        # is a batch of one row to those that take rows (TestPreparedStarts)
+        for name, (call, takes_rows) in bit_entry_points(2).items():
+            if takes_rows and np.ndim(bad) == 2:
+                continue
+            with pytest.raises(ValueError, match="expected (2 bits|a flat sequence) of 0/1 values"):
+                call(bad)
 
 
 class TestLinearFunction:
