@@ -194,6 +194,7 @@ def exact_drift(
     enumerates it once.
     """
     p = check_mutation_probability(instance.mutation_probability if p is None else p)
+    x = _bits(x, instance.domain_size, (1,))  # before the 2^m table is built
     space = StateSpace(instance, potential.position_coefficients)
     u = space.encode(x)
     probs = space.mask_probabilities(p)
@@ -395,6 +396,8 @@ def exhaustive_drift_check(
     """
     p = check_mutation_probability(instance.mutation_probability if p is None else p)
     cap = SINGLE_STATE_CAP if states is not None else ALL_STATES_CAP
+    if states is not None:  # checked before the 2^m table is built
+        states = [_bits(s, instance.domain_size, (1,)) for s in states]
     space = StateSpace(instance, build_combined_potential(instance).position_coefficients, cap=cap)
 
     if states is None:

@@ -15,6 +15,24 @@ parent is optimal iff the pair equals the instance's `optimum`, and one loop
 values every offspring in O(K).  The random stream is consumed in that
 sparse order, and the same (instance, config, stream) gives the same run.
 
+Runs on one `RandomSource` go on from each other.  A run leaves its
+`_Mutations` on the source (`carry`): the block it stopped in, from the
+iteration after its last (after the hit, or after the budget's end), and the
+position pool with its cursor.  The next run on the source takes those up
+before it draws anything, if it has the same (m, p) and the source the same
+generator; otherwise it starts afresh, so a fresh source draws what a lone
+run always drew.  Block sizes keep doubling from run to run, so a stream of
+short runs soon draws its flip counts and positions 4096 at a time.  The law
+of every run stays exactly that of standard bit mutation: the flip counts
+are one iid sequence, the pool's positions another (a refill drops the
+pool's rest unseen, and a permutation or a drawn start is a fresh draw), and
+a run stops at a stopping time of them, since its hit or its budget's end
+depends only on the draws up to it and on its start.  What follows a
+stopping time of an iid sequence is again iid and independent of all before
+it, so each run sees fresh draws, independent of the runs before.  A run's
+outcome thus depends on (instance, config, stream) and on the runs made on
+the stream before it.
+
 The loop never re-sums: it carries, per position, what a flip adds to the
 pair (+w while the bit is 0, -w while it is 1), so an offspring's pair is
 l1 + d1[j] (+ d1[i]) with no branch on the bit, and an accepted flip negates
@@ -27,7 +45,7 @@ takes the first K entries of one uniform random permutation of range(m) (an
 exactly uniform K-subset; K = m flips all with no draw) and neither reads
 nor moves the pool.  The pool, its refill rule (`_Mutations.refill`) and the
 subset draw have that one owner; the loop keeps the pool, its cursor and its
-end in locals.
+end in locals, and leaves the cursor in the carry when the run ends.
 
 The parent's state at the start (its bits, its pair, its two delta lists and
 its value) is a `PreparedStart`.  `prepare_starts` builds it for a batch of
@@ -37,12 +55,14 @@ a prepared start as `initial` and copies its lists, and it prepares a drawn
 or given start as a batch of one, so every start is checked (by the check
 every entry point shares, objectives._bits) and valued on that one path.
 
-Each block's offsets are cut to the budget once, with `bisect`, when the
-budget ends inside it, so no offspring tests the budget.  The iteration
-number t is computed only when an offspring is accepted: stride records are
-written when the parent is about to change (every mark before t saw the old
-parent) and when the run ends, which gives the samples a per-iteration check
-would; a sample carries f as a float.  A rejected offspring thus costs its
+Each block's offsets are cut to the budget once, with `bisect` (an `islice`
+of its pair iterator, whose rest the next run takes up), when the budget ends
+inside it, so no offspring tests the budget, and the carry is read and
+written once per run.  The iteration number t is computed only when an
+offspring is accepted: stride records are written when the parent is about
+to change (every mark before t saw the old parent) and when the run ends,
+which gives the samples a per-iteration check would; a sample carries f as a
+float.  A rejected offspring thus costs its
 position draw, its pair, one `float_kernel` call and one comparison.
 
 `standard_bit_mutation` (the dense one-step draw, one uniform per bit) and
@@ -57,6 +77,7 @@ import math
 import numbers
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -171,15 +192,20 @@ class _Mutations:
     chance above 1/2); larger k take the first k entries of one
     `Generator.permutation(m)`, an exactly uniform k-subset, and k = m takes
     every position with no draw.
+
+    The current block is kept with the offset of its first iteration not yet
+    used (`first`), and the position pool with its cursor, so that the next
+    run on the same stream goes on where the last one stopped.
     """
 
-    __slots__ = ("gen", "m", "p", "size", "pool", "at")
+    __slots__ = ("gen", "m", "p", "size", "pool", "at", "offsets", "pairs", "length", "first")
 
     def __init__(self, gen: np.random.Generator, m: int, p: float):
         self.gen, self.m, self.p = gen, m, p
         self.size = _FIRST_BLOCK
         self.pool: list = []
         self.at = 0
+        self.offsets, self.pairs, self.length, self.first = [], iter(()), 0, 0
 
     def block(self) -> tuple[list, list, int]:
         """The next block of iterations: offsets and flip counts of its
@@ -189,6 +215,18 @@ class _Mutations:
         hits = counts.nonzero()[0]
         self.size = min(2 * size, _MAX_BLOCK)
         return hits.tolist(), counts[hits].tolist(), size
+
+    def current(self) -> tuple[list, object, int, int]:
+        """The block the next iteration lies in, drawn if none is left: the
+        offsets of its non-empty iterations, an iterator over their (offset,
+        flip count) pairs from `first` on, its length and `first`.  A run takes
+        the rest of the block unless it ends inside it, when it sets `first`."""
+        first = self.first
+        if first == self.length:
+            offsets, counts, self.length = self.block()
+            self.offsets, self.pairs, first = offsets, zip(offsets, counts), 0
+        self.first = self.length
+        return self.offsets, self.pairs, self.length, first
 
     def refill(self, k: int) -> list:
         """A fresh pool of iid uniform positions, at least k of them and as
@@ -260,9 +298,11 @@ def run_ea(
     any object with its `weights` and `negated` will do) and
     float_kernel(l1, l2), the objective value of a pair of that form (equal
     to value(x) for x's pair).  The start's linear pair decides its
-    optimality and seeds the parent.  `potential`, when given, fills the phi
-    column of the trace.  The outcome is deterministic given (instance,
-    config, rng state).
+    optimality and seeds the parent; a prepared start of another width is
+    refused.  `potential`, when given, fills the phi column of the trace.
+    The run goes on with the draws the last run on `rng` left unused (module
+    docstring), so the outcome is deterministic given (instance, config, rng
+    state and carry).
     """
     m = instance.domain_size
     p = config.mutation_probability
@@ -271,13 +311,17 @@ def run_ea(
     gen = rng.generator
     if isinstance(initial, PreparedStart):  # perhaps shared: the run changes copies of its lists
         bits, l1, l2, d1, d2, f_x = initial
+        if len(bits) != m:
+            raise ValueError(f"expected a start of {m} bits, got one prepared for {len(bits)}")
         bits, d1, d2 = bits.copy(), d1.copy(), d2.copy()
     else:  # a drawn or given start, prepared as a batch of one
         rows = gen.integers(0, 2, (1, m), dtype=np.uint8) if initial is None else np.asarray(initial)[None]
         bits, l1, l2, d1, d2, f_x = prepare_starts(instance, rows)[0]
     kernel, optimum = instance.float_kernel, instance.optimum
-    mutations = _Mutations(gen, m, p)
-    pool, at, end = mutations.pool, 0, 0  # the pool, its cursor and its length
+    mutations = rng.carry  # what the last run on this stream drew and left unused
+    if mutations is None or mutations.gen is not gen or (mutations.m, mutations.p) != (m, p):
+        mutations = rng.carry = _Mutations(gen, m, p)
+    pool, at, end = mutations.pool, mutations.at, len(mutations.pool)  # the pool, its cursor and its length
     # every K with K*K <= m is drawn from the pool inline, as positions()
     # would draw it: K = 1, 2 and 3 written out, larger K by one slice.
     # Where positions() draws otherwise these are 0, which no K is (m = 1
@@ -313,11 +357,12 @@ def run_ea(
         hitting_time = 0
     done = 0  # iterations simulated so far
     while hitting_time is None and done < budget:
-        offsets, counts, size = mutations.block()
-        if done + size > budget:  # the budget ends in this block: cut it once
-            cut = bisect_left(offsets, budget - done)  # offset o is iteration done + o + 1
-            offsets, counts = offsets[:cut], counts[:cut]
-        for offset, k in zip(offsets, counts):
+        offsets, pairs, size, first = mutations.current()
+        base = done - first  # offset o is iteration base + o + 1
+        if base + size > budget:  # the budget ends in this block: cut it once, leave the rest
+            mutations.first = budget - base
+            pairs = islice(pairs, bisect_left(offsets, budget - base) - bisect_left(offsets, first))
+        for offset, k in pairs:
             if k == one:
                 if at == end:
                     pool, at = mutations.refill(1), 0
@@ -373,7 +418,7 @@ def run_ea(
                 f_y = kernel(y1, y2)
                 if not f_y <= f_x:
                     continue
-            t = done + offset + 1
+            t = base + offset + 1
             if next_mark < t:
                 record(t, f_x, bits)
             for j in flips:  # the offspring's pair again, in the same order
@@ -385,8 +430,10 @@ def run_ea(
             accepted_steps += 1
             if (l1, l2) == optimum:
                 hitting_time = t
+                mutations.first = offset + 1  # the next run on this stream goes on after t
                 break
-        done += size
+        done = base + size
+    mutations.at = at
     record(budget if hitting_time is None else hitting_time, f_x, bits, final=True)
 
     return RunTrace(

@@ -3,10 +3,10 @@
 Every study consumes an :class:`ExperimentConfig` and returns a
 :class:`ReportBundle` whose config echo is complete enough to re-run the
 experiment.  The EA studies (scale, escape, tail, chance, run) build one job
-per replicate, each with its own child stream of the master seed, and run them
-all through :func:`_run_replicates`.  Outputs are deterministic byte-for-byte
-for a fixed config: aggregation happens in replicate-index order and reports
-carry no timestamps.
+per replicate, each with its own child stream of the master seed (tail's run
+back to back on one), and run them all through :func:`_run_replicates`.
+Outputs are deterministic byte-for-byte for a fixed config: aggregation
+happens in replicate-index order and reports carry no timestamps.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import math
 import statistics
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from itertools import groupby
 from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -422,14 +423,17 @@ def _generation(cfg: ExperimentConfig) -> dict:
     return {**own, **PRESET_SETTINGS.get(cfg.preset, {})}
 
 
-def _run_jobs(jobs: list) -> list[RunTrace]:
-    """Run jobs in order, each source on one generator lent to it for its run."""
+def _run_jobs(groups: list) -> list[RunTrace]:
+    """Run groups of jobs in order, each group's source on one generator lent
+    to it for all its runs."""
     generator = philox_generator()
     traces = []
-    for instance, config, rng, initial, potential in jobs:
+    for group in groups:
+        rng = group[0][2]
         lent = rng.lend(generator)
         try:
-            traces.append(run_ea(instance, config, rng, initial=initial, potential=potential))
+            for instance, config, _, initial, potential in group:
+                traces.append(run_ea(instance, config, rng, initial=initial, potential=potential))
         finally:
             if lent:
                 rng.spend()
@@ -440,24 +444,31 @@ def _run_replicates(jobs: list, workers: int = 1) -> list[RunTrace]:
     """The replicate engine: run (instance, EAConfig, RandomSource, initial or
     None, potential or None) jobs, serially or on `workers` processes.
 
-    Traces come back in job order.  Each job carries its own stream, so the
-    results do not depend on `workers`; a source in two jobs is refused with
-    ValueError.  One Philox generator (serially one for all jobs, in a pool
-    one per chunk of jobs) is lent to each job's source in turn with
-    `RandomSource.lend`: re-keyed to the stream's start, it draws what the
-    source's own generator would, and the source is spent after its run.  A
-    source that built its generator before (it drew, say) keeps drawing on it.
+    Traces come back in job order.  Consecutive jobs may share a source: they
+    run in order, each run going on with the draws the last one left (see
+    `ea.run_ea`), so replaying one of them means rerunning the jobs on its
+    source up to it.  A source that comes back after another source's job is
+    refused with ValueError.  A group of jobs on one source is never split
+    between processes, so the results do not depend on `workers`.  One Philox
+    generator (serially one for all jobs, in a pool one per chunk of groups)
+    is lent to each group's source in turn with `RandomSource.lend`: re-keyed
+    to the stream's start, it draws what the source's own generator would,
+    and the source is spent after its last run.  A source that built its
+    generator before (it drew, say) keeps drawing on it (in a pool, on a
+    copy), and is not spent.
     """
-    if len({id(job[2]) for job in jobs}) < len(jobs):
-        raise ValueError("a RandomSource appears in two jobs; each job needs its own stream")
-    workers = min(workers, len(jobs))  # a pool starts all its workers at once
+    groups = [list(group) for _, group in groupby(jobs, key=lambda job: id(job[2]))]
+    if len({id(group[0][2]) for group in groups}) < len(groups):
+        raise ValueError("a RandomSource appears in two jobs with another source's job between them; "
+                         "the jobs on one stream must be consecutive")
+    workers = min(workers, len(groups))  # a pool starts all its workers at once
     if workers <= 1:
-        return _run_jobs(jobs)
+        return _run_jobs(groups)
     from concurrent.futures import ProcessPoolExecutor  # here, so serial runs never import it
 
-    chunk = max(1, len(jobs) // (workers * 8))
+    chunk = max(1, len(groups) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        runs = pool.map(_run_jobs, [jobs[i : i + chunk] for i in range(0, len(jobs), chunk)])
+        runs = pool.map(_run_jobs, [groups[i : i + chunk] for i in range(0, len(groups), chunk)])
         return [trace for traces in runs for trace in traces]
 
 
@@ -616,12 +627,14 @@ def tail_study(cfg: ExperimentConfig) -> ReportBundle:
     potential = build_combined_potential(instance)
     floor = 1.0  # every nonzero state carries a coefficient >= 1
     # every start is row j of one draw on stream (0, 1), which nothing else
-    # draws from (a larger R keeps the earlier rows); replicate j then runs on
-    # (j+1,) from its first draw.  The starts are valued together, one row
-    # each, and prepared for run_ea a slice of rows at a time
+    # draws from (a larger R keeps the earlier rows).  The runs go back to back
+    # on stream (1,), in replicate order, each on the draws the last one left
+    # unused.  The starts are valued together, one row each, and prepared for
+    # run_ea a slice of rows at a time
     m = instance.domain_size
     starts = instance_source.spawn(1).generator.integers(0, 2, (cfg.replicates, m), dtype=np.uint8)
-    sources = root.children(1, cfg.replicates)
+    source = root.spawn(1)
+    source.generator  # built here, so no slice's engine call spends it: each slice goes on with it
     phis, optimal = potential.value(starts).tolist(), instance.is_optimal(starts).tolist()
     traces, thresholds = [], []
     step = max(1, _START_SLICE_BITS // m)
@@ -639,7 +652,7 @@ def tail_study(cfg: ExperimentConfig) -> ReportBundle:
             log_term = math.log(phis[j] / floor)
             run_thresholds = [(log_term + r) / delta for r in cfg.r_values]
             budget = max(1, math.ceil(max(run_thresholds)))
-            jobs.append((instance, EAConfig(max_iterations=budget), sources[j], prepared, None))
+            jobs.append((instance, EAConfig(max_iterations=budget), source, prepared, None))
             thresholds.append(run_thresholds)
         traces += _run_replicates(jobs)
     counted = len(traces)

@@ -21,6 +21,9 @@ raises, so the source can neither restart its stream nor continue on a
 generator that has moved on to another stream.  `philox_generator()` builds
 a generator to lend.
 
+`carry` holds what the last EA run on the stream drew and left unused, for
+the next run on it to take up (see `ea.run_ea`); a new source holds nothing.
+
 A stream's Philox key is numpy's
 `SeedSequence(seed, spawn_key=spawn_key).generate_state(2, uint64)`, and
 Philox is built from that key alone, so `generator.bit_generator.seed_seq` is
@@ -143,7 +146,7 @@ _RESTART = {
 class RandomSource:
     """A random stream identified by (seed, spawn_key)."""
 
-    __slots__ = ("seed", "spawn_key", "_key", "_generator")
+    __slots__ = ("seed", "spawn_key", "_key", "_generator", "carry")
 
     def __init__(self, seed: int, spawn_key: tuple[int, ...] = (), *, _key=None):
         if _key is None:  # `children` passes a checked seed and spawn key with the stream's key
@@ -155,6 +158,7 @@ class RandomSource:
         self.spawn_key = spawn_key
         self._key = _key
         self._generator = None
+        self.carry = None  # draws a run made on this stream and left to the next (see ea.run_ea)
 
     def _stream_key(self) -> list:
         key = self._key
@@ -186,9 +190,11 @@ class RandomSource:
         return True
 
     def spend(self) -> None:
-        """End a loan: the lent generator goes back to its owner and
-        `.generator` raises from now on."""
+        """End a loan: the lent generator goes back to its owner,
+        `.generator` raises from now on, and the carry, which no run can take
+        up any more, is dropped."""
         self._generator = _SPENT
+        self.carry = None
 
     def spawn(self, index: int) -> "RandomSource":
         """Derive the `index`-th independent child stream."""

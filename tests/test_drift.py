@@ -128,6 +128,22 @@ class TestExactDrift:
                 assert inst.value(y) <= fx
 
 
+def test_malformed_states_are_refused_before_the_table_is_built(monkeypatch):
+    # at m = 20 the 2^m table took 0.47 s to build before the state was refused
+    inst = dl.onemax(20)
+    pot = dl.build_combined_potential(inst)
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("StateSpace built for a malformed state")
+
+    monkeypatch.setattr(dl.StateSpace, "__init__", no_table)
+    for state in ([2] + [0] * 19, [0] * 19, [0.5] * 20):
+        for check in (lambda: dl.exact_drift(inst, pot, state),
+                      lambda: dl.exhaustive_drift_check(inst, states=[np.zeros(20), state])):
+            with pytest.raises(ValueError, match="expected 20 bits of 0/1 values"):
+                check()
+
+
 @pytest.mark.parametrize("p, said", [
     (1.5, "lie in"), (0.0, "lie in"), (-0.25, "lie in"), (float("nan"), "lie in"),
     (True, "be a real number"), (np.bool_(True), "be a real number"), ("0.5", "be a real number")])

@@ -534,8 +534,8 @@ class TestRunEA:
             assert dl.EAConfig(max_iterations=10, mutation_probability=good).mutation_probability == good
 
 
-def exact_mean_hitting_time(instance, p):
-    """E[T] from a uniform start, solved on the absorbing chain of the EA."""
+def transient_chain(instance, p):
+    """The EA's one-step transition matrix among the non-optimal states, and the number of states."""
     space = dl.StateSpace(instance)
     probs = space.mask_probabilities(p)
     size = space.codes.size
@@ -546,14 +546,30 @@ def exact_mean_hitting_time(instance, p):
         np.add.at(step[u], offspring[accepted], probs[accepted])
         step[u, u] += probs[~accepted].sum()
     transient = np.flatnonzero(~space.optimal)
-    q = step[np.ix_(transient, transient)]
-    times = np.linalg.solve(np.eye(transient.size) - q, np.ones(transient.size))
+    return step[np.ix_(transient, transient)], size
+
+
+def exact_mean_hitting_time(instance, p):
+    """E[T] from a uniform start, solved on the absorbing chain of the EA."""
+    q, size = transient_chain(instance, p)
+    times = np.linalg.solve(np.eye(len(q)) - q, np.ones(len(q)))
     return float(times.sum()) / size
 
 
+def exact_survival(instance, p, budget):
+    """P(T > budget) from a uniform start: the mass still transient after `budget` steps."""
+    q, size = transient_chain(instance, p)
+    mass = np.full(len(q), 1.0 / size)
+    for _ in range(budget):
+        mass = mass @ q
+    return float(mass.sum())
+
+
 class TestSparseEngine:
-    @pytest.mark.parametrize("case", ["onemax", "onemax-p-half", "generated", "float"])
+    @pytest.mark.parametrize("case", ["onemax", "onemax-p-half", "generated", "float",
+                                      "onemax-p-half-one-stream", "generated-one-stream", "float-one-stream"])
     def test_mean_hitting_time_matches_markov_chain(self, case):
+        case, one_stream, _ = case.partition("-one-stream")
         if case == "generated":
             inst = dl.generate_instance(6, 1, "1/2", weight_range=(1, 5), rng=dl.RandomSource(8))
             p = None
@@ -567,11 +583,24 @@ class TestSparseEngine:
         exact = exact_mean_hitting_time(inst, p or inst.mutation_probability)
         cfg = dl.EAConfig(max_iterations=1000, mutation_probability=p)
         root = dl.RandomSource(31)
-        times = [dl.run_ea(inst, cfg, source).hitting_time for source in root.children(0, 10_000)]
+        # each run on its own stream, or all back to back on one
+        sources = [root] * 10_000 if one_stream else root.children(0, 10_000)
+        times = [dl.run_ea(inst, cfg, source).hitting_time for source in sources]
         assert None not in times  # E[T] is below 20 here
         times = np.array(times)
         se = times.std(ddof=1) / math.sqrt(times.size)
         assert abs(times.mean() - exact) <= 4 * se
+
+    @pytest.mark.parametrize("budget", [17, 33])
+    def test_censored_fraction_on_one_stream_matches_markov_chain(self, budget):
+        # runs back to back on one stream end inside blocks at every offset: a
+        # run that went on with draws its predecessor had looked at would bias
+        # how often the budget runs out
+        inst = dl.onemax(10)
+        exact = exact_survival(inst, inst.mutation_probability, budget)
+        source, runs = dl.RandomSource(17), 20_000
+        censored = sum(dl.run_ea(inst, dl.EAConfig(budget), source).budget_exhausted for _ in range(runs))
+        assert abs(censored / runs - exact) <= 4 * math.sqrt(exact * (1 - exact) / runs)
 
     @pytest.mark.parametrize("kind", ["integer", "float", "doubling"])
     def test_value_after_every_step_is_bit_identical(self, kind):
@@ -646,35 +675,45 @@ class TestSparseEngine:
         assert long.samples[:41] == short.samples
 
 
-def reference_run(instance, config, rng, initial=None, potential=None):
-    """run_ea written plainly: one pass per iteration, every non-empty one
-    drawn by `_Mutations.positions(k)` and valued bit by bit with `if x[j]`
-    on the linear form's weights.  Its (hitting time, accepted steps,
-    samples, final state) must be run_ea's."""
+def reference_run(instance, config, rng, runs, potential=None):
+    """run_ea written plainly, for `runs`, a list of (budget, start or None)
+    played back to back on one stream: one pass per iteration of one sequence
+    of flip counts, which each run takes up where the last one stopped, every
+    non-empty iteration drawn by `_Mutations.positions(k)` and valued bit by
+    bit with `if x[j]` on the linear form's weights.  Its RunTraces must be
+    run_ea's on one source, run by run."""
     m = instance.domain_size
     p = config.mutation_probability or instance.mutation_probability
     gen = rng.generator
-    x = gen.integers(0, 2, m, dtype=np.uint8) if initial is None else np.array(initial, dtype=np.uint8)
     form = instance.linear_form
-    f_x = instance.value(x)
-    l1, l2 = form.pair(x)
-
-    def sample(t):
-        phi = None if potential is None else float(potential(x.copy()))
-        return (t, float(f_x), phi, int(np.count_nonzero(x)))
-
-    samples = [sample(0)]
-    hitting_time, accepted, t = None, 0, 0
-    budget, stride = config.max_iterations, config.trace_stride
-    if (l1, l2) == instance.optimum:
-        hitting_time = 0
     mutations = _Mutations(gen, m, p)
-    while hitting_time is None and t < budget:
-        offsets, counts, size = mutations.block()
-        flip_counts = dict(zip(offsets, counts))
-        for offset in range(size):
+
+    def flip_counts():  # every iteration's K, block after block, each drawn when first needed
+        while True:
+            offsets, counts, size = mutations.block()
+            ks = dict(zip(offsets, counts))
+            for offset in range(size):
+                yield ks.get(offset, 0)
+
+    iterations = flip_counts()
+    traces = []
+    for budget, initial in runs:
+        x = gen.integers(0, 2, m, dtype=np.uint8) if initial is None else np.array(initial, dtype=np.uint8)
+        f_x = instance.value(x)
+        l1, l2 = form.pair(x)
+
+        def sample(t):
+            phi = None if potential is None else float(potential(x.copy()))
+            return (t, float(f_x), phi, int(np.count_nonzero(x)))
+
+        samples = [sample(0)]
+        hitting_time, accepted, t = None, 0, 0
+        stride = config.trace_stride
+        if (l1, l2) == instance.optimum:
+            hitting_time = 0
+        while hitting_time is None and t < budget:
             t += 1
-            k = flip_counts.get(offset, 0)
+            k = next(iterations)
             if k:
                 flips = mutations.positions(k)
                 y = x.copy()
@@ -696,9 +735,15 @@ def reference_run(instance, config, rng, initial=None, potential=None):
                 break
             if stride and t % stride == 0:
                 samples.append(sample(t))
-    if hitting_time != 0:
-        samples.append(sample(budget if hitting_time is None else hitting_time))
-    return hitting_time, accepted, samples, x
+        if hitting_time != 0:
+            samples.append(sample(budget if hitting_time is None else hitting_time))
+        traces.append(dl.RunTrace(rng.seed, rng.spawn_key, hitting_time, hitting_time is None, accepted, samples, x))
+    return traces
+
+
+def assert_same_runs(traces, expected):
+    assert [t.to_json() for t in traces] == [e.to_json() for e in expected]
+    assert all(np.array_equal(t.final_state, e.final_state) for t, e in zip(traces, expected))
 
 
 def composite(m, weight_scheme, s=1):
@@ -752,12 +797,45 @@ def test_run_ea_matches_reference_loop(name):
     instance, config, initial, potential = reference_cases()[name]
     for seed in range(6):
         trace = dl.run_ea(instance, config, dl.RandomSource(seed), initial=initial, potential=potential)
-        hitting_time, accepted, samples, final_state = reference_run(
-            instance, config, dl.RandomSource(seed), initial=initial, potential=potential)
-        assert trace.hitting_time == hitting_time, seed
-        assert trace.accepted_steps == accepted, seed
-        assert trace.samples == samples, seed
-        assert np.array_equal(trace.final_state, final_state), seed
+        expected = reference_run(
+            instance, config, dl.RandomSource(seed), [(config.max_iterations, initial)], potential=potential)
+        assert_same_runs([trace], expected)
+
+
+def back_to_back_cases():
+    """name -> (instance, EAConfig without its budget, [(budget, start or None)], potential or None)."""
+    onemax64, onemax8 = dl.onemax(64), dl.onemax(8)
+    # no hit within these budgets: runs that end at a block's end (32, then
+    # 64, then 128 iterations) and inside one, the rest of which the next
+    # run takes up, with stride marks on both sides of every carried start
+    ends = [(32, None), (64, None), (128, None), (10, None), (1, None), (200, None), (3, None), (700, None)]
+    cases = {"block-ends": (onemax64, dl.EAConfig(1, trace_stride=4), ends, None)}
+    # hits inside blocks; a start that is optimal, one given and a prepared one among drawn starts
+    given = bits(1, 1, 0, 1, 0, 0, 1, 1)
+    prepared = dl.prepare_starts(onemax8, bits(1, 0, 0, 0, 0, 0, 0, 1)[None])[0]
+    hits = [(500, None)] * 30 + [(500, np.zeros(8, dtype=np.uint8)), (500, given), (500, prepared), (4, None)]
+    cases["hits"] = (onemax8, dl.EAConfig(1, trace_stride=3), hits * 3, onemax8.value)
+    # K*K > m is common at p = 2/m: permutation prefixes between pool draws
+    cases["subsets-p2"] = (onemax8, dl.EAConfig(1, mutation_probability=0.25), hits * 3, None)
+    # p = 4/m on 36 bits: K = 4, 5 and 6 from the pool, K = 7 and more by permutation
+    uniform = composite(36, "uniform-int", s=0)
+    cases["int36-p4"] = (
+        uniform, dl.EAConfig(1, mutation_probability=4 / 36, trace_stride=5),
+        [(budget, None) for budget in (300, 17, 33, 2000, 9, 64, 2000)], uniform.value)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(back_to_back_cases()))
+def test_runs_back_to_back_on_one_source_match_the_reference(name):
+    instance, config, runs, potential = back_to_back_cases()[name]
+    for seed in range(4):
+        source = dl.RandomSource(seed, (1,))
+        traces = [
+            dl.run_ea(instance, dl.EAConfig(budget, config.mutation_probability, config.trace_stride), source,
+                      initial=start, potential=potential)
+            for budget, start in runs]
+        starts = [(budget, start.bits if isinstance(start, dl.PreparedStart) else start) for budget, start in runs]
+        assert_same_runs(traces, reference_run(instance, config, dl.RandomSource(seed, (1,)), starts, potential))
 
 
 def golden_cases():
@@ -894,6 +972,12 @@ class TestPreparedStarts:
             for call in calls:
                 with pytest.raises(ValueError, match="expected 4 bits of 0/1 values"):
                     call(rows)
+
+    def test_a_start_prepared_for_another_width_is_refused(self):
+        # it ran silently, never reached the optimum and returned a 6-bit final state
+        start = dl.prepare_starts(dl.onemax(6), np.zeros((1, 6), dtype=np.uint8))[0]
+        with pytest.raises(ValueError, match="expected a start of 4 bits, got one prepared for 6"):
+            dl.run_ea(dl.onemax(4), dl.EAConfig(200), dl.RandomSource(1), initial=start)
 
     def test_rejects_rows_of_another_width(self):
         with pytest.raises(ValueError, match="expected 4 bits"):

@@ -313,7 +313,8 @@ class TestTailStudy:
         assert twice.rows == [once.rows[0]] * 2
 
     def test_more_replicates_keep_the_earlier_starts_and_runs(self, monkeypatch):
-        # every start is a row of one draw on stream (0, 1), so R = 12 begins with R = 5's runs
+        # every start is a row of one draw on stream (0, 1), and the runs go back
+        # to back on stream (1,), so R = 12 begins with R = 5's runs
         runs = []
 
         def recording_run_ea(instance, config, rng, initial, potential):
@@ -328,7 +329,7 @@ class TestTailStudy:
         runs.clear()
         dl.tail_study(ExperimentConfig(**base, replicates=12))
         assert len(few) == 5 and runs[:5] == few and len(runs) == 12
-        assert [key for _, key, _ in runs] == [(j + 1,) for j in range(12)]
+        assert [key for _, key, _ in runs] == [(1,)] * 12
 
     def test_start_slices_change_no_report(self, monkeypatch):
         # starts are prepared a slice of rows at a time; 25 bits is two rows of 10
@@ -367,27 +368,29 @@ def _float_weight_instance(path):
 
 # Rows (r, threshold, exceed_freq, bound, violation) and extras of three tail
 # studies, pinned bit for bit: start draws, start potentials, skipped optimal
-# starts (onemax n = 2, and one of onemax10's) and both offspring evaluators.
+# starts (onemax n = 2, and one of onemax10's), both offspring evaluators and
+# the runs back to back on one stream (exceed_freq regenerated when they
+# began to take up the draws the run before left unused).
 GOLDEN_TAIL = {
     "onemax10": (
         dict(n_values=(10,), preset="onemax", replicates=250, seed=7, delta=0.035, r_values=(0.0, 1.0, 3.0)),
-        [(0.0, 44.83867416505593, 0.456, 1.0, False),
-         (1.0, 73.41010273648457, 0.192, 0.36787944117144233, False),
-         (3.0, 130.55295987934142, 0.024, 0.049787068367863944, False)],
+        [(0.0, 44.83867416505593, 0.504, 1.0, False),
+         (1.0, 73.41010273648457, 0.184, 0.36787944117144233, False),
+         (3.0, 130.55295987934142, 0.016, 0.049787068367863944, False)],
         {"delta": 0.035, "replicates_counted": 249},
     ),
     "onemax2_skips_optimal_starts": (
         dict(n_values=(2,), preset="onemax", replicates=40, seed=3, delta=0.2),
-        [(1.0, 6.565171052877297, 0.1, 0.36787944117144233, False),
-         (2.0, 11.565171052877298, 0.0, 0.1353352832366127, False),
-         (3.0, 16.565171052877297, 0.0, 0.049787068367863944, False)],
+        [(1.0, 6.565171052877297, 0.2, 0.36787944117144233, False),
+         (2.0, 11.565171052877298, 0.075, 0.1353352832366127, False),
+         (3.0, 16.565171052877297, 0.025, 0.049787068367863944, False)],
         {"delta": 0.2, "replicates_counted": 31},
     ),
     "float_weight_file": (
         dict(n_values=(10,), replicates=120, seed=11, delta=0.03, r_values=(0.5, 1.0, 2.0)),
         [(0.5, 73.37228408611689, 0.075, 0.6065306597126334, False),
-         (1.0, 90.03895075278355, 0.03333333333333333, 0.36787944117144233, False),
-         (2.0, 123.37228408611693, 0.0, 0.1353352832366127, False)],
+         (1.0, 90.03895075278355, 0.058333333333333334, 0.36787944117144233, False),
+         (2.0, 123.37228408611693, 0.008333333333333333, 0.1353352832366127, False)],
         {"delta": 0.03, "replicates_counted": 120},
     ),
 }
@@ -532,13 +535,17 @@ def _replay_escape(cfg):
 
 
 def _replay_tail(cfg):
-    # the start is row j of the (R, m) draw on stream (0, 1); the run is stream
-    # (j+1,) from its first draw, budget the largest threshold
+    # replicate j starts from row j of the (R, m) draw on stream (0, 1), and the
+    # runs go back to back on stream (1,), each with the largest threshold of
+    # its start as its budget: the last replays by rerunning the prefix
     instance = dl.onemax(8)
-    x0 = dl.RandomSource(cfg.seed, (0, 1)).generator.integers(0, 2, (3, 8), dtype=np.uint8)[2]
-    start = dl.build_combined_potential(instance).value(x0)
-    budget = math.ceil((math.log(start) + max(cfg.r_values)) / cfg.delta)
-    return dl.run_ea(instance, dl.EAConfig(budget), dl.RandomSource(cfg.seed, (3,)), initial=x0)
+    rows = dl.RandomSource(cfg.seed, (0, 1)).generator.integers(0, 2, (3, 8), dtype=np.uint8)
+    source = dl.RandomSource(cfg.seed, (1,))
+    for x0 in rows:
+        start = dl.build_combined_potential(instance).value(x0)
+        budget = math.ceil((math.log(start) + max(cfg.r_values)) / cfg.delta)
+        trace = dl.run_ea(instance, dl.EAConfig(budget), source, initial=x0)
+    return trace
 
 
 def _replay_chance(cfg):
@@ -585,14 +592,19 @@ def test_one_replicate_replays_in_isolation(monkeypatch, study):
 
 
 def _fresh_streams(jobs):
-    """The jobs again, each on a new RandomSource of its stream."""
-    return [(inst, config, dl.RandomSource(r.seed, r.spawn_key), x0, phi) for inst, config, r, x0, phi in jobs]
+    """The jobs again, each source replaced by a new RandomSource of its stream
+    (one for all the jobs that share it)."""
+    fresh = {}
+    for _, _, r, _, _ in jobs:
+        fresh.setdefault(id(r), dl.RandomSource(r.seed, r.spawn_key))
+    return [(inst, config, fresh[id(r)], x0, phi) for inst, config, r, x0, phi in jobs]
 
 
 @pytest.mark.parametrize("study", sorted(REPLAYS))
 def test_engine_runs_each_job_on_its_own_stream(monkeypatch, study):
     """The engine lends one generator to every job's source in turn; serially
-    and on two workers its traces equal run_ea on a fresh source per job."""
+    and on two workers its traces equal run_ea on a fresh source per stream
+    (tail's jobs share one, and run back to back on it)."""
     options, _ = REPLAYS[study]
     engine = experiments._run_replicates
     batches = []
@@ -631,8 +643,22 @@ def test_engine_keeps_a_source_that_drew_on_its_own_stream():
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_engine_refuses_a_source_in_two_jobs(workers):
-    source = dl.RandomSource(4, (1,))
-    job = (dl.onemax(4), dl.EAConfig(10), source, None, None)
+    # a source's jobs must be consecutive: it cannot come back after another's
+    source, other = dl.RandomSource(4, (1,)), dl.RandomSource(4, (2,))
+    job, between = [(dl.onemax(4), dl.EAConfig(10), r, None, None) for r in (source, other)]
     with pytest.raises(ValueError, match="appears in two jobs"):
-        experiments._run_replicates([job, job], workers)
+        experiments._run_replicates([job, between, job], workers)
     source.generator  # nothing ran: the source is not spent
+
+
+def test_engine_keeps_consecutive_jobs_of_a_source_together():
+    # three runs on each of two sources: on two workers each source's runs stay
+    # in one process and in order, as serially and as run_ea on the stream
+    inst, config = dl.onemax(10), dl.EAConfig(40)
+    expected = [dl.run_ea(inst, config, r) for r in [dl.RandomSource(4, (1,))] * 3 + [dl.RandomSource(4, (2,))] * 3]
+    assert len({t.to_json() for t in expected}) == 6
+    for workers in (1, 2):
+        a, b = dl.RandomSource(4, (1,)), dl.RandomSource(4, (2,))
+        traces = experiments._run_replicates([(inst, config, r, None, None) for r in (a, a, a, b, b, b)], workers)
+        assert [t.to_json() for t in traces] == [t.to_json() for t in expected]
+        assert a.carry is None and b.carry is None  # dropped when spent (a pool runs copies)
