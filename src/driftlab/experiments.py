@@ -37,7 +37,7 @@ from .objectives import (
     write_in_place,
 )
 from .potential import build_combined_potential, zero_weight_positions
-from .rng import RandomSource, philox_generator
+from .rng import RandomSource
 
 # The generation settings that the onemax and separable presets fix; the
 # chance preset builds its instance with _chance_preset instead.
@@ -424,20 +424,9 @@ def _generation(cfg: ExperimentConfig) -> dict:
 
 
 def _run_jobs(groups: list) -> list[RunTrace]:
-    """Run groups of jobs in order, each group's source on one generator lent
-    to it for all its runs."""
-    generator = philox_generator()
-    traces = []
-    for group in groups:
-        rng = group[0][2]
-        lent = rng.lend(generator)
-        try:
-            for instance, config, _, initial, potential in group:
-                traces.append(run_ea(instance, config, rng, initial=initial, potential=potential))
-        finally:
-            if lent:
-                rng.spend()
-    return traces
+    """Run groups of jobs in order, each job on its own source."""
+    return [run_ea(instance, config, rng, initial=initial, potential=potential)
+            for group in groups for instance, config, rng, initial, potential in group]
 
 
 def _run_replicates(jobs: list, workers: int = 1) -> list[RunTrace]:
@@ -449,13 +438,11 @@ def _run_replicates(jobs: list, workers: int = 1) -> list[RunTrace]:
     `ea.run_ea`), so replaying one of them means rerunning the jobs on its
     source up to it.  A source that comes back after another source's job is
     refused with ValueError.  A group of jobs on one source is never split
-    between processes, so the results do not depend on `workers`.  One Philox
-    generator (serially one for all jobs, in a pool one per chunk of groups)
-    is lent to each group's source in turn with `RandomSource.lend`: re-keyed
-    to the stream's start, it draws what the source's own generator would,
-    and the source is spent after its last run.  A source that built its
-    generator before (it drew, say) keeps drawing on it (in a pool, on a
-    copy), and is not spent.
+    between processes, so the results do not depend on `workers`.  Each job
+    draws from its source's own generator.  Serially the sources keep their
+    generators and carries, so a later call on a source goes on with its
+    stream, as `tail`'s slices do; a pool runs pickled copies, and the
+    caller's sources stay as they were.
     """
     groups = [list(group) for _, group in groupby(jobs, key=lambda job: id(job[2]))]
     if len({id(group[0][2]) for group in groups}) < len(groups):
@@ -634,12 +621,13 @@ def tail_study(cfg: ExperimentConfig) -> ReportBundle:
     m = instance.domain_size
     starts = instance_source.spawn(1).generator.integers(0, 2, (cfg.replicates, m), dtype=np.uint8)
     source = root.spawn(1)
-    source.generator  # built here, so no slice's engine call spends it: each slice goes on with it
     phis, optimal = potential.value(starts).tolist(), instance.is_optimal(starts).tolist()
-    traces, thresholds = [], []
+    counted = 0
+    exceed = [0] * len(cfg.r_values)
+    threshold_sums = [0.0] * len(cfg.r_values)
     step = max(1, _START_SLICE_BITS // m)
     for lo in range(0, cfg.replicates, step):
-        jobs = []
+        jobs, thresholds = [], []
         for j, prepared in enumerate(prepare_starts(instance, starts[lo : lo + step]), lo):
             if optimal[j]:
                 # T = 0 never exceeds a positive threshold; no threshold is defined
@@ -654,16 +642,13 @@ def tail_study(cfg: ExperimentConfig) -> ReportBundle:
             budget = max(1, math.ceil(max(run_thresholds)))
             jobs.append((instance, EAConfig(max_iterations=budget), source, prepared, None))
             thresholds.append(run_thresholds)
-        traces += _run_replicates(jobs)
-    counted = len(traces)
-    exceed = [0] * len(cfg.r_values)
-    threshold_sums = [0.0] * len(cfg.r_values)
-    for trace, run_thresholds in zip(traces, thresholds):
-        hitting_time = trace.hitting_time
-        for i, threshold in enumerate(run_thresholds):
-            threshold_sums[i] += threshold
-            if hitting_time is None or hitting_time > threshold:
-                exceed[i] += 1
+        counted += len(jobs)
+        for trace, run_thresholds in zip(_run_replicates(jobs), thresholds):
+            hitting_time = trace.hitting_time
+            for i, threshold in enumerate(run_thresholds):
+                threshold_sums[i] += threshold
+                if hitting_time is None or hitting_time > threshold:
+                    exceed[i] += 1
     rows = []
     for i, r in enumerate(cfg.r_values):
         freq = exceed[i] / cfg.replicates

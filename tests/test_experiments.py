@@ -602,9 +602,8 @@ def _fresh_streams(jobs):
 
 @pytest.mark.parametrize("study", sorted(REPLAYS))
 def test_engine_runs_each_job_on_its_own_stream(monkeypatch, study):
-    """The engine lends one generator to every job's source in turn; serially
-    and on two workers its traces equal run_ea on a fresh source per stream
-    (tail's jobs share one, and run back to back on it)."""
+    """Serially and on two workers, the engine's traces equal run_ea on a
+    fresh source per stream (tail's jobs share one, and run back to back on it)."""
     options, _ = REPLAYS[study]
     engine = experiments._run_replicates
     batches = []
@@ -634,11 +633,8 @@ def test_engine_keeps_a_source_that_drew_on_its_own_stream():
     traces = experiments._run_replicates([(inst, config, r, None, None) for r in (first, drawn, second)])
     expected = [dl.run_ea(inst, config, r) for r in (dl.RandomSource(4, (1,)), reference, dl.RandomSource(4, (3,)))]
     assert [t.to_json() for t in traces] == [t.to_json() for t in expected]
-    # the source that drew is not spent: its stream goes on where the run left it
+    # the source that drew keeps its stream: it goes on where the run left it
     assert drawn.generator.random() == reference.generator.random()
-    for spent in (first, second):
-        with pytest.raises(RuntimeError, match="is spent"):
-            spent.generator
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -648,7 +644,7 @@ def test_engine_refuses_a_source_in_two_jobs(workers):
     job, between = [(dl.onemax(4), dl.EAConfig(10), r, None, None) for r in (source, other)]
     with pytest.raises(ValueError, match="appears in two jobs"):
         experiments._run_replicates([job, between, job], workers)
-    source.generator  # nothing ran: the source is not spent
+    assert source.carry is None  # nothing ran
 
 
 def test_engine_keeps_consecutive_jobs_of_a_source_together():
@@ -661,4 +657,5 @@ def test_engine_keeps_consecutive_jobs_of_a_source_together():
         a, b = dl.RandomSource(4, (1,)), dl.RandomSource(4, (2,))
         traces = experiments._run_replicates([(inst, config, r, None, None) for r in (a, a, a, b, b, b)], workers)
         assert [t.to_json() for t in traces] == [t.to_json() for t in expected]
-        assert a.carry is None and b.carry is None  # dropped when spent (a pool runs copies)
+        # serially the sources keep their carry; a pool runs copies and leaves them fresh
+        assert all((r.carry is not None) == (workers == 1) for r in (a, b))
