@@ -424,9 +424,18 @@ def _generation(cfg: ExperimentConfig) -> dict:
 
 
 def _run_jobs(groups: list) -> list[RunTrace]:
-    """Run groups of jobs in order, each job on its own source."""
-    return [run_ea(instance, config, rng, initial=initial, potential=potential)
-            for group in groups for instance, config, rng, initial, potential in group]
+    """Run groups of jobs in order, each job on its own source.  A source
+    whose generator its group built drops its carry after the group's last
+    run, so the studies' job lists do not hold every replicate's carry."""
+    traces = []
+    for group in groups:
+        rng = group[0][2]
+        started_here = rng._generator is None
+        traces += [run_ea(instance, config, rng, initial=initial, potential=potential)
+                   for instance, config, _, initial, potential in group]
+        if started_here:
+            rng.carry = None
+    return traces
 
 
 def _run_replicates(jobs: list, workers: int = 1) -> list[RunTrace]:
@@ -440,9 +449,10 @@ def _run_replicates(jobs: list, workers: int = 1) -> list[RunTrace]:
     refused with ValueError.  A group of jobs on one source is never split
     between processes, so the results do not depend on `workers`.  Each job
     draws from its source's own generator.  Serially the sources keep their
-    generators and carries, so a later call on a source goes on with its
-    stream, as `tail`'s slices do; a pool runs pickled copies, and the
-    caller's sources stay as they were.
+    generators; a source that had built its generator before the call keeps
+    its carry too, so a later call on it goes on with its stream, as `tail`'s
+    slices do, while one the call started drops its carry after its last run.
+    A pool runs pickled copies, and the caller's sources stay as they were.
     """
     groups = [list(group) for _, group in groupby(jobs, key=lambda job: id(job[2]))]
     if len({id(group[0][2]) for group in groups}) < len(groups):
@@ -621,6 +631,7 @@ def tail_study(cfg: ExperimentConfig) -> ReportBundle:
     m = instance.domain_size
     starts = instance_source.spawn(1).generator.integers(0, 2, (cfg.replicates, m), dtype=np.uint8)
     source = root.spawn(1)
+    source.generator  # built here, so each slice's engine call keeps its carry for the next
     phis, optimal = potential.value(starts).tolist(), instance.is_optimal(starts).tolist()
     counted = 0
     exceed = [0] * len(cfg.r_values)

@@ -15,7 +15,9 @@ driftlab does not import numpy.random.  Building it later changes no draw,
 since the stream depends only on (seed, spawn_key).
 
 `carry` holds what the last EA run on the stream drew and left unused, for
-the next run on it to take up (see `ea.run_ea`); a new source holds nothing.
+the next run on it to take up (see `ea.run_ea`); a new source holds nothing,
+and the replicate engine drops it from the sources whose generator it built
+once their runs are done.
 """
 
 from __future__ import annotations

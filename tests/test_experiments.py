@@ -338,6 +338,15 @@ class TestTailStudy:
         monkeypatch.setattr(experiments, "_START_SLICE_BITS", 25)
         assert dl.tail_study(cfg).json_text() == whole
 
+    def test_slices_go_on_with_one_stream(self, monkeypatch):
+        # at a supplied delta runs exceed their thresholds, so the report shows
+        # whether each slice's runs take up the draws the last slice left
+        cfg = ExperimentConfig(kind="tail", n_values=(10,), preset="onemax", replicates=45, seed=6, delta=0.035)
+        whole = dl.tail_study(cfg)
+        assert any(row.exceed_freq > 0 for row in whole.rows)
+        monkeypatch.setattr(experiments, "_START_SLICE_BITS", 25)
+        assert dl.tail_study(cfg).json_text() == whole.json_text()
+
     def test_refuses_uncertifiable_instance(self):
         cfg = ExperimentConfig(kind="tail", n_values=(64,), preset="onemax", replicates=10, seed=1)
         with pytest.raises(ValueError):
@@ -633,7 +642,9 @@ def test_engine_keeps_a_source_that_drew_on_its_own_stream():
     traces = experiments._run_replicates([(inst, config, r, None, None) for r in (first, drawn, second)])
     expected = [dl.run_ea(inst, config, r) for r in (dl.RandomSource(4, (1,)), reference, dl.RandomSource(4, (3,)))]
     assert [t.to_json() for t in traces] == [t.to_json() for t in expected]
-    # the source that drew keeps its stream: it goes on where the run left it
+    # the source that drew keeps its stream and carry: it goes on where the run left it;
+    # the sources the engine started drop their carry
+    assert drawn.carry is not None and first.carry is None and second.carry is None
     assert drawn.generator.random() == reference.generator.random()
 
 
@@ -644,7 +655,7 @@ def test_engine_refuses_a_source_in_two_jobs(workers):
     job, between = [(dl.onemax(4), dl.EAConfig(10), r, None, None) for r in (source, other)]
     with pytest.raises(ValueError, match="appears in two jobs"):
         experiments._run_replicates([job, between, job], workers)
-    assert source.carry is None  # nothing ran
+    assert source.generator.random() == dl.RandomSource(4, (1,)).generator.random()  # nothing ran
 
 
 def test_engine_keeps_consecutive_jobs_of_a_source_together():
@@ -657,5 +668,4 @@ def test_engine_keeps_consecutive_jobs_of_a_source_together():
         a, b = dl.RandomSource(4, (1,)), dl.RandomSource(4, (2,))
         traces = experiments._run_replicates([(inst, config, r, None, None) for r in (a, a, a, b, b, b)], workers)
         assert [t.to_json() for t in traces] == [t.to_json() for t in expected]
-        # serially the sources keep their carry; a pool runs copies and leaves them fresh
-        assert all((r.carry is not None) == (workers == 1) for r in (a, b))
+        assert a.carry is None and b.carry is None  # dropped after their last run (a pool runs copies)
