@@ -2,9 +2,10 @@
 
 Every study consumes an :class:`ExperimentConfig` and returns a
 :class:`ReportBundle` whose config echo is complete enough to re-run the
-experiment.  The EA studies (scale, escape, tail, chance, run) build one job
-per replicate, each with its own child stream of the master seed (tail's run
-back to back on one), and run them all through :func:`_run_replicates`.
+experiment.  The EA studies (scale, escape, tail, chance, run) run their
+replicates through :func:`_run_replicates` as jobs, a job being one stream and
+the runs on it: one run on its own child stream of the master seed per
+replicate, except tail's, whose runs are one job back to back on one stream.
 Outputs are deterministic byte-for-byte for a fixed config: aggregation
 happens in replicate-index order and reports carry no timestamps.
 """
@@ -18,7 +19,6 @@ import math
 import statistics
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from itertools import groupby
 from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -423,56 +423,52 @@ def _generation(cfg: ExperimentConfig) -> dict:
     return {**own, **PRESET_SETTINGS.get(cfg.preset, {})}
 
 
-def _run_jobs(groups: list) -> list[RunTrace]:
-    """Run groups of jobs in order, each job on its own source.  A source
-    whose generator its group built drops its carry after the group's last
-    run, so the studies' job lists do not hold every replicate's carry."""
-    traces = []
-    for group in groups:
-        rng = group[0][2]
-        started_here = rng._generator is None
-        traces += [run_ea(instance, config, rng, initial=initial, potential=potential)
-                   for instance, config, _, initial, potential in group]
-        if started_here:
-            rng.carry = None
-    return traces
+def _run_job(job):
+    """Run one job's runs back to back on its source, yielding each trace as
+    its run ends, and drop the source's carry after the last run."""
+    instance, rng, runs, potential = job
+    for config, initial in runs:
+        yield run_ea(instance, config, rng, initial=initial, potential=potential)
+    rng.carry = None
 
 
-def _run_replicates(jobs: list, workers: int = 1) -> list[RunTrace]:
-    """The replicate engine: run (instance, EAConfig, RandomSource, initial or
-    None, potential or None) jobs, serially or on `workers` processes.
+def _job_traces(job) -> list[RunTrace]:
+    """A job's traces as a list: a pool worker cannot send back a generator."""
+    return list(_run_job(job))
 
-    Traces come back in job order.  Consecutive jobs may share a source: they
-    run in order, each run going on with the draws the last one left (see
-    `ea.run_ea`), so replaying one of them means rerunning the jobs on its
-    source up to it.  A source that comes back after another source's job is
-    refused with ValueError.  A group of jobs on one source is never split
-    between processes, so the results do not depend on `workers`.  Each job
-    draws from its source's own generator.  Serially the sources keep their
-    generators; a source that had built its generator before the call keeps
-    its carry too, so a later call on it goes on with its stream, as `tail`'s
-    slices do, while one the call started drops its carry after its last run.
-    A pool runs pickled copies, and the caller's sources stay as they were.
+
+def _run_replicates(jobs: list, workers: int = 1):
+    """The replicate engine: run (instance, RandomSource, runs, potential or
+    None) jobs, serially or on `workers` processes.
+
+    A job is one stream: its runs, (EAConfig, initial or None) pairs, go back
+    to back on its source, each run going on with the draws the last one left
+    (see `ea.run_ea`), so replaying a run means rerunning the runs before it
+    in its job.  A source in two jobs is refused with ValueError before
+    anything runs.  Traces come in job order, and in run order within a job.
+    Serially they are yielded as their runs end, and each source keeps its
+    generator but drops its carry after its job's last run.  A pool maps whole
+    jobs, whose runs must then be lists, and returns a list; it runs pickled
+    copies, and the caller's sources stay as they were.  A job never spans
+    two processes, so the results do not depend on `workers`.
     """
-    groups = [list(group) for _, group in groupby(jobs, key=lambda job: id(job[2]))]
-    if len({id(group[0][2]) for group in groups}) < len(groups):
-        raise ValueError("a RandomSource appears in two jobs with another source's job between them; "
-                         "the jobs on one stream must be consecutive")
-    workers = min(workers, len(groups))  # a pool starts all its workers at once
+    if len({id(job[1]) for job in jobs}) < len(jobs):
+        raise ValueError("a RandomSource appears in two jobs; the runs on one stream must be one job")
+    workers = min(workers, len(jobs))  # a pool starts all its workers at once
     if workers <= 1:
-        return _run_jobs(groups)
+        return (trace for job in jobs for trace in _run_job(job))
     from concurrent.futures import ProcessPoolExecutor  # here, so serial runs never import it
 
-    chunk = max(1, len(groups) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        runs = pool.map(_run_jobs, [groups[i : i + chunk] for i in range(0, len(groups), chunk)])
+        runs = pool.map(_job_traces, jobs, chunksize=max(1, len(jobs) // (workers * 8)))
         return [trace for traces in runs for trace in traces]
 
 
-def _time_stats(traces: list) -> tuple[int, float, float, float]:
+def _time_stats(traces) -> tuple[int, float, float, float]:
     """(censored count, mean, sd, median) of the hitting times of the completed runs only."""
-    completed = [t.hitting_time for t in traces if t.hitting_time is not None]
-    censored = len(traces) - len(completed)
+    times = [t.hitting_time for t in traces]
+    completed = [t for t in times if t is not None]
+    censored = len(times) - len(completed)
     if not completed:
         return censored, math.nan, math.nan, math.nan
     mean = statistics.fmean(completed)
@@ -519,17 +515,17 @@ def scaling_study(cfg: ExperimentConfig) -> ReportBundle:
     for idx, n in enumerate(cfg.n_values):
         source = root.spawn(idx)
         budget = default_budget(n, cfg.budget_multiplier) if cfg.budget is None else cfg.budget
-        config = EAConfig(max_iterations=budget)
+        runs = [(EAConfig(max_iterations=budget), None)]
         reps = source.children(1, cfg.replicates)
         if cfg.fresh_instances:
             # replicate j: its instance from (i, j+1, 0), its run from (i, j+1, 1)
             jobs = []
             for r in reps:
                 instance_source, run_source = r.children(0, 2)
-                jobs.append((build_objective(cfg, n, instance_source), config, run_source, None, None))
+                jobs.append((build_objective(cfg, n, instance_source), run_source, runs, None))
         else:
             instance = build_objective(cfg, n, source.spawn(0))
-            jobs = [(instance, config, r, None, None) for r in reps]
+            jobs = [(instance, r, runs, None) for r in reps]
         censored, mean, sd, median = _time_stats(_run_replicates(jobs, cfg.workers))
         ratio = mean / (n * math.log(n)) if n > 1 else math.nan
         # every instance of one size has the s and alpha of the first
@@ -570,10 +566,10 @@ def escape_study(cfg: ExperimentConfig) -> ReportBundle:
         budget = cfg.budget
         if budget is None:
             budget = max(100, math.ceil(cfg.budget_multiplier * math.e * n * n))
-        config = EAConfig(max_iterations=budget)
         source = root.spawn(idx)
         start = prepare_starts(instance, instance.local_optimum(1)[None])[0]  # one start for every run
-        jobs = [(instance, config, r, start, None) for r in source.children(1, cfg.replicates)]
+        runs = [(EAConfig(max_iterations=budget), start)]
+        jobs = [(instance, r, runs, None) for r in source.children(1, cfg.replicates)]
         censored, mean, sd, _ = _time_stats(_run_replicates(jobs, cfg.workers))
         rows.append(EscapeRow(n=n, reps=cfg.replicates, censored=censored, mean_T=mean, sd_T=sd))
     checks = {"censoring_at_most_1pct": all(r.censored <= 0.01 * r.reps for r in rows)}
@@ -624,42 +620,42 @@ def tail_study(cfg: ExperimentConfig) -> ReportBundle:
     potential = build_combined_potential(instance)
     floor = 1.0  # every nonzero state carries a coefficient >= 1
     # every start is row j of one draw on stream (0, 1), which nothing else
-    # draws from (a larger R keeps the earlier rows).  The runs go back to back
-    # on stream (1,), in replicate order, each on the draws the last one left
+    # draws from (a larger R keeps the earlier rows).  The runs are one job on
+    # stream (1,), in replicate order, each on the draws the last one left
     # unused.  The starts are valued together, one row each, and prepared for
-    # run_ea a slice of rows at a time
+    # run_ea a slice of rows at a time, as the engine asks for the runs
     m = instance.domain_size
     starts = instance_source.spawn(1).generator.integers(0, 2, (cfg.replicates, m), dtype=np.uint8)
-    source = root.spawn(1)
-    source.generator  # built here, so each slice's engine call keeps its carry for the next
     phis, optimal = potential.value(starts).tolist(), instance.is_optimal(starts).tolist()
+    # The multiplicative drift theorem: phi is 0 or at least floor and loses at
+    # least delta * phi per step in expectation, so the hitting time T has
+    # Pr(T > (ln(start/floor) + r)/delta) <= e^-r, and r = 1 gives
+    # E[T] <= (ln(start/floor) + 1)/delta.  The largest threshold is the budget;
+    # adding r and dividing by delta > 0 are monotone, so it is the largest r's.
+    r_max = max(cfg.r_values)
+    step = max(1, _START_SLICE_BITS // m)
+
+    def runs():
+        for lo in range(0, cfg.replicates, step):
+            for j, prepared in enumerate(prepare_starts(instance, starts[lo : lo + step]), lo):
+                if not optimal[j]:
+                    budget = max(1, math.ceil((math.log(phis[j] / floor) + r_max) / delta))
+                    yield EAConfig(max_iterations=budget), prepared
+
+    # T = 0 never exceeds a positive threshold, and no threshold is defined for
+    # a zero start potential: the optimal starts are not run
+    run_indices = (j for j in range(cfg.replicates) if not optimal[j])
     counted = 0
     exceed = [0] * len(cfg.r_values)
     threshold_sums = [0.0] * len(cfg.r_values)
-    step = max(1, _START_SLICE_BITS // m)
-    for lo in range(0, cfg.replicates, step):
-        jobs, thresholds = [], []
-        for j, prepared in enumerate(prepare_starts(instance, starts[lo : lo + step]), lo):
-            if optimal[j]:
-                # T = 0 never exceeds a positive threshold; no threshold is defined
-                # for a zero start potential.
-                continue
-            # The multiplicative drift theorem: phi is 0 or at least floor and loses
-            # at least delta * phi per step in expectation, so the hitting time T has
-            # Pr(T > (ln(start/floor) + r)/delta) <= e^-r, and r = 1 gives
-            # E[T] <= (ln(start/floor) + 1)/delta.  The largest threshold is the budget.
-            log_term = math.log(phis[j] / floor)
-            run_thresholds = [(log_term + r) / delta for r in cfg.r_values]
-            budget = max(1, math.ceil(max(run_thresholds)))
-            jobs.append((instance, EAConfig(max_iterations=budget), source, prepared, None))
-            thresholds.append(run_thresholds)
-        counted += len(jobs)
-        for trace, run_thresholds in zip(_run_replicates(jobs), thresholds):
-            hitting_time = trace.hitting_time
-            for i, threshold in enumerate(run_thresholds):
-                threshold_sums[i] += threshold
-                if hitting_time is None or hitting_time > threshold:
-                    exceed[i] += 1
+    for trace, j in zip(_run_replicates([(instance, root.spawn(1), runs(), None)]), run_indices):
+        counted += 1
+        log_term = math.log(phis[j] / floor)
+        for i, r in enumerate(cfg.r_values):
+            threshold = (log_term + r) / delta
+            threshold_sums[i] += threshold
+            if trace.hitting_time is None or trace.hitting_time > threshold:
+                exceed[i] += 1
     rows = []
     for i, r in enumerate(cfg.r_values):
         freq = exceed[i] / cfg.replicates
@@ -697,8 +693,8 @@ def chance_demo(cfg: ExperimentConfig) -> ReportBundle:
     composite = build_chance(chance)
     root = RandomSource(cfg.seed)
     budget = default_budget(composite.n, cfg.budget_multiplier) if cfg.budget is None else cfg.budget
-    config = EAConfig(max_iterations=budget)
-    jobs = [(composite, config, r, None, None) for r in root.children(1, cfg.replicates)]
+    runs = [(EAConfig(max_iterations=budget), None)]
+    jobs = [(composite, r, runs, None) for r in root.children(1, cfg.replicates)]
     best_state = None
     best_value = math.inf
     for trace in _run_replicates(jobs):
@@ -718,7 +714,8 @@ def chance_demo(cfg: ExperimentConfig) -> ReportBundle:
     level_source = root.spawn(10**6)
     for name, probe in probes:
         if chance.std_value(probe) == 0.0:
-            notes.append(f"probe {name} skipped: zero variance (all-zeros selection)")
+            why = "every selected item has sigma = 0" if probe.any() else "all-zeros selection"
+            notes.append(f"probe {name} skipped: zero variance ({why})")
             continue
         level = chance_level_check(chance, probe, cfg.level_samples, level_source.spawn(len(rows)))
         rows.append(
@@ -750,10 +747,9 @@ def run_study(cfg: ExperimentConfig) -> ReportBundle:
     root = RandomSource(cfg.seed)
     instance = build_objective(cfg, n, root.spawn(0))
     budget = default_budget(n, cfg.budget_multiplier) if cfg.budget is None else cfg.budget
-    config = EAConfig(max_iterations=budget, trace_stride=cfg.trace_stride)
+    runs = [(EAConfig(max_iterations=budget, trace_stride=cfg.trace_stride), None)]
     potential = build_combined_potential(instance).value
-    jobs = [(instance, config, r, None, potential) for r in root.children(1, cfg.replicates)]
-    traces = _run_replicates(jobs)
+    traces = list(_run_replicates([(instance, r, runs, potential) for r in root.children(1, cfg.replicates)]))
     rows = [
         RunRow(
             replicate=rep,

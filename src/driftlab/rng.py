@@ -16,8 +16,7 @@ since the stream depends only on (seed, spawn_key).
 
 `carry` holds what the last EA run on the stream drew and left unused, for
 the next run on it to take up (see `ea.run_ea`); a new source holds nothing,
-and the replicate engine drops it from the sources whose generator it built
-once their runs are done.
+and the replicate engine drops it once a job's runs on the stream are done.
 """
 
 from __future__ import annotations

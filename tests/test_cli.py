@@ -308,6 +308,19 @@ class TestChanceCommand:
         assert code == 0
         assert "0.85" in read_csv_lines(out)[1]
 
+    def test_zero_variance_probe_says_why(self, tmp_path, capsys):
+        # the empty selection is best found; random_3 (110) selects the two
+        # items with sigma = 0, and is no all-zeros selection
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"mu": [1, 2, 3], "sigma": [0, 0, 1], "alpha_c": 0.9}))
+        code = cli_main(["chance", "--instance", str(path), "--reps", "3", "--samples", "100", "--probes", "4",
+                         "--seed", "2"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "probe best_found skipped: zero variance (all-zeros selection)" in out
+        assert "probe random_3 skipped: zero variance (every selected item has sigma = 0)" in out
+        assert out.count("skipped") == 2
+
 
 class TestRunCommand:
     def test_trace_json(self, tmp_path):

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import stat
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -601,23 +602,25 @@ def test_one_replicate_replays_in_isolation(monkeypatch, study):
 
 
 def _fresh_streams(jobs):
-    """The jobs again, each source replaced by a new RandomSource of its stream
-    (one for all the jobs that share it)."""
-    fresh = {}
-    for _, _, r, _, _ in jobs:
-        fresh.setdefault(id(r), dl.RandomSource(r.seed, r.spawn_key))
-    return [(inst, config, fresh[id(r)], x0, phi) for inst, config, r, x0, phi in jobs]
+    """The jobs again, each source replaced by a new RandomSource of its stream."""
+    return [(inst, dl.RandomSource(r.seed, r.spawn_key), runs, phi) for inst, r, runs, phi in jobs]
+
+
+def _job(instance, source, config, runs=1):
+    """A job of `runs` runs of `config` from drawn starts on `source`."""
+    return instance, source, [(config, None)] * runs, None
 
 
 @pytest.mark.parametrize("study", sorted(REPLAYS))
 def test_engine_runs_each_job_on_its_own_stream(monkeypatch, study):
     """Serially and on two workers, the engine's traces equal run_ea on a
-    fresh source per stream (tail's jobs share one, and run back to back on it)."""
+    fresh source per job, its runs back to back on it (tail's are one job)."""
     options, _ = REPLAYS[study]
     engine = experiments._run_replicates
     batches = []
 
     def recording_engine(jobs, workers=1):
+        jobs = [(inst, r, list(runs), phi) for inst, r, runs, phi in jobs]  # tail's runs are a generator
         batches.append(jobs)
         return engine(jobs, workers)
 
@@ -626,9 +629,9 @@ def test_engine_runs_each_job_on_its_own_stream(monkeypatch, study):
     assert batches
     for jobs in batches:
         expected = [dl.run_ea(inst, config, r, initial=x0, potential=phi)
-                    for inst, config, r, x0, phi in _fresh_streams(jobs)]
+                    for inst, r, runs, phi in _fresh_streams(jobs) for config, x0 in runs]
         for workers in (1, 2):
-            traces = engine(_fresh_streams(jobs), workers)
+            traces = list(engine(_fresh_streams(jobs), workers))
             assert [t.to_json() for t in traces] == [t.to_json() for t in expected]
             assert all(np.array_equal(t.final_state, e.final_state) for t, e in zip(traces, expected))
 
@@ -639,33 +642,55 @@ def test_engine_keeps_a_source_that_drew_on_its_own_stream():
     drawn, reference = dl.RandomSource(4, (2,)), dl.RandomSource(4, (2,))
     drawn.generator.random(3)
     reference.generator.random(3)
-    traces = experiments._run_replicates([(inst, config, r, None, None) for r in (first, drawn, second)])
+    traces = list(experiments._run_replicates([_job(inst, r, config) for r in (first, drawn, second)]))
     expected = [dl.run_ea(inst, config, r) for r in (dl.RandomSource(4, (1,)), reference, dl.RandomSource(4, (3,)))]
     assert [t.to_json() for t in traces] == [t.to_json() for t in expected]
-    # the source that drew keeps its stream and carry: it goes on where the run left it;
-    # the sources the engine started drop their carry
-    assert drawn.carry is not None and first.carry is None and second.carry is None
+    # the source that drew keeps its stream: it goes on where the run left it;
+    # every job's source drops its carry after the job's last run
+    assert drawn.carry is None and first.carry is None and second.carry is None
     assert drawn.generator.random() == reference.generator.random()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_engine_refuses_a_source_in_two_jobs(workers):
-    # a source's jobs must be consecutive: it cannot come back after another's
+    # the runs on one stream are one job: a source cannot come back, next to
+    # its first job or after another's, and the refusal comes before any run
     source, other = dl.RandomSource(4, (1,)), dl.RandomSource(4, (2,))
-    job, between = [(dl.onemax(4), dl.EAConfig(10), r, None, None) for r in (source, other)]
-    with pytest.raises(ValueError, match="appears in two jobs"):
-        experiments._run_replicates([job, between, job], workers)
-    assert source.generator.random() == dl.RandomSource(4, (1,)).generator.random()  # nothing ran
+    job, between = [_job(dl.onemax(4), r, dl.EAConfig(10)) for r in (source, other)]
+    for jobs in ([job, between, job], [job, job, between]):
+        with pytest.raises(ValueError, match="appears in two jobs"):
+            experiments._run_replicates(jobs, workers)
+    for r in (source, other):  # nothing ran
+        assert r.carry is None
+        assert r.generator.random() == dl.RandomSource(r.seed, r.spawn_key).generator.random()
 
 
 def test_engine_keeps_consecutive_jobs_of_a_source_together():
-    # three runs on each of two sources: on two workers each source's runs stay
-    # in one process and in order, as serially and as run_ea on the stream
+    # a job of three runs on each of two sources: on two workers each job's
+    # runs stay in one process and in order, as serially and as run_ea on the stream
     inst, config = dl.onemax(10), dl.EAConfig(40)
     expected = [dl.run_ea(inst, config, r) for r in [dl.RandomSource(4, (1,))] * 3 + [dl.RandomSource(4, (2,))] * 3]
     assert len({t.to_json() for t in expected}) == 6
     for workers in (1, 2):
         a, b = dl.RandomSource(4, (1,)), dl.RandomSource(4, (2,))
-        traces = experiments._run_replicates([(inst, config, r, None, None) for r in (a, a, a, b, b, b)], workers)
+        traces = list(experiments._run_replicates([_job(inst, r, config, runs=3) for r in (a, b)], workers))
         assert [t.to_json() for t in traces] == [t.to_json() for t in expected]
         assert a.carry is None and b.carry is None  # dropped after their last run (a pool runs copies)
+
+
+@pytest.mark.parametrize("kind", ["scale", "escape", "chance", "tail"])
+def test_studies_hold_no_earlier_trace(monkeypatch, kind):
+    # the engine hands over each trace as its run ends and the study folds it
+    # in: when a run starts, at most the last run's trace is still alive
+    options = dict(REPLAYS[kind][0], replicates=30, seed=23)
+    refs, alive = [], []
+
+    def recording_run_ea(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        trace = dl.run_ea(*args, **kwargs)
+        refs.append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(experiments, "run_ea", recording_run_ea)
+    experiments.run_experiment(ExperimentConfig(**options))
+    assert len(alive) >= 30 and max(alive) <= 1
