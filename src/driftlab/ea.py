@@ -50,20 +50,26 @@ end in locals, and leaves the cursor in the carry when the run ends.
 The parent's state at the start (its bits, its pair, its two delta lists and
 its value) is a `PreparedStart`.  `prepare_starts` builds it for a batch of
 rows at once, with a fixed number of numpy calls on the LinearForm's weights
-and negated weights and one `value` call for the whole batch.  `run_ea` takes
-a prepared start as `initial` and copies its lists, and it prepares a drawn
-or given start as a batch of one, so every start is checked (by the check
-every entry point shares, objectives._bits) and valued on that one path.
+and negated weights and one `value` call for the whole batch, and makes the
+tuples with no Python-level call per row.  `run_ea` takes a prepared start
+as `initial` and copies its lists, and it prepares a drawn or given start as
+a batch of one, so every start is checked (by the check every entry point
+shares, objectives._bits) and valued on that one path.
 
 Each block's offsets are cut to the budget once, with `bisect` (an `islice`
-of its pair iterator, whose rest the next run takes up), when the budget ends
-inside it, so no offspring tests the budget, and the carry is read and
-written once per run.  The iteration number t is computed only when an
-offspring is accepted: stride records are written when the parent is about
-to change (every mark before t saw the old parent) and when the run ends,
-which gives the samples a per-iteration check would; a sample carries f as a
-float.  A rejected offspring thus costs its
-position draw, its pair, one `float_kernel` call and one comparison.
+of its pair iterator, whose rest the next run takes up), when the budget
+ends inside it, so no offspring tests the budget, and the carry is read and
+written once per run; it also holds the flip counts drawn inline, which
+depend only on m.  The iteration number t is computed only when an offspring
+is accepted.  A run writes its start's sample, at mark 0, before the loop,
+and its last parent's at the iteration where it ends (an optimal start ends
+at 0, and its one sample is both).  `_record` writes the stride marks
+between them: when the parent is about to change, the marks before t (which
+saw the old parent), and at the end the marks since the last record.  This
+gives the samples a per-iteration check would; without a stride they are the
+start and the end.  A sample carries f as a float.  A rejected offspring
+thus costs its position draw, its pair, one `float_kernel` call and one
+comparison.
 
 `standard_bit_mutation` (the dense one-step draw, one uniform per bit) and
 its `MutationEvent` are kept only because the benchmark tracer wraps that
@@ -77,7 +83,7 @@ import math
 import numbers
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -138,6 +144,8 @@ class RunTrace:
     samples is a list of (iteration, objective value, potential value or None,
     one-bit count) tuples; hitting_time is None iff the budget ran out first.
     accepted_steps counts accepted offspring that flipped at least one bit.
+    final_bits are the last parent's bits, which `final_state` gives as a
+    uint8 array, built on each read.
     """
 
     seed: int
@@ -146,7 +154,11 @@ class RunTrace:
     budget_exhausted: bool
     accepted_steps: int
     samples: list
-    final_state: np.ndarray = field(repr=False, default=None)
+    final_bits: list = field(repr=False, default=None)
+
+    @property
+    def final_state(self) -> np.ndarray:
+        return np.array(self.final_bits, dtype=np.uint8)
 
     def to_json_dict(self) -> dict:
         return {
@@ -198,10 +210,15 @@ class _Mutations:
     run on the same stream goes on where the last one stopped.
     """
 
-    __slots__ = ("gen", "m", "p", "size", "pool", "at", "offsets", "pairs", "length", "first")
+    __slots__ = ("gen", "m", "p", "inline", "size", "pool", "at", "offsets", "pairs", "length", "first")
 
     def __init__(self, gen: np.random.Generator, m: int, p: float):
         self.gen, self.m, self.p = gen, m, p
+        # the flip counts run_ea draws from the pool inline, as positions()
+        # would draw them: K = 1, 2 and 3 written out, and the largest K
+        # drawn by one slice.  Where positions() draws otherwise they are 0,
+        # which no K is (m = 1 draws nothing: its one K is the whole domain)
+        self.inline = (1 if m > 1 else 0, 2 if m >= 4 else 0, 3 if m >= 9 else 0, math.isqrt(m) if m > 1 else 0)
         self.size = _FIRST_BLOCK
         self.pool: list = []
         self.at = 0
@@ -278,7 +295,8 @@ def prepare_starts(instance, rows) -> list[PreparedStart]:
     form = instance.linear_form
     l1, l2 = form.weights.dot(rows.T).tolist()
     deltas = np.where(rows[:, None, :], form.negated, form.weights).tolist()  # row, part, position
-    return list(map(PreparedStart, rows.tolist(), l1, l2, *zip(*deltas), instance.value(rows)))
+    fields = zip(rows.tolist(), l1, l2, *zip(*deltas), instance.value(rows))
+    return list(map(tuple.__new__, repeat(PreparedStart), fields))  # as PreparedStart._make, with no call per row
 
 
 def run_ea(
@@ -300,6 +318,7 @@ def run_ea(
     to value(x) for x's pair).  The start's linear pair decides its
     optimality and seeds the parent; a prepared start of another width is
     refused.  `potential`, when given, fills the phi column of the trace.
+    `config` is only read, so any number of runs may share one.
     The run goes on with the draws the last run on `rng` left unused (module
     docstring), so the outcome is deterministic given (instance, config, rng
     state and carry).
@@ -319,34 +338,16 @@ def run_ea(
         bits, l1, l2, d1, d2, f_x = prepare_starts(instance, rows)[0]
     kernel, optimum = instance.float_kernel, instance.optimum
     mutations = rng.carry  # what the last run on this stream drew and left unused
-    if mutations is None or mutations.gen is not gen or (mutations.m, mutations.p) != (m, p):
+    if mutations is None or mutations.gen is not gen or mutations.m != m or mutations.p != p:
         mutations = rng.carry = _Mutations(gen, m, p)
     pool, at, end = mutations.pool, mutations.at, len(mutations.pool)  # the pool, its cursor and its length
-    # every K with K*K <= m is drawn from the pool inline, as positions()
-    # would draw it: K = 1, 2 and 3 written out, larger K by one slice.
-    # Where positions() draws otherwise these are 0, which no K is (m = 1
-    # draws nothing: its one K is the whole domain)
-    one = 1 if m > 1 else 0
-    two = 2 if m >= 4 else 0
-    three = 3 if m >= 9 else 0
-    most = math.isqrt(m) if m > 1 else 0  # the largest K drawn inline
+    one, two, three, most = mutations.inline  # the flip counts drawn from the pool inline
 
     budget = config.max_iterations
     stride = config.trace_stride or budget + 1  # without a stride no mark after 0 is reached
-    samples = []
-    next_mark = 0  # the first stride mark not yet recorded
-
-    def record(stop: int, f, parent: list, final: bool = False) -> None:
-        """Sample the parent (a bit list), of value f (as a float), at each mark
-        still due before iteration `stop`, and at `stop` itself when the run ends there."""
-        nonlocal next_mark
-        phi = float(potential(np.array(parent, dtype=np.uint8))) if potential is not None else None
-        ones, f = parent.count(1), float(f)
-        while next_mark < stop:
-            samples.append((next_mark, f, phi, ones))
-            next_mark += stride
-        if final:
-            samples.append((stop, f, phi, ones))
+    phi = None if potential is None else float(potential(np.array(bits, dtype=np.uint8)))
+    samples = [(0, float(f_x), phi, bits.count(1))]  # the start, at mark 0
+    next_mark = stride  # the first stride mark not yet recorded
 
     # An accepted offspring at iteration t first records the marks before t,
     # which the parent it replaces held; a rejected one costs its draw, its
@@ -420,7 +421,7 @@ def run_ea(
                     continue
             t = base + offset + 1
             if next_mark < t:
-                record(t, f_x, bits)
+                next_mark = _record(samples, next_mark, stride, t, f_x, bits, potential)
             for j in flips:  # the offspring's pair again, in the same order
                 l1 += d1[j]
                 l2 += d2[j]
@@ -434,17 +435,24 @@ def run_ea(
                 break
         done = base + size
     mutations.at = at
-    record(budget if hitting_time is None else hitting_time, f_x, bits, final=True)
+    stop = budget if hitting_time is None else hitting_time
+    if stop:  # the final parent, at the marks since the last record and at the end (an optimal start ends at 0)
+        if next_mark < stop:
+            _record(samples, next_mark, stride, stop, f_x, bits, potential)
+        phi = None if potential is None else float(potential(np.array(bits, dtype=np.uint8)))
+        samples.append((stop, float(f_x), phi, bits.count(1)))
+    return RunTrace(rng.seed, rng.spawn_key, hitting_time, hitting_time is None, accepted_steps, samples, bits)
 
-    return RunTrace(
-        seed=rng.seed,
-        spawn_key=rng.spawn_key,
-        hitting_time=hitting_time,
-        budget_exhausted=hitting_time is None,
-        accepted_steps=accepted_steps,
-        samples=samples,
-        final_state=np.array(bits, dtype=np.uint8),
-    )
+
+def _record(samples: list, mark: int, stride: int, stop: int, f, parent: list, potential) -> int:
+    """Sample the parent (a bit list), of value f (as a float), at each stride
+    mark from `mark` on before iteration `stop`; return the next mark."""
+    phi = None if potential is None else float(potential(np.array(parent, dtype=np.uint8)))
+    f, ones = float(f), parent.count(1)
+    while mark < stop:
+        samples.append((mark, f, phi, ones))
+        mark += stride
+    return mark
 
 
 def default_budget(n: int, multiplier: float = 20.0) -> int:

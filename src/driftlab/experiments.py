@@ -17,8 +17,11 @@ import io
 import json
 import math
 import statistics
+import weakref
+from collections import deque
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -428,7 +431,7 @@ def _run_job(job):
     its run ends, and drop the source's carry after the last run."""
     instance, rng, runs, potential = job
     for config, initial in runs:
-        yield run_ea(instance, config, rng, initial=initial, potential=potential)
+        yield run_ea(instance, config, rng, initial, potential)
     rng.carry = None
 
 
@@ -437,30 +440,46 @@ def _job_traces(job) -> list[RunTrace]:
     return list(_run_job(job))
 
 
-def _run_replicates(jobs: list, workers: int = 1):
+def _one_job_per_source(jobs):
+    """The jobs, each refused with ValueError when its source is that of an
+    earlier job still alive (a source freed after its job cannot come back)."""
+    seen = weakref.WeakSet()
+    for job in jobs:
+        if job[1] in seen:
+            raise ValueError("a RandomSource appears in two jobs; the runs on one stream must be one job")
+        seen.add(job[1])
+        yield job
+
+
+def _run_replicates(jobs, workers: int = 1):
     """The replicate engine: run (instance, RandomSource, runs, potential or
-    None) jobs, serially or on `workers` processes.
+    None) jobs, given as a list or an iterator, serially or on `workers`
+    processes.
 
     A job is one stream: its runs, (EAConfig, initial or None) pairs, go back
     to back on its source, each run going on with the draws the last one left
     (see `ea.run_ea`), so replaying a run means rerunning the runs before it
-    in its job.  A source in two jobs is refused with ValueError before
-    anything runs.  Traces come in job order, and in run order within a job.
+    in its job.  A source in two jobs is refused with ValueError: in a list,
+    or on a pool, before anything runs, and in an iterator when its second
+    job comes.  Traces come in job order, and in run order within a job.
     Serially they are yielded as their runs end, and each source keeps its
-    generator but drops its carry after its job's last run.  A pool maps whole
-    jobs, whose runs must then be lists, and returns a list; it runs pickled
-    copies, and the caller's sources stay as they were.  A job never spans
-    two processes, so the results do not depend on `workers`.
+    generator but drops its carry after its job's last run; the engine keeps
+    no job it has run, so the studies, which pass iterators, hold no source
+    after its job.  A pool maps whole jobs, whose runs must then be lists, and
+    returns a list; it runs pickled copies, and the caller's sources stay as
+    they were.  A job never spans two processes, so the results do not
+    depend on `workers`.
     """
-    if len({id(job[1]) for job in jobs}) < len(jobs):
-        raise ValueError("a RandomSource appears in two jobs; the runs on one stream must be one job")
-    workers = min(workers, len(jobs))  # a pool starts all its workers at once
+    checked = _one_job_per_source(jobs)
+    if isinstance(jobs, list) or workers > 1:  # checked whole first; a pool takes its jobs whole
+        checked = list(checked)
+        workers = min(workers, len(checked))  # a pool starts all its workers at once
     if workers <= 1:
-        return (trace for job in jobs for trace in _run_job(job))
+        return (trace for job in checked for trace in _run_job(job))
     from concurrent.futures import ProcessPoolExecutor  # here, so serial runs never import it
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        runs = pool.map(_job_traces, jobs, chunksize=max(1, len(jobs) // (workers * 8)))
+        runs = pool.map(_job_traces, checked, chunksize=max(1, len(checked) // (workers * 8)))
         return [trace for traces in runs for trace in traces]
 
 
@@ -516,25 +535,22 @@ def scaling_study(cfg: ExperimentConfig) -> ReportBundle:
         source = root.spawn(idx)
         budget = default_budget(n, cfg.budget_multiplier) if cfg.budget is None else cfg.budget
         runs = [(EAConfig(max_iterations=budget), None)]
-        reps = source.children(1, cfg.replicates)
+        reps = map(source.spawn, range(1, cfg.replicates + 1))
         if cfg.fresh_instances:
             # replicate j: its instance from (i, j+1, 0), its run from (i, j+1, 1)
-            jobs = []
-            for r in reps:
-                instance_source, run_source = r.children(0, 2)
-                jobs.append((build_objective(cfg, n, instance_source), run_source, runs, None))
+            jobs = ((build_objective(cfg, n, r.spawn(0)), r.spawn(1), runs, None) for r in reps)
         else:
             instance = build_objective(cfg, n, source.spawn(0))
-            jobs = [(instance, r, runs, None) for r in reps]
-        censored, mean, sd, median = _time_stats(_run_replicates(jobs, cfg.workers))
+            jobs = ((instance, r, runs, None) for r in reps)
+        first = next(jobs)
+        censored, mean, sd, median = _time_stats(_run_replicates(chain([first], jobs), cfg.workers))
         ratio = mean / (n * math.log(n)) if n > 1 else math.nan
-        # every instance of one size has the s and alpha of the first
-        first = jobs[0][0]
+        instance = first[0]  # every instance of one size has the s and alpha of the first
         rows.append(
             ScalingRow(
                 n=n,
-                s=first.s,
-                alpha=f"{first.alpha.numerator}/{first.alpha.denominator}",
+                s=instance.s,
+                alpha=f"{instance.alpha.numerator}/{instance.alpha.denominator}",
                 reps=cfg.replicates,
                 censored=censored,
                 mean_T=mean,
@@ -569,7 +585,7 @@ def escape_study(cfg: ExperimentConfig) -> ReportBundle:
         source = root.spawn(idx)
         start = prepare_starts(instance, instance.local_optimum(1)[None])[0]  # one start for every run
         runs = [(EAConfig(max_iterations=budget), start)]
-        jobs = [(instance, r, runs, None) for r in source.children(1, cfg.replicates)]
+        jobs = ((instance, source.spawn(j), runs, None) for j in range(1, cfg.replicates + 1))
         censored, mean, sd, _ = _time_stats(_run_replicates(jobs, cfg.workers))
         rows.append(EscapeRow(n=n, reps=cfg.replicates, censored=censored, mean_T=mean, sd_T=sd))
     checks = {"censoring_at_most_1pct": all(r.censored <= 0.01 * r.reps for r in rows)}
@@ -588,6 +604,14 @@ def tail_study(cfg: ExperimentConfig) -> ReportBundle:
     enumeration on the instance (needs domain size <= ALL_STATES_CAP = 16).  Each replicate
     uses its own start potential; thresholds are per-run and the reported
     threshold column is the across-run mean for each r.
+
+    The R starts are one (R, m) uint8 draw, the only array that grows with R.
+    They are valued, checked for optimality and prepared a slice of
+    `_START_SLICE_BITS` bits at a time, as the engine takes the runs, and each
+    trace is folded in as its run ends, so memory stays flat in R otherwise.
+    Each start's ln(phi/floor) is taken once, for its thresholds and its
+    budget, the largest threshold rounded up; the runs of one budget in a
+    slice share one EAConfig.
     """
     if cfg.kind != "tail":
         raise ValueError(f"expected kind 'tail', got {cfg.kind!r}")
@@ -622,39 +646,45 @@ def tail_study(cfg: ExperimentConfig) -> ReportBundle:
     # every start is row j of one draw on stream (0, 1), which nothing else
     # draws from (a larger R keeps the earlier rows).  The runs are one job on
     # stream (1,), in replicate order, each on the draws the last one left
-    # unused.  The starts are valued together, one row each, and prepared for
+    # unused.  The starts are valued, checked for optimality and prepared for
     # run_ea a slice of rows at a time, as the engine asks for the runs
     m = instance.domain_size
     starts = instance_source.spawn(1).generator.integers(0, 2, (cfg.replicates, m), dtype=np.uint8)
-    phis, optimal = potential.value(starts).tolist(), instance.is_optimal(starts).tolist()
-    # The multiplicative drift theorem: phi is 0 or at least floor and loses at
-    # least delta * phi per step in expectation, so the hitting time T has
-    # Pr(T > (ln(start/floor) + r)/delta) <= e^-r, and r = 1 gives
-    # E[T] <= (ln(start/floor) + 1)/delta.  The largest threshold is the budget;
-    # adding r and dividing by delta > 0 are monotone, so it is the largest r's.
-    r_max = max(cfg.r_values)
     step = max(1, _START_SLICE_BITS // m)
+    pending = deque()  # each run's thresholds, from when the engine takes the run until its trace comes
 
     def runs():
         for lo in range(0, cfg.replicates, step):
-            for j, prepared in enumerate(prepare_starts(instance, starts[lo : lo + step]), lo):
-                if not optimal[j]:
-                    budget = max(1, math.ceil((math.log(phis[j] / floor) + r_max) / delta))
-                    yield EAConfig(max_iterations=budget), prepared
+            rows = starts[lo : lo + step]
+            configs = {}  # one EAConfig per budget in the slice, which its runs share
+            phis, optimal = potential.value(rows).tolist(), instance.is_optimal(rows).tolist()
+            for phi, done, prepared in zip(phis, optimal, prepare_starts(instance, rows)):
+                # T = 0 never exceeds a positive threshold, and no threshold is
+                # defined for a zero start potential: the optimal starts are not run
+                if done:
+                    continue
+                # The multiplicative drift theorem: phi is 0 or at least floor and
+                # loses at least delta * phi per step in expectation, so the hitting
+                # time T has Pr(T > (ln(start/floor) + r)/delta) <= e^-r, and r = 1
+                # gives E[T] <= (ln(start/floor) + 1)/delta.  The budget is the
+                # largest threshold, rounded up
+                log_term = math.log(phi / floor)
+                thresholds = [(log_term + r) / delta for r in cfg.r_values]
+                budget = max(1, math.ceil(max(thresholds)))
+                if budget not in configs:
+                    configs[budget] = EAConfig(budget)
+                pending.append(thresholds)
+                yield configs[budget], prepared
 
-    # T = 0 never exceeds a positive threshold, and no threshold is defined for
-    # a zero start potential: the optimal starts are not run
-    run_indices = (j for j in range(cfg.replicates) if not optimal[j])
     counted = 0
     exceed = [0] * len(cfg.r_values)
     threshold_sums = [0.0] * len(cfg.r_values)
-    for trace, j in zip(_run_replicates([(instance, root.spawn(1), runs(), None)]), run_indices):
+    for trace in _run_replicates([(instance, root.spawn(1), runs(), None)]):
         counted += 1
-        log_term = math.log(phis[j] / floor)
-        for i, r in enumerate(cfg.r_values):
-            threshold = (log_term + r) / delta
+        hitting_time = trace.hitting_time
+        for i, threshold in enumerate(pending.popleft()):
             threshold_sums[i] += threshold
-            if trace.hitting_time is None or trace.hitting_time > threshold:
+            if hitting_time is None or hitting_time > threshold:
                 exceed[i] += 1
     rows = []
     for i, r in enumerate(cfg.r_values):
@@ -694,7 +724,7 @@ def chance_demo(cfg: ExperimentConfig) -> ReportBundle:
     root = RandomSource(cfg.seed)
     budget = default_budget(composite.n, cfg.budget_multiplier) if cfg.budget is None else cfg.budget
     runs = [(EAConfig(max_iterations=budget), None)]
-    jobs = [(composite, r, runs, None) for r in root.children(1, cfg.replicates)]
+    jobs = ((composite, root.spawn(j), runs, None) for j in range(1, cfg.replicates + 1))
     best_state = None
     best_value = math.inf
     for trace in _run_replicates(jobs):
@@ -749,7 +779,8 @@ def run_study(cfg: ExperimentConfig) -> ReportBundle:
     budget = default_budget(n, cfg.budget_multiplier) if cfg.budget is None else cfg.budget
     runs = [(EAConfig(max_iterations=budget, trace_stride=cfg.trace_stride), None)]
     potential = build_combined_potential(instance).value
-    traces = list(_run_replicates([(instance, r, runs, potential) for r in root.children(1, cfg.replicates)]))
+    jobs = ((instance, root.spawn(j), runs, potential) for j in range(1, cfg.replicates + 1))
+    traces = list(_run_replicates(jobs))
     rows = [
         RunRow(
             replicate=rep,

@@ -43,7 +43,7 @@ def _word(value, name: str) -> int:
 class RandomSource:
     """A random stream identified by (seed, spawn_key)."""
 
-    __slots__ = ("seed", "spawn_key", "_generator", "carry")
+    __slots__ = ("seed", "spawn_key", "_generator", "carry", "__weakref__")  # the engine tells sources apart by weak reference
 
     def __init__(self, seed: int, spawn_key: tuple[int, ...] = ()):
         seed = _word(seed, "seed")

@@ -641,6 +641,26 @@ class TestSparseEngine:
         assert iterations == expected
         assert all(f == ones for _, f, _, ones in trace.samples)
 
+    @pytest.mark.parametrize("with_potential", [False, True])
+    @pytest.mark.parametrize("case", ["optimal start", "hit", "budget spent"])
+    def test_without_a_stride_a_run_samples_its_start_and_its_end(self, case, with_potential):
+        # the start at 0 and the last parent where the run ends, at T or at
+        # the budget; an optimal start ends at 0, so its one sample is both
+        inst = dl.onemax(16)
+        potential = dl.build_combined_potential(inst).value if with_potential else None
+        start = {"optimal start": np.zeros(16), "hit": np.eye(16)[3], "budget spent": np.ones(16)}[case]
+        budget = 5 if case == "budget spent" else 2000
+        trace = dl.run_ea(inst, dl.EAConfig(budget), dl.RandomSource(8), start.astype(np.uint8), potential)
+
+        def sample(t, x):
+            return t, inst.value(x), None if potential is None else potential(x), int(x.sum())
+
+        end = {"optimal start": 0, "hit": trace.hitting_time, "budget spent": budget}[case]
+        assert (trace.hitting_time is None) == (case == "budget spent") and end is not None
+        assert trace.samples == [sample(0, start)] + ([sample(end, trace.final_state)] if end else [])
+        if case == "hit":
+            assert end > 0 and not trace.final_state.any()
+
     def test_stride_records_across_skipped_gaps(self):
         # p = 1/640 on 64 bits leaves about nine iterations in ten empty
         inst = dl.onemax(64)

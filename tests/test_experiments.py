@@ -4,8 +4,9 @@ import json
 import math
 import os
 import stat
+import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import astuple, replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -694,3 +695,44 @@ def test_studies_hold_no_earlier_trace(monkeypatch, kind):
     monkeypatch.setattr(experiments, "run_ea", recording_run_ea)
     experiments.run_experiment(ExperimentConfig(**options))
     assert len(alive) >= 30 and max(alive) <= 1
+
+
+def test_runs_leave_a_shared_config_as_it_was(monkeypatch):
+    # tail's runs of one budget share one EAConfig, and a study's one-run jobs
+    # all share theirs: neither run_ea nor the engine may change it
+    configs = []
+
+    def recording_run_ea(instance, config, *args):
+        configs.append((config, astuple(config)))
+        trace = dl.run_ea(instance, config, *args)
+        assert astuple(config) == configs[-1][1]
+        return trace
+
+    monkeypatch.setattr(experiments, "run_ea", recording_run_ea)
+    for kind in ("tail", "scale"):
+        experiments.run_experiment(ExperimentConfig(**REPLAYS[kind][0], replicates=40, seed=23))
+    assert len({id(config) for config, _ in configs}) < len(configs) / 4  # shared by several runs
+    assert all(astuple(config) == first for config, first in configs)
+
+
+@pytest.mark.parametrize("kind", ["tail", "scale"])
+def test_study_memory_does_not_grow_with_the_replicates(monkeypatch, kind):
+    # tail folds its starts in slices (of 2^8 bits here, so that both counts
+    # span many) and keeps only the (R, m) uint8 start draw; every study frees
+    # each replicate's source after its runs.  Freeing nothing would cost
+    # about 1 KB a replicate (its generator)
+    monkeypatch.setattr(experiments, "_START_SLICE_BITS", 1 << 8)
+    options = dict(n_values=(20,), preset="onemax", delta=0.01) if kind == "tail" else REPLAYS[kind][0]
+
+    def peak(replicates):
+        cfg = ExperimentConfig(**{"kind": kind, **options, "replicates": replicates, "seed": 3})
+        tracemalloc.start()
+        try:
+            experiments.run_experiment(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(20)  # the first study in a process also builds what every later one reuses
+    small, large = peak(200), peak(2000)
+    assert large - small < 64 * (2000 - 200), (small, large)
